@@ -7,16 +7,17 @@ must reproduce the vector at the far end.  The solutions form a lattice whose
 rank is squeezed between the weight rank ``n`` and the valence ``m``, and the
 value at a single vertex already determines the whole element.
 
-Two independent solvers are provided and must agree: ``propagate`` transports
-an unknown base-vertex vector along a spanning tree and turns every remaining
-edge into constraints, ``full_system`` solves for all vertex vectors at once.
+Two independent solvers are provided and must agree: ``propagate`` moves a
+base-vertex kernel along a spanning tree in O(m) steps and refines it on every
+remaining edge, ``full_system`` solves for all vertex vectors at once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .axial import GkmGraph
 from .congruence import congruence_vector, invariant_function, permutation
@@ -61,6 +62,18 @@ class AxialGroupBasis:
     coordinate_matrix: IntegerMatrix
 
 
+def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Transport across ``e`` in O(m): ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``, with ``cbar = c(ē)``."""
+    sig, pe = permutation(gkm, e), gkm.graph.dart_index(e)
+    pick = itemgetter(*sig) if len(sig) > 1 else lambda x: (x[sig[0]],)
+
+    def step(x: Sequence[int]) -> tuple[int, ...]:
+        fe = x[pe]
+        return tuple([x[s] + fe * c for s, c in zip(sig, cbar)]) if fe else pick(x)
+
+    return step
+
+
 def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, ...]:
     """Transport a vector across dart ``e``: the unique far-end value.
 
@@ -68,32 +81,13 @@ def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, .
     ``q``; for members of the solution lattice this is the value forced by the
     defining relation at ``e``.
     """
-    g = gkm.graph
-    sig = permutation(gkm, e)
-    cbar = congruence_vector(gkm, g.reverse(e))
-    fe = f_at_source[g.dart_index(e)]
-    return tuple(f_at_source[sig[j]] + fe * cbar[j] for j in range(g.valence))
+    return _step(gkm, e, congruence_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
 
 
 def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """Matrix ``T`` with ``propagate(gkm, x, e) == T @ x`` for all ``x``."""
-    inv = invariant_function(gkm)
-    return _transport(gkm, e, inv)
-
-
-def _transport(gkm: GkmGraph, e: str, inv: Mapping[str, tuple[int, ...]]) -> IntegerMatrix:
-    g = gkm.graph
-    m = g.valence
-    sig = permutation(gkm, e)
-    cbar = inv[g.reverse(e)]
-    pe = g.dart_index(e)
-    rows = []
-    for j in range(m):
-        row = [0] * m
-        row[sig[j]] += 1
-        row[pe] += cbar[j]
-        rows.append(row)
-    return IntegerMatrix.from_rows(rows, m)
+    columns = [propagate(gkm, unit, e) for unit in IntegerMatrix.identity(gkm.m).data]
+    return IntegerMatrix.from_rows(columns, gkm.m).transpose()
 
 
 def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]]:
@@ -117,29 +111,35 @@ def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]
 def _solve_by_propagation(
     gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]], base: str
 ) -> list[tuple[int, ...]]:
+    """Refine the base-vertex kernel over every non-tree edge in turn.
+
+    ``kernel`` spans the saturated lattice of base vectors meeting every
+    relation checked so far; a failing edge's block ``D`` has a saturated
+    integer kernel, whose combinations of the kernel rows span the new one.
+    """
     g = gkm.graph
-    m = g.valence
     tree, used = _spanning_tree(g, base)
-    matrices = {base: IntegerMatrix.identity(m)}
-    for e in tree:
-        matrices[g.target(e)] = _transport(gkm, e, inv) @ matrices[g.source(e)]
-    rows: list[list[int]] = []
-    for e in g.edge_representatives():
-        if e in used:
+    checks = [e for e in g.edge_representatives() if e not in used]
+    steps = {e: _step(gkm, e, inv[g.reverse(e)]) for e in tree + checks}
+
+    def spread(kernel: list[tuple[int, ...]]) -> dict[str, list[tuple[int, ...]]]:
+        values = {base: kernel}
+        for e in tree:
+            values[g.target(e)] = list(map(steps[e], values[g.source(e)]))
+        return values
+
+    kernel = list(IntegerMatrix.identity(g.valence).data)
+    values = spread(kernel)
+    for e in checks:
+        moved, there = list(map(steps[e], values[g.source(e)])), values[g.target(e)]
+        if moved == there:
             continue
-        lhs = _transport(gkm, e, inv) @ matrices[g.source(e)]
-        rhs = matrices[g.target(e)]
-        for row_l, row_r in zip(lhs.data, rhs.data):
-            rows.append([x - y for x, y in zip(row_l, row_r)])
-    mat = IntegerMatrix.from_rows(rows, m) if rows else IntegerMatrix.zeros(0, m)
-    kernel = integer_kernel_basis(mat)
-    out = []
-    for x in kernel:
-        coord: list[int] = []
-        for v in g.vertices:
-            coord.extend(matrices[v].mul_vector(x))
-        out.append(tuple(coord))
-    return out
+        block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]
+        combos = integer_kernel_basis(IntegerMatrix.from_rows(block, g.valence).transpose())
+        cols = list(zip(*kernel))
+        kernel = [tuple(sum(c * x for c, x in zip(combo, col)) for col in cols) for combo in combos]
+        values = spread(kernel)
+    return [tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))]
 
 
 def _solve_full_system(

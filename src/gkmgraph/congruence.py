@@ -9,7 +9,7 @@ is a cheap cross-check on the connection and is exercised by the test suite.
 
 from __future__ import annotations
 
-from .axial import GkmGraph, congruence_coefficient
+from .axial import AxialError, GkmGraph, NotProportionalError, congruence_coefficient
 from .intlinalg import IntegerMatrix
 
 
@@ -39,11 +39,51 @@ def congruence_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.out_darts(p))
 
 
+def _packed(gkm: GkmGraph) -> dict[str, int]:
+    """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``.
+
+    With ``M`` the largest absolute entry, a quotient read at a pivot has
+    ``|q| ≤ 2M``, so ``w(a) − w(b) − q·w(e)`` has entries below
+    ``2M(M+1) < 2^s``; such a vector packs to 0 only when it is zero, which
+    turns each congruence check into one subtraction and one product.
+    """
+    weights = gkm.axial.weights
+    for d in gkm.graph.darts:
+        if len(weights[d]) != gkm.n:
+            raise AxialError(f"weight of dart {d} has length {len(weights[d])}, expected {gkm.n}")
+    s = 2 * max((abs(x) for d in gkm.graph.darts for x in weights[d]), default=0).bit_length() + 2
+    packed = {}
+    for d in gkm.graph.darts:
+        acc = 0
+        for x in reversed(weights[d]):
+            acc = (acc << s) + x
+        packed[d] = acc
+    return packed
+
+
 def invariant_function(gkm: GkmGraph) -> dict[str, tuple[int, ...]]:
     """The full dart-to-vector map of congruence coefficients.
 
     This map is unchanged under any extension of the weights, which is what
     makes it usable as the sole input (besides the connection) to the
-    solution-lattice computation.
+    solution-lattice computation.  Each vector equals ``congruence_vector``
+    of its dart, and a dart without one raises the same error; quotients are
+    read at the first nonzero coordinate of the dart's weight and checked on
+    packed weights.
     """
-    return {e: congruence_vector(gkm, e) for e in gkm.graph.darts}
+    g, w, packed = gkm.graph, gkm.axial.weights, _packed(gkm)
+    out = {}
+    for e in g.darts:
+        nabla, base = gkm.connection.maps[e], w[e]
+        pivot = next((i for i, x in enumerate(base) if x), None)
+        vector = []
+        for d in g.out_darts(g.source(e)):
+            image = nabla[d]
+            q, r = (0, 0) if pivot is None else divmod(w[image][pivot] - w[d][pivot], base[pivot])
+            if r or packed[image] - packed[d] != q * packed[e]:
+                raise NotProportionalError(
+                    f"weight change of {d} across {e} is not a multiple of the base weight"
+                )
+            vector.append(q)
+        out[e] = tuple(vector)
+    return out

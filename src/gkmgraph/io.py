@@ -9,7 +9,9 @@ ordering sections.  Parsing is purely structural; the axioms are checked by
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -54,6 +56,11 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``bool`` subclasses ``int`` but is not one here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _string_list(obj, path: str) -> tuple[str, ...]:
     _expect(isinstance(obj, list) and all(isinstance(x, str) for x in obj), path, "expected a list of strings")
     return tuple(obj)
@@ -65,12 +72,15 @@ def parse_gkm(text: str) -> GkmDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"an integer literal exceeds Python's int-max-str-digits limit of {limit} digits") from exc
     _expect(isinstance(obj, dict), "$", "expected a JSON object")
     unknown = set(obj) - {"torus_rank", "vertices", "edges", "connection", "orderings"}
     _expect(not unknown, "$", f"unknown fields: {sorted(unknown)}")
 
     rank = obj.get("torus_rank")
-    _expect(isinstance(rank, int) and rank >= 1, "torus_rank", "expected a positive integer")
+    _expect(_is_int(rank) and rank >= 1, "torus_rank", "expected a positive integer")
     vertices = _string_list(obj.get("vertices"), "vertices")
     _expect(len(set(vertices)) == len(vertices), "vertices", "duplicate vertex ids")
 
@@ -95,7 +105,7 @@ def parse_gkm(text: str) -> GkmDocument:
         _expect(ends[0] in vertices and ends[1] in vertices, f"{path}.endpoints", "unknown vertex")
         weight = e["weight"]
         _expect(
-            isinstance(weight, list) and all(isinstance(x, int) for x in weight),
+            isinstance(weight, list) and all(_is_int(x) for x in weight),
             f"{path}.weight", "expected a list of integers",
         )
         _expect(len(weight) == rank, f"{path}.weight", f"expected {rank} integers, got {len(weight)}")
@@ -118,10 +128,11 @@ def parse_gkm(text: str) -> GkmDocument:
             _expect(isinstance(maps, list), f"{path}.maps", "expected a list of pairs")
             images = []
             for kk, pair in enumerate(maps):
-                _expect(
-                    isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair),
-                    f"{path}.maps[{kk}]", "expected a pair of dart ids",
-                )
+                # no _expect here: its path string would be formatted for every
+                # pair, and a document carries tens of thousands of them
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and isinstance(pair[0], str) and isinstance(pair[1], str)):
+                    raise SchemaError(f"{path}.maps[{kk}]: expected a pair of dart ids")
                 images.append((pair[0], pair[1]))
             entries.append(ConnectionEntry(dart, tuple(images)))
         connection = tuple(entries)
@@ -200,7 +211,14 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     for entry in doc.connection:
         if entry.dart not in graph.sources:
             raise SchemaError(f"connection: unknown dart {entry.dart}")
-        maps[entry.dart] = dict(entry.images)
+        nabla = dict(entry.images)
+        source, target = graph.source(entry.dart), graph.target(entry.dart)
+        if set(nabla) != set(graph.out_darts(source)) or set(nabla.values()) != set(graph.out_darts(target)):
+            raise SchemaError(
+                f"connection: map for dart {entry.dart} is not a bijection from the out-darts "
+                f"of {source} onto those of {target}"
+            )
+        maps[entry.dart] = nabla
     for d in graph.darts:
         if d in maps:
             continue
@@ -212,7 +230,19 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
 
 
 def load_gkm(text: str) -> GkmGraph:
-    return gkm_from_document(parse_gkm(text))
+    """Parse and assemble a document, with the cyclic garbage collector paused.
+
+    Loading allocates a container per JSON array and per connection pair,
+    about 10^5 for grassmannian(12), and forms no reference cycles, so the
+    collector's passes over that growing heap would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return gkm_from_document(parse_gkm(text))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _fmt_vec(v: tuple[int, ...]) -> str:
@@ -233,9 +263,9 @@ def emit_dot(gkm: GkmGraph, annotate: str = "none") -> str:
     for v in g.vertices:
         lines.append(f'  "{v}";')
     if annotate == "congruence":
-        from .congruence import congruence_vector
+        from .congruence import invariant_function
 
-        vectors = {d: congruence_vector(gkm, d) for d in g.darts}
+        vectors = invariant_function(gkm)
     for e in g.edge_representatives():
         ends = f'"{g.source(e)}" -- "{g.target(e)}"'
         if annotate == "weights":

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gkmgraph import (
     GkmGraph,
     IntegerMatrix,
@@ -11,6 +15,7 @@ from gkmgraph import (
     propagate,
     transport_matrix,
 )
+from gkmgraph.errors import GkmError
 from helpers import (
     brute_force_solutions,
     core_fixtures,
@@ -114,6 +119,37 @@ def test_methods_agree_on_fixtures():
         b = axial_group_basis(gkm, method="full_system")
         assert a.coordinate_matrix == b.coordinate_matrix, name
         assert a.elements == b.elements, name
+
+
+RELABEL_FIXTURES = core_fixtures()
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL_FIXTURES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_methods_agree_off_the_axioms(name, data):
+    # weights relabelled through a random small matrix and never validated,
+    # so pairwise independence and spanning may fail; from every base vertex
+    # the propagation solver must still match the full system, lattice or error
+    gkm = RELABEL_FIXTURES[name]
+    k = data.draw(st.integers(1, gkm.n + 1), label="rows")
+    row = st.lists(st.integers(-2, 2), min_size=gkm.n, max_size=gkm.n)
+    matrix = data.draw(st.lists(row, min_size=k, max_size=k), label="matrix")
+    weights = {
+        d: tuple(sum(a * b for a, b in zip(r, w)) for r in matrix)
+        for d, w in gkm.axial.weights.items()
+    }
+    relabelled = gkm.with_weights(weights, k)
+
+    def outcome(method, base=None):
+        try:
+            return axial_group_basis(relabelled, method=method, base_vertex=base).coordinate_matrix
+        except GkmError as exc:
+            return type(exc)
+
+    expected = outcome("full_system")
+    for v in gkm.graph.vertices:
+        assert outcome("propagate", v) == expected, v
 
 
 def test_full_system_both_orientations_self_check():

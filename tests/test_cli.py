@@ -105,3 +105,17 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rank"])  # missing file argument
     assert exc.value.code == 2
+
+
+def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
+    doc = json.loads(open(s6_file).read())
+    entry = doc["connection"][0]
+    entry["maps"] = entry["maps"][1:]
+    with open(s6_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["rank", s6_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: connection: map for dart " + entry["dart"] + " ")

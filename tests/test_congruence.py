@@ -1,5 +1,12 @@
+import random
+
+import pytest
+
 from gkmgraph import (
+    AxialError,
     IntegerMatrix,
+    NotProportionalError,
+    congruence_vector,
     gen_grassmannian,
     gen_projective,
     gen_s6,
@@ -91,3 +98,76 @@ def test_permutation_matrices_invert_pairwise():
     for e in gkm.graph.darts:
         prod = permutation_matrix(gkm, gkm.graph.reverse(e)) @ permutation_matrix(gkm, e)
         assert prod == IntegerMatrix.identity(m)
+
+
+def test_invariant_function_matches_pairwise_coefficients_off_the_axioms():
+    # weights perturbed at random (some zeroed) and never validated: the
+    # packed bulk check gives each dart's pairwise vector, or both raise the
+    # same error for the same first dart
+    rng = random.Random(11)
+    failures = 0
+
+    def outcome(compute):
+        try:
+            return compute()
+        except NotProportionalError as exc:
+            return str(exc)
+
+    for name, gkm in core_fixtures().items():
+        for trial in range(8):
+            bend = (0.0, 0.01, 0.05, 0.2)[trial % 4]
+            weights = {}
+            for d, w in gkm.axial.weights.items():
+                u = rng.random()
+                weights[d] = (0,) * gkm.n if u < bend / 4 else tuple(x + (u < bend) * rng.choice((-1, 1)) for x in w)
+            bent = gkm.with_weights(weights, gkm.n)
+            expected = outcome(lambda: {e: congruence_vector(bent, e) for e in gkm.graph.darts})
+            assert outcome(lambda: invariant_function(bent)) == expected, name
+            failures += isinstance(expected, str)
+    assert 0 < failures < len(core_fixtures()) * 8
+
+
+def test_weight_of_the_wrong_length_is_an_axial_error():
+    gkm = gen_s6()
+    weights = dict(gkm.axial.weights, e1=gkm.weight("e1") + (0,))
+    with pytest.raises(AxialError, match="weight of dart e1 has length 3, expected 2"):
+        invariant_function(gkm.with_weights(weights, gkm.n))
+
+
+def test_packing_leaves_room_for_the_largest_quotient():
+    # across e the weight change of d is (3, 1, 1) = 3·(1, 3, 0) + (0, -8, 1):
+    # not a multiple; packed with fields of only 3 bits the remainder would
+    # read as -8 + 1·8 = 0, so the field width must grow with the quotient
+    gkm = gen_projective(3)
+    g = gkm.graph
+    e = g.darts[0]
+    d = g.out_darts(g.source(e))[1]
+    weights = dict(gkm.axial.weights)
+    weights[e], weights[g.reverse(e)] = (1, 3, 0), (-1, -3, 0)
+    weights[d], weights[gkm.connection.image(e, d)] = (0, 0, 0), (3, 1, 1)
+    bent = gkm.with_weights(weights, gkm.n)
+    with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
+        congruence_vector(bent, e)
+    with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
+        invariant_function(bent)
+
+
+def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
+    gkm = gen_projective(3)
+    g = gkm.graph
+    e = g.darts[0]
+    weights = dict(gkm.axial.weights)
+    weights[e] = weights[g.reverse(e)] = (0,) * gkm.n
+    for d in g.out_darts(g.source(e))[1:]:
+        weights[gkm.connection.image(e, d)] = weights[d]
+    bent = gkm.with_weights(weights, gkm.n)
+    assert congruence_vector(bent, e) == (0, 0, 0)
+
+    def vectors(compute):
+        try:
+            return compute()
+        except NotProportionalError as exc:
+            return str(exc)
+
+    expected = vectors(lambda: {x: congruence_vector(bent, x) for x in g.darts})
+    assert vectors(lambda: invariant_function(bent)) == expected

@@ -1,3 +1,6 @@
+import gc
+import json
+
 import pytest
 
 from gkmgraph import (
@@ -67,10 +70,51 @@ def test_missing_field_is_a_schema_error():
         parse_gkm('{"torus_rank": 2, "vertices": ["p"], "edges": [{"id": "e"}]}')
 
 
+def test_json_booleans_are_not_integers():
+    with pytest.raises(SchemaError) as err:
+        parse_gkm(MINIMAL.replace('"torus_rank": 2', '"torus_rank": true'))
+    assert "torus_rank" in str(err.value)
+    with pytest.raises(SchemaError) as err:
+        parse_gkm(MINIMAL.replace('"weight": [1, 0]', '"weight": [true, false]'))
+    assert "edges[0].weight" in str(err.value)
+
+
+def test_oversized_integer_literal_is_a_parse_error():
+    huge = MINIMAL.replace('"torus_rank": 2', '"torus_rank": ' + "7" * 5000)
+    with pytest.raises(ParseError) as err:
+        parse_gkm(huge)
+    assert "int-max-str-digits" in str(err.value)
+
+
 def test_unknown_vertex_is_a_schema_error():
     bad = MINIMAL.replace('["p", "q", "r"]', '["p", "q"]')
     with pytest.raises(SchemaError):
         parse_gkm(bad)
+
+
+@pytest.mark.parametrize("pair", [["e2"], ["e2", 3], "e2", ["e2", "e3~", "e1"]])
+def test_malformed_connection_pair_is_a_schema_error(pair):
+    obj = json.loads(emit_gkm(document_from_gkm(gen_s6())))
+    obj["connection"][0]["maps"][1] = pair
+    with pytest.raises(SchemaError, match=r"^connection\[0\]\.maps\[1\]: expected a pair of dart ids$"):
+        parse_gkm(json.dumps(obj))
+
+
+def test_load_restores_the_garbage_collector_state():
+    # load_gkm pauses the cyclic collector; it must leave it as it found it,
+    # also when the document is rejected
+    text = emit_gkm(document_from_gkm(gen_s6()))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            load_gkm(text)
+            assert gc.isenabled() == enabled
+            with pytest.raises(ParseError):
+                load_gkm("{")
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_partial_connection_completed_by_inversion():
