@@ -45,6 +45,15 @@ class AxialElement:
             out.extend(self.values[v])
         return tuple(out)
 
+    @classmethod
+    def from_coordinates(cls, graph: OrientedGraph, coord: Sequence[int]) -> "AxialElement":
+        """The element whose ``coordinates(graph.vertices)`` are ``coord``."""
+        m = graph.valence
+        values = {
+            v: tuple(coord[i * m : (i + 1) * m]) for i, v in enumerate(graph.vertices)
+        }
+        return cls(values)
+
 
 @dataclass(frozen=True)
 class AxialGroupBasis:
@@ -143,17 +152,14 @@ def _solve_by_propagation(
 
 
 def _solve_full_system(
-    gkm: GkmGraph,
-    inv: Mapping[str, tuple[int, ...]],
-    both_orientations: bool = False,
+    gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     g = gkm.graph
     m = g.valence
     offset = {v: i * m for i, v in enumerate(g.vertices)}
     width = m * len(g.vertices)
-    darts = g.darts if both_orientations else g.edge_representatives()
     rows = []
-    for e in darts:
+    for e in g.edge_representatives():
         p, q = g.source(e), g.target(e)
         eb = g.reverse(e)
         sig = permutation(gkm, e)
@@ -167,14 +173,6 @@ def _solve_full_system(
             rows.append(row)
     mat = IntegerMatrix.from_rows(rows, width) if rows else IntegerMatrix.zeros(0, width)
     return integer_kernel_basis(mat)
-
-
-def _element_from_coordinates(graph: OrientedGraph, coord: Sequence[int]) -> AxialElement:
-    m = graph.valence
-    values = {
-        v: tuple(coord[i * m : (i + 1) * m]) for i, v in enumerate(graph.vertices)
-    }
-    return AxialElement(values)
 
 
 def axial_group_basis(
@@ -202,7 +200,7 @@ def axial_group_basis(
         raise ValueError(f"unknown method {method!r}")
     width = g.valence * len(g.vertices)
     coords = lattice_basis(coords, width)
-    elements = tuple(_element_from_coordinates(g, c) for c in coords)
+    elements = tuple(AxialElement.from_coordinates(g, c) for c in coords)
     restricted = lattice_basis([el.values[base] for el in elements], g.valence)
     return AxialGroupBasis(
         elements=elements,

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import GkmError
 from .graph import OrientedGraph
-from .intlinalg import IntegerMatrix, invariant_factors, matrix_rank
+from .intlinalg import IntegerMatrix, invariant_factors
 
 Weight = tuple[int, ...]
 
@@ -42,9 +42,6 @@ class AxialFunction:
 
     torus_rank: int
     weights: Mapping[str, Weight]
-
-    def weight(self, dart: str) -> Weight:
-        return self.weights[dart]
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,8 @@ def _ratio(diff: Weight, base: Weight) -> int | None:
     return q
 
 
-def _check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
+def check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
+    """Raise :class:`AxialError` unless every dart carries a weight of length ``torus_rank``."""
     for d in graph.darts:
         w = axial.weights.get(d)
         if w is None:
@@ -168,15 +166,9 @@ def validate_axial(
     graph: OrientedGraph,
     axial: AxialFunction,
     connection: Connection | None = None,
-    *,
-    rational_span: bool = False,
 ) -> ValidationReport:
-    """Check the four axioms; axiom 3 only when a connection is supplied.
-
-    ``rational_span`` relaxes axiom 4 from spanning the integer lattice to
-    spanning over the rationals.
-    """
-    _check_labels(graph, axial)
+    """Check the four axioms; axiom 3 only when a connection is supplied."""
+    check_labels(graph, axial)
     w = axial.weights
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
@@ -200,13 +192,9 @@ def validate_axial(
 
     for p in graph.vertices:
         mat = IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], axial.torus_rank)
-        if rational_span:
-            if matrix_rank(mat) != axial.torus_rank:
-                failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span over the rationals"))
-        else:
-            facs = invariant_factors(mat)
-            if len(facs) != axial.torus_rank or any(f != 1 for f in facs):
-                failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
+        facs = invariant_factors(mat)
+        if len(facs) != axial.torus_rank or any(f != 1 for f in facs):
+            failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
 
     return ValidationReport(checked=checked, failures=tuple(failures))
 
@@ -240,8 +228,8 @@ def _check_connection(
     return failures
 
 
-def validate_gkm(gkm: GkmGraph, *, rational_span: bool = False) -> ValidationReport:
-    return validate_axial(gkm.graph, gkm.axial, gkm.connection, rational_span=rational_span)
+def validate_gkm(gkm: GkmGraph) -> ValidationReport:
+    return validate_axial(gkm.graph, gkm.axial, gkm.connection)
 
 
 def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
@@ -254,7 +242,7 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
-    _check_labels(graph, axial)
+    check_labels(graph, axial)
     w = axial.weights
     maps: dict[str, dict[str, str]] = {}
     for e in graph.darts:

@@ -14,7 +14,6 @@ from pathlib import Path
 from .axgroup import axial_group_basis
 from .axial import (
     AmbiguousConnectionError,
-    AxialFunction,
     ConnectionNotFoundError,
     infer_connection,
     validate_axial,
@@ -23,9 +22,17 @@ from .congruence import invariant_function
 from .errors import GkmError
 from .extension import extend_axial, project_axial, verify_extension
 from .families import gen_grassmannian, gen_projective, gen_s6
-from .graph import build_graph, reverse_name
 from .intlinalg import IntegerMatrix
-from .io import document_from_gkm, emit_dot, emit_gkm, gkm_from_document, load_gkm, parse_gkm
+from .io import (
+    document_from_gkm,
+    emit_dot,
+    emit_gkm,
+    format_vector,
+    gkm_from_document,
+    labels_from_document,
+    load_gkm,
+    parse_gkm,
+)
 
 
 def _read(path: str) -> str:
@@ -40,10 +47,6 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _fmt_vec(v: tuple[int, ...]) -> str:
-    return "(" + ", ".join(str(x) for x in v) + ")"
 
 
 def _parse_matrix(text: str) -> IntegerMatrix:
@@ -66,19 +69,13 @@ def _parse_matrix(text: str) -> IntegerMatrix:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = parse_gkm(_read(args.file))
-    graph = build_graph(
-        doc.vertices, [(e.id, e.source, e.target) for e in doc.edges], orderings=doc.orderings
-    )
-    weights = {}
-    for e in doc.edges:
-        weights[e.id] = e.weight
-        weights[reverse_name(e.id)] = tuple(-x for x in e.weight)
-    axial = AxialFunction(doc.torus_rank, weights)
     connection = None
     note = None
     if doc.connection is not None:
-        connection = gkm_from_document(doc).connection
+        gkm = gkm_from_document(doc)
+        graph, axial, connection = gkm.graph, gkm.axial, gkm.connection
     else:
+        graph, axial = labels_from_document(doc)
         try:
             connection = infer_connection(graph, axial)
             note = "connection: inferred from the weights"
@@ -105,7 +102,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     gkm = load_gkm(_read(args.file))
     inv = invariant_function(gkm)
     for e in gkm.graph.darts:
-        print(f"{e}: {_fmt_vec(inv[e])}")
+        print(f"{e}: {format_vector(inv[e])}")
     return 0
 
 
@@ -116,7 +113,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     print(f"no effective torus of dimension > {basis.rank} acts on this structure")
     if args.basis:
         for k, el in enumerate(basis.elements, start=1):
-            parts = " ".join(f"{v}:{_fmt_vec(el.values[v])}" for v in gkm.graph.vertices)
+            parts = " ".join(f"{v}:{format_vector(el.values[v])}" for v in gkm.graph.vertices)
             print(f"f{k}: {parts}")
     return 0
 
@@ -236,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GkmError as exc:
+    except (GkmError, ValueError) as exc:
+        # ValueError: an argument value the library rejects, or input that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ is a cheap cross-check on the connection and is exercised by the test suite.
 
 from __future__ import annotations
 
-from .axial import AxialError, GkmGraph, NotProportionalError, congruence_coefficient
+from .axial import GkmGraph, NotProportionalError, check_labels, congruence_coefficient
 from .intlinalg import IntegerMatrix
 
 
@@ -47,10 +47,8 @@ def _packed(gkm: GkmGraph) -> dict[str, int]:
     ``2M(M+1) < 2^s``; such a vector packs to 0 only when it is zero, which
     turns each congruence check into one subtraction and one product.
     """
+    check_labels(gkm.graph, gkm.axial)
     weights = gkm.axial.weights
-    for d in gkm.graph.darts:
-        if len(weights[d]) != gkm.n:
-            raise AxialError(f"weight of dart {d} has length {len(weights[d])}, expected {gkm.n}")
     s = 2 * max((abs(x) for d in gkm.graph.darts for x in weights[d]), default=0).bit_length() + 2
     packed = {}
     for d in gkm.graph.darts:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .axgroup import (
     AxialElement,
     AxialGroupBasis,
-    _element_from_coordinates,
     axial_group_basis,
     canonical_elements,
 )
@@ -106,7 +105,7 @@ def extend_axial(
     chosen_rows = [el.coordinates(verts) for el in canon]
     completion, _ = complete_inside_lattice(chosen_rows, lattice_rows)
     extra = completion[: target_rank - n]
-    chosen = canon + [_element_from_coordinates(g, r) for r in extra]
+    chosen = canon + [AxialElement.from_coordinates(g, r) for r in extra]
     candidate = _assemble(gkm, chosen)
     report = validate_gkm(candidate)
     if _only_axiom4(report):
@@ -115,7 +114,7 @@ def extend_axial(
         sat = saturation([el.coordinates(verts) for el in chosen], len(verts) * g.valence)
         completion2, _ = complete_inside_lattice(chosen_rows, sat)
         chosen = canon + [
-            _element_from_coordinates(g, r) for r in completion2[: target_rank - n]
+            AxialElement.from_coordinates(g, r) for r in completion2[: target_rank - n]
         ]
         candidate = _assemble(gkm, chosen)
         report = validate_gkm(candidate)

@@ -3,15 +3,16 @@
 Three generators cover the standard desk-scale fixtures: complete graphs with
 difference weights (projective spaces), the two-vertex triple edge with
 weights summing to zero (the six-sphere), and Johnson graphs ``J(n+2, 2)``
-with the Grassmannian weights.
+with the Grassmannian weights.  Each assembles a document of forward darts.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .axial import AxialFunction, Connection, GkmGraph, infer_connection
-from .graph import build_graph, reverse_name
+from .axial import GkmGraph
+from .graph import reverse_name
+from .io import ConnectionEntry, EdgeRecord, GkmDocument, gkm_from_document
 
 
 def gen_projective(m: int) -> GkmGraph:
@@ -28,18 +29,11 @@ def gen_projective(m: int) -> GkmGraph:
         # a_0 is the zero vector by convention
         return tuple(1 if t == i else 0 for t in range(1, m + 1))
 
-    vertices = [str(i) for i in range(m + 1)]
-    edges = []
-    weights = {}
-    for i, j in combinations(range(m + 1), 2):
-        eid = f"{i}-{j}"
-        edges.append((eid, str(i), str(j)))
-        w = tuple(a - b for a, b in zip(unit(j), unit(i)))
-        weights[eid] = w
-        weights[reverse_name(eid)] = tuple(-x for x in w)
-    graph = build_graph(vertices, edges)
-    axial = AxialFunction(m, weights)
-    return GkmGraph(graph, axial, infer_connection(graph, axial))
+    edges = tuple(
+        EdgeRecord(f"{i}-{j}", str(i), str(j), tuple(a - b for a, b in zip(unit(j), unit(i))))
+        for i, j in combinations(range(m + 1), 2)
+    )
+    return gkm_from_document(GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges))
 
 
 def gen_s6() -> GkmGraph:
@@ -49,26 +43,16 @@ def gen_s6() -> GkmGraph:
     known congruence vector (-2, 1, 1) on every dart; the connection swaps
     the two other parallel edges.
     """
-    vertices = ["p", "q"]
-    edges = [("e1", "p", "q"), ("e2", "p", "q"), ("e3", "p", "q")]
-    weights = {
-        "e1": (1, 0),
-        "e2": (0, 1),
-        "e3": (-1, -1),
-    }
-    for eid in ("e1", "e2", "e3"):
-        weights[reverse_name(eid)] = tuple(-x for x in weights[eid])
-    graph = build_graph(vertices, edges)
-    maps = {}
-    for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-        fwd = {
-            f"e{i}": f"e{i}~",
-            f"e{j}": f"e{k}~",
-            f"e{k}": f"e{j}~",
-        }
-        maps[f"e{i}"] = fwd
-        maps[f"e{i}~"] = {img: src for src, img in fwd.items()}
-    return GkmGraph(graph, AxialFunction(2, weights), Connection(maps))
+    edges = (
+        EdgeRecord("e1", "p", "q", (1, 0)),
+        EdgeRecord("e2", "p", "q", (0, 1)),
+        EdgeRecord("e3", "p", "q", (-1, -1)),
+    )
+    connection = tuple(
+        ConnectionEntry(f"e{i}", ((f"e{i}", f"e{i}~"), (f"e{j}", f"e{k}~"), (f"e{k}", f"e{j}~")))
+        for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+    )
+    return gkm_from_document(GkmDocument(2, ("p", "q"), edges, connection))
 
 
 def _grass_vertex(pair: frozenset[int]) -> str:
@@ -102,19 +86,24 @@ def gen_grassmannian(n: int) -> GkmGraph:
         return eid if _grass_vertex(u) == a else reverse_name(eid)
 
     edges = []
-    weights = {}
+    connection = []
     for u, w in combinations(pairs, 2):
         if not (u & w):
             continue
         a, b = sorted((_grass_vertex(u), _grass_vertex(w)))
         src, dst = (u, w) if _grass_vertex(u) == a else (w, u)
         eid = f"{a}|{b}"
-        edges.append((eid, a, b))
         (old,) = src - dst
         (new,) = dst - src
-        wt = tuple(x - y for x, y in zip(unit(new), unit(old)))
-        weights[eid] = wt
-        weights[reverse_name(eid)] = tuple(-x for x in wt)
+        edges.append(EdgeRecord(eid, a, b, tuple(x - y for x, y in zip(unit(new), unit(old)))))
+        swap = {old: new, new: old}
+        # t == dst lands on swap(dst) == src, the reversed dart
+        images = tuple(
+            (dart_id(src, t), dart_id(dst, frozenset(swap.get(x, x) for x in t)))
+            for t in pairs
+            if t != src and t & src
+        )
+        connection.append(ConnectionEntry(eid, images))
 
     orderings = {}
     for u in pairs:
@@ -122,24 +111,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
         others = sorted(set(ground) - u)
         order = [dart_id(u, frozenset({i, k})) for k in others]
         order += [dart_id(u, frozenset({j, k})) for k in others]
-        orderings[_grass_vertex(u)] = order
+        orderings[_grass_vertex(u)] = tuple(order)
 
-    maps = {}
-    for u in pairs:
-        for w in pairs:
-            if u == w or not (u & w):
-                continue
-            (old,) = u - w
-            (new,) = w - u
-            swap = {old: new, new: old}
-            nabla = {}
-            for t in pairs:
-                if t == u or not (t & u):
-                    continue
-                # t == w lands on swap(w) == u, the reversed dart
-                image = frozenset(swap.get(x, x) for x in t)
-                nabla[dart_id(u, t)] = dart_id(w, image)
-            maps[dart_id(u, w)] = nabla
-
-    graph = build_graph(vertices, edges, orderings=orderings)
-    return GkmGraph(graph, AxialFunction(n + 1, weights), Connection(maps))
+    doc = GkmDocument(n + 1, tuple(vertices), tuple(edges), tuple(connection), orderings)
+    return gkm_from_document(doc)

@@ -61,12 +61,6 @@ class IntegerMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def transpose(self) -> "IntegerMatrix":
         if not self.data:
             return IntegerMatrix(tuple(() for _ in range(self.ncols)), 0)
@@ -88,9 +82,6 @@ class IntegerMatrix:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -193,31 +184,6 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
     h, u = hermite_normal_form(m.transpose())
     kernel = [u.data[i] for i in range(h.nrows) if not any(h.data[i])]
     return lattice_basis(kernel, m.ncols)
-
-
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:

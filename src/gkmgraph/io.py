@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .axial import AxialFunction, Connection, GkmGraph, infer_connection
+from .congruence import invariant_function
 from .errors import GkmError
-from .graph import REVERSE_SUFFIX, build_graph, reverse_name
+from .graph import REVERSE_SUFFIX, OrientedGraph, build_graph, reverse_name
 
 
 class ParseError(GkmError):
@@ -72,6 +73,8 @@ def parse_gkm(text: str) -> GkmDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects are nested too deeply") from exc
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"an integer literal exceeds Python's int-max-str-digits limit of {limit} digits") from exc
@@ -193,8 +196,8 @@ def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     )
 
 
-def gkm_from_document(doc: GkmDocument) -> GkmGraph:
-    """Assemble a labeled graph; the connection is inferred when absent."""
+def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction]:
+    """The graph and axial function of a document; each ``X~`` carries the negated weight of ``X``."""
     graph = build_graph(
         doc.vertices,
         [(e.id, e.source, e.target) for e in doc.edges],
@@ -204,7 +207,12 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     for e in doc.edges:
         weights[e.id] = e.weight
         weights[reverse_name(e.id)] = tuple(-x for x in e.weight)
-    axial = AxialFunction(doc.torus_rank, weights)
+    return graph, AxialFunction(doc.torus_rank, weights)
+
+
+def gkm_from_document(doc: GkmDocument) -> GkmGraph:
+    """Assemble a labeled graph; the connection is inferred when absent."""
+    graph, axial = labels_from_document(doc)
     if doc.connection is None:
         return GkmGraph(graph, axial, infer_connection(graph, axial))
     maps: dict[str, dict[str, str]] = {}
@@ -245,8 +253,14 @@ def load_gkm(text: str) -> GkmGraph:
             gc.enable()
 
 
-def _fmt_vec(v: tuple[int, ...]) -> str:
+def format_vector(v: tuple[int, ...]) -> str:
+    """An integer vector as ``(a, b, c)``, as the command line and DOT labels print it."""
     return "(" + ", ".join(str(x) for x in v) + ")"
+
+
+def _dot_string(text: str) -> str:
+    """``text`` as a double-quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def emit_dot(gkm: GkmGraph, annotate: str = "none") -> str:
@@ -261,19 +275,18 @@ def emit_dot(gkm: GkmGraph, annotate: str = "none") -> str:
     g = gkm.graph
     lines = ["graph gkm {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_string(v)};")
     if annotate == "congruence":
-        from .congruence import invariant_function
-
         vectors = invariant_function(gkm)
     for e in g.edge_representatives():
-        ends = f'"{g.source(e)}" -- "{g.target(e)}"'
+        ends = f"{_dot_string(g.source(e))} -- {_dot_string(g.target(e))}"
         if annotate == "weights":
-            lines.append(f'  {ends} [label="{e}: {_fmt_vec(gkm.weight(e))}"];')
+            label = f"{e}: {format_vector(gkm.weight(e))}"
         elif annotate == "congruence":
-            label = f"{_fmt_vec(vectors[e])} / {_fmt_vec(vectors[g.reverse(e)])}"
-            lines.append(f'  {ends} [label="{label}"];')
+            label = f"{format_vector(vectors[e])} / {format_vector(vectors[g.reverse(e)])}"
         else:
             lines.append(f"  {ends};")
+            continue
+        lines.append(f"  {ends} [label={_dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

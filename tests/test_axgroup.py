@@ -152,19 +152,6 @@ def test_methods_agree_off_the_axioms(name, data):
         assert outcome("propagate", v) == expected, v
 
 
-def test_full_system_both_orientations_self_check():
-    from gkmgraph.axgroup import _solve_full_system
-    from gkmgraph.congruence import invariant_function
-    from gkmgraph.intlinalg import lattice_basis
-
-    gkm = gen_grassmannian(2)
-    inv = invariant_function(gkm)
-    width = gkm.m * len(gkm.graph.vertices)
-    single = lattice_basis(_solve_full_system(gkm, inv), width)
-    double = lattice_basis(_solve_full_system(gkm, inv, both_orientations=True), width)
-    assert single == double
-
-
 def test_rank_nullity_against_rational_oracle():
     # solution rank = total unknowns - rational rank of the one-orientation system
     from gkmgraph.congruence import invariant_function, permutation

@@ -17,7 +17,7 @@ from gkmgraph import (
     validate_gkm,
 )
 from gkmgraph.axial import NotProportionalError, _ratio
-from helpers import core_fixtures, weight_ratio
+from helpers import core_fixtures, rational_rank, weight_ratio
 
 
 def test_fixtures_pass_all_axioms():
@@ -50,7 +50,9 @@ def test_axiom4_distinguishes_integer_and_rational_span():
     weights = {d: tuple(2 * x for x in base.weight(d)) for d in base.graph.darts}
     axial = AxialFunction(2, weights)
     assert not validate_axial(base.graph, axial).passed(4)
-    assert validate_axial(base.graph, axial, rational_span=True).passed(4)
+    # the doubled weights still span over the rationals, so only the integer span fails
+    g = base.graph
+    assert all(rational_rank([weights[d] for d in g.out_darts(p)]) == 2 for p in g.vertices)
 
 
 def test_inferred_connection_passes_axiom3():

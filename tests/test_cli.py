@@ -119,3 +119,41 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: connection: map for dart " + entry["dart"] + " ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "projective", "--m", "0"],
+        ["gen", "grassmannian", "--n", "0"],
+        ["extend", "{s6}", "--target", "1", "-o", "{out}"],
+        ["project", "{p3}", "--matrix", "1 0 0 0", "-o", "{out}"],
+        ["rank", "{latin1}"],
+        ["rank", "{deep}"],
+    ],
+    ids=[
+        "projective-m-0",
+        "grassmannian-n-0",
+        "extend-target-below-n",
+        "project-wrong-width",
+        "not-utf-8",
+        "deep-nesting",
+    ],
+)
+def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
+    p3 = tmp_path / "p3.json"
+    assert main(["gen", "projective", "--m", "3", "-o", str(p3)]) == 0
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"vertices": ["é"]}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out}
+    assert main([a.format(**paths) for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert not out.exists()

@@ -94,8 +94,7 @@ def test_scaled_completion_triggers_saturation_retry():
     # hand extend_axial a basis whose non-canonical directions are doubled:
     # the first completion fails the lattice-span axiom, the retry inside the
     # saturation of the span recovers a primitive choice
-    from gkmgraph import AxialGroupBasis, canonical_elements
-    from gkmgraph.axgroup import _element_from_coordinates
+    from gkmgraph import AxialElement, AxialGroupBasis, canonical_elements
     from helpers import rational_rank
 
     projected = project_axial(gen_projective(3), DROP_A3)
@@ -110,7 +109,7 @@ def test_scaled_completion_triggers_saturation_retry():
     )
     doubled = tuple(2 * x for x in spare.coordinates(verts))
     doctored = AxialGroupBasis(
-        elements=(canon[0], canon[1], _element_from_coordinates(projected.graph, doubled)),
+        elements=(canon[0], canon[1], AxialElement.from_coordinates(projected.graph, doubled)),
         rank=3,
         base_vertex=real.base_vertex,
         canonical_matrix=real.canonical_matrix,

@@ -86,6 +86,16 @@ def test_oversized_integer_literal_is_a_parse_error():
     assert "int-max-str-digits" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"a": ' * 100000 + "1" + "}" * 100000],
+    ids=["arrays", "objects"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_gkm(text)
+
+
 def test_unknown_vertex_is_a_schema_error():
     bad = MINIMAL.replace('["p", "q", "r"]', '["p", "q"]')
     with pytest.raises(SchemaError):
@@ -163,3 +173,26 @@ def test_dot_annotations():
     assert emit_dot(gen_s6(), annotate="congruence") == congruence
     with pytest.raises(ValueError):
         emit_dot(gen_s6(), annotate="bogus")
+
+
+def _renamed(obj, names):
+    """Every string of a JSON value mapped through ``names`` (keys included)."""
+    if isinstance(obj, str):
+        return names.get(obj, obj)
+    if isinstance(obj, list):
+        return [_renamed(x, names) for x in obj]
+    if isinstance(obj, dict):
+        return {_renamed(k, names): _renamed(v, names) for k, v in obj.items()}
+    return obj
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    names = {"p": 'p"x', "q": "q\\y", "e1": 'e"1', "e1~": 'e"1~'}
+    doc = _renamed(json.loads(emit_gkm(document_from_gkm(gen_s6()))), names)
+    lines = emit_dot(load_gkm(json.dumps(doc)), annotate="weights").splitlines()
+    assert lines[:4] == [
+        "graph gkm {",
+        '  "p\\"x";',
+        '  "q\\\\y";',
+        '  "p\\"x" -- "q\\\\y" [label="e\\"1: (1, 0)"];',
+    ]
