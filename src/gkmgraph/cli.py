@@ -46,7 +46,10 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise GkmError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_matrix(text: str) -> IntegerMatrix:
@@ -89,8 +92,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_connection(args: argparse.Namespace) -> int:
-    gkm = load_gkm(_read(args.file))
-    conn = infer_connection(gkm.graph, gkm.axial)
+    doc = parse_gkm(_read(args.file))
+    gkm = gkm_from_document(doc)
+    # without a pinned connection, assembly has already inferred it
+    conn = gkm.connection if doc.connection is None else infer_connection(gkm.graph, gkm.axial)
     g = gkm.graph
     for e in g.darts:
         pairs = ", ".join(f"{d}->{conn.maps[e][d]}" for d in g.out_darts(g.source(e)))

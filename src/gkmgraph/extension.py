@@ -12,21 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axgroup import (
-    AxialElement,
-    AxialGroupBasis,
-    axial_group_basis,
-    canonical_elements,
-)
+from .axgroup import AxialElement, axial_group_basis, canonical_elements
 from .axial import GkmGraph, ValidationReport, validate_gkm
 from .errors import GkmError
-from .intlinalg import (
-    IntegerMatrix,
-    complete_inside_lattice,
-    invariant_factors,
-    saturation,
-    solve_left,
-)
+from .intlinalg import IntegerMatrix, complete_inside_lattice, invariant_factors, solve_left
 
 
 class RankExceededError(GkmError):
@@ -74,61 +63,42 @@ def _assemble(gkm: GkmGraph, chosen: list[AxialElement]) -> GkmGraph:
     return gkm.with_weights(weights, len(chosen))
 
 
-def _only_axiom4(report: ValidationReport) -> bool:
-    return bool(report.failures) and all(f.axiom == 4 for f in report.failures)
-
-
-def extend_axial(
-    gkm: GkmGraph, target_rank: int, basis: AxialGroupBasis | None = None
-) -> ExtensionResult:
+def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
     """Extend the weights to rank ``target_rank``.
 
-    The chosen elements start with the canonical ones, completed inside the
-    solution lattice.  If the first completion fails the lattice-spanning
-    axiom, the elements beyond the canonical block are replaced by a
-    completion inside the saturation of the chosen span and validation is
-    retried; a second failure raises :class:`EffectivenessError`.
+    The chosen elements are the canonical ones followed by the first
+    ``target_rank - n`` vectors of their completion inside the solution
+    lattice (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  On valid
+    input the canonical elements span a primitive sublattice, so the chosen
+    elements are part of a basis of the lattice.  The candidate is validated
+    once: failing only the lattice-spanning axiom raises
+    :class:`EffectivenessError`, failing any other axiom
+    :class:`AxiomViolationError`.
     """
     n = gkm.axial.torus_rank
     if target_rank < n:
         raise ValueError(f"target rank {target_rank} is below the current rank {n}")
-    if basis is None:
-        basis = axial_group_basis(gkm)
+    basis = axial_group_basis(gkm)
     if target_rank > basis.rank:
         raise RankExceededError(
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
     g = gkm.graph
     verts = g.vertices
-    lattice_rows = [el.coordinates(verts) for el in basis.elements]
     canon = list(canonical_elements(gkm))
-    chosen_rows = [el.coordinates(verts) for el in canon]
-    completion, _ = complete_inside_lattice(chosen_rows, lattice_rows)
-    extra = completion[: target_rank - n]
-    chosen = canon + [AxialElement.from_coordinates(g, r) for r in extra]
+    completion, _ = complete_inside_lattice(
+        [el.coordinates(verts) for el in canon],
+        [el.coordinates(verts) for el in basis.elements],
+    )
+    chosen = canon + [AxialElement.from_coordinates(g, r) for r in completion[: target_rank - n]]
     candidate = _assemble(gkm, chosen)
     report = validate_gkm(candidate)
-    if _only_axiom4(report):
-        # Retry with a completion inside the saturation of the chosen span:
-        # scaled sublattices are never normalized silently.
-        sat = saturation([el.coordinates(verts) for el in chosen], len(verts) * g.valence)
-        completion2, _ = complete_inside_lattice(chosen_rows, sat)
-        chosen = canon + [
-            AxialElement.from_coordinates(g, r) for r in completion2[: target_rank - n]
-        ]
-        candidate = _assemble(gkm, chosen)
-        report = validate_gkm(candidate)
-        if _only_axiom4(report):
-            where = report.failures_for(4)[0].where
-            raise EffectivenessError(
-                f"no completion spans the full lattice; first failure at {where}"
-            )
+    if report.failures and all(f.axiom == 4 for f in report.failures):
+        where = report.failures_for(4)[0].where
+        raise EffectivenessError(f"no completion spans the full lattice; first failure at {where}")
     if not report.ok:
         raise AxiomViolationError(report.summary())
-    projection = IntegerMatrix.from_rows(
-        [[1 if k == i else 0 for k in range(target_rank)] for i in range(n)],
-        target_rank,
-    )
+    projection = IntegerMatrix(IntegerMatrix.identity(target_rank).data[:n], target_rank)
     return ExtensionResult(
         gkm=candidate,
         projection=projection,

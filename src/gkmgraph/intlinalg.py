@@ -291,40 +291,63 @@ def complete_inside_lattice(
     chosen: Sequence[Sequence[int]],
     lattice: Sequence[Sequence[int]],
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Extend ``chosen`` to a maximal independent family inside a lattice.
+    """Extend ``chosen`` to a full-rank family inside a lattice, of least index.
 
     ``lattice`` is a basis; each chosen vector must be an integer combination
     of it (``NotInLatticeError`` otherwise) and the chosen vectors must be
-    linearly independent.  Returns ``(completion, index)`` where the appended
-    vectors are members of the lattice basis and ``index`` is the index of the
-    span of ``chosen`` inside the saturation of that span (1 when primitive).
+    linearly independent.  Returns ``(completion, index)``: ``chosen`` plus
+    the completion span a sublattice of index ``index``, the index of the span
+    of ``chosen`` inside its saturation (1 exactly when primitive).
+
+    Column operations reduce the echelon form of the coordinates of
+    ``chosen`` until row ``i`` vanishes outside the first ``i + 1`` pivot
+    columns; the completion is read from the inverse operations at the
+    non-pivot columns.  When every pivot is 1 it is the lattice basis vectors
+    at the non-pivot columns, in order.
     """
     basis = [tuple(v) for v in lattice]
     if not basis:
         if chosen:
             raise NotInLatticeError("the lattice is trivial but chosen vectors were given")
         return [], 1
-    width = len(basis[0])
-    b = IntegerMatrix.from_rows(basis, width)
-    coords = []
+    b = IntegerMatrix.from_rows(basis)
+    rows = []  # coordinates of the chosen vectors in the lattice basis
     for v in chosen:
         x = solve_left(b, v)
         if x is None:
             raise NotInLatticeError(
                 f"vector {tuple(v)} is not an integer combination of the lattice basis"
             )
-        coords.append(x)
+        rows.append(list(x))
     r = len(basis)
-    rows = [list(c) for c in coords]
-    pivots = set(_echelon(rows, r))
-    if len(pivots) != len(coords):
+    pivots = _echelon(rows, r)
+    if len(pivots) != len(rows):
         raise ValueError("chosen vectors are not linearly independent")
-    completion = [basis[j] for j in range(r) if j not in pivots]
+    # inverse[j] is row j of the inverse of the column operations so far
+    inverse = [[int(k == j) for k in range(r)] for j in range(r)]
     index = 1
-    if coords:
-        for d in invariant_factors(IntegerMatrix.from_rows(coords, r)):
-            index *= d
-    return completion, index
+    for i, p in enumerate(pivots):
+        done = set(pivots[: i + 1])  # rows above i vanish outside pivots[:i]
+        for j in range(r):
+            a, c = rows[i][p], rows[i][j]
+            if not c or j in done:
+                continue
+            if c % a == 0:
+                q = c // a
+                for row in rows[i:]:
+                    row[j] -= q * row[p]
+                inverse[p] = [x + q * y for x, y in zip(inverse[p], inverse[j])]
+            else:
+                g, s, t = _xgcd(a, c)
+                u, v = a // g, c // g
+                for row in rows[i:]:
+                    row[p], row[j] = s * row[p] + t * row[j], u * row[j] - v * row[p]
+                ip, ij = inverse[p], inverse[j]
+                inverse[p] = [u * x + v * y for x, y in zip(ip, ij)]
+                inverse[j] = [s * y - t * x for x, y in zip(ip, ij)]
+        index *= rows[i][p]
+    rest = [inverse[j] for j in range(r) if j not in pivots]
+    return list((IntegerMatrix.from_rows(rest, r) @ b).data), index
 
 
 def saturation(vectors: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:

@@ -130,6 +130,7 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         ["project", "{p3}", "--matrix", "1 0 0 0", "-o", "{out}"],
         ["rank", "{latin1}"],
         ["rank", "{deep}"],
+        ["extend", "{s6}", "--target", "2", "-o", "{missing}"],
     ],
     ids=[
         "projective-m-0",
@@ -138,6 +139,7 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         "project-wrong-width",
         "not-utf-8",
         "deep-nesting",
+        "output-dir-missing",
     ],
 )
 def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
@@ -149,7 +151,8 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
     deep.write_text("[" * 100000 + "]" * 100000)
     out = tmp_path / "out.json"
     capsys.readouterr()
-    paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out}
+    missing = tmp_path / "no-such-dir" / "x.json"
+    paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out, "missing": missing}
     assert main([a.format(**paths) for a in args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

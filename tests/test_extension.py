@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gkmgraph import (
@@ -69,7 +71,7 @@ def test_all_feasible_targets_succeed_and_verify():
     for name, gkm in core_fixtures().items():
         basis = axial_group_basis(gkm)
         for target in range(gkm.n, basis.rank + 1):
-            result = extend_axial(gkm, target, basis=basis)
+            result = extend_axial(gkm, target)
             assert result.gkm.n == target, name
             assert result.report.ok, name
             check = verify_extension(gkm, result.gkm)
@@ -90,36 +92,36 @@ def test_extension_lattice_is_unchanged():
     )
 
 
-def test_scaled_completion_triggers_saturation_retry():
-    # hand extend_axial a basis whose non-canonical directions are doubled:
-    # the first completion fails the lattice-span axiom, the retry inside the
-    # saturation of the span recovers a primitive choice
-    from gkmgraph import AxialElement, AxialGroupBasis, canonical_elements
-    from helpers import rational_rank
+def _fold(v):
+    """``[I | v]``: the first ``len(v)`` coordinates, each plus ``v`` times the dropped ones."""
+    k = len(v)
+    return IntegerMatrix.from_rows([[int(c == i) for c in range(k)] + list(v[i]) for i in range(k)])
 
-    projected = project_axial(gen_projective(3), DROP_A3)
-    real = axial_group_basis(projected)
-    verts = projected.graph.vertices
-    canon = canonical_elements(projected)
-    canon_rows = [el.coordinates(verts) for el in canon]
-    spare = next(
-        el
-        for el in real.elements
-        if rational_rank(canon_rows + [el.coordinates(verts)]) == 3
-    )
-    doubled = tuple(2 * x for x in spare.coordinates(verts))
-    doctored = AxialGroupBasis(
-        elements=(canon[0], canon[1], AxialElement.from_coordinates(projected.graph, doubled)),
-        rank=3,
-        base_vertex=real.base_vertex,
-        canonical_matrix=real.canonical_matrix,
-        coordinate_matrix=real.coordinate_matrix,
-    )
-    result = extend_axial(projected, 3, basis=doctored)
-    assert result.report.ok
-    assert verify_extension(projected, result.gkm).ok
-    # the doubled vector itself cannot appear in a spanning choice
-    assert result.chosen_elements[2].coordinates(verts) != doubled
+
+def test_projections_extend_back_and_verify():
+    # projective(10) folded by this v has coordinates of the canonical
+    # elements with an echelon pivot above 1: the lattice basis vectors at
+    # the non-pivot columns complete them to a sublattice of index > 1
+    v10 = [(x,) for x in (3, -2, 2, 2, 3, -2, -1, 2, 2)]
+    cases = [(project_axial(gen_projective(10), _fold(v10)), 10)]
+    rng = random.Random(1510)
+    fixtures = [gen_projective(m) for m in range(3, 7)] + [gen_grassmannian(2), gen_grassmannian(3)]
+    for gkm in fixtures:
+        n = gkm.n
+        for drop in (1, 2):
+            for _ in range(3):
+                v = [[rng.choice((-2, -1, 1, 2, 3)) for _ in range(drop)] for _ in range(n - drop)]
+                try:
+                    projected = project_axial(gkm, _fold(v))
+                except AxiomViolationError:
+                    continue  # the fold collapses the weights at some vertex
+                cases += [(projected, target) for target in range(n - drop + 1, n + 1)]
+    assert len(cases) > 20
+    for projected, target in cases:
+        result = extend_axial(projected, target)
+        assert result.report.ok
+        assert verify_extension(projected, result.gkm).ok
+        assert invariant_function(result.gkm) == invariant_function(projected)
 
 
 def test_project_identity_is_identity():

@@ -127,6 +127,43 @@ def test_complete_reports_saturation_index():
     assert index == 2
 
 
+def _smith_product(rows, ncols):
+    product = 1
+    for f in invariant_factors(IntegerMatrix.from_rows(rows, ncols)):
+        product *= f
+    return product
+
+
+def test_complete_primitive_vector_with_pivot_above_one():
+    # (2, 3) is primitive but its echelon pivot is 2: the completion must not
+    # be the basis vector at the non-pivot column, which leaves index 2
+    completion, index = complete_inside_lattice([(2, 3)], [(1, 0), (0, 1)])
+    assert index == 1
+    assert invariant_factors(IntegerMatrix.from_rows([(2, 3)] + completion)) == (1, 1)
+
+
+def test_complete_has_least_index_random():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 60:
+        r = rng.randint(1, 5)
+        width = r + rng.randint(0, 2)
+        basis = random_matrix(rng, r, width, span=4)
+        k = rng.randint(0, r)
+        coords = random_matrix(rng, k, r, span=4).data
+        if rational_rank(basis.data) < r or (coords and rational_rank(coords) < k):
+            continue
+        chosen = [(IntegerMatrix.from_rows([row], r) @ basis).data[0] for row in coords]
+        completion, index = complete_inside_lattice(chosen, basis.data)
+        assert len(completion) == r - k
+        completed = list(coords) + [solve_left(basis, v) for v in completion]
+        assert None not in completed
+        assert len(invariant_factors(IntegerMatrix.from_rows(completed, r))) == r
+        assert _smith_product(completed, r) == index
+        assert index == _smith_product(coords, r)
+        checked += 1
+
+
 def test_complete_rejects_outside_vectors():
     with pytest.raises(NotInLatticeError):
         complete_inside_lattice([(1, 1)], [(2, 0), (0, 2)])
