@@ -150,6 +150,21 @@ def _ratio(diff: Weight, base: Weight) -> int | None:
     return q
 
 
+def _residue(v: Weight, base: Weight) -> Weight:
+    """Representative of ``v`` modulo ``Z * base``.
+
+    Two weights differ by an integer multiple of ``base`` exactly when their
+    residues are equal: with ``p`` the first nonzero coordinate of ``base``,
+    ``r(v) = v - (v[p] // base[p]) * base``, and ``r(v) = v`` when ``base`` is
+    zero.
+    """
+    for p, b in enumerate(base):
+        if b:
+            q = v[p] // b
+            return tuple([x - q * y for x, y in zip(v, base)])
+    return tuple(v)
+
+
 def check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
     """Raise :class:`AxialError` unless every dart carries a weight of length ``torus_rank``."""
     for d in graph.darts:
@@ -220,8 +235,9 @@ def _check_connection(
         back = maps.get(eb)
         if back is not None and any(back.get(img) != src for src, img in nabla.items()):
             failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
+        base = w[e]
         for e2, img in nabla.items():
-            if _ratio(_sub(w[img], w[e2]), w[e]) is None:
+            if _residue(w[img], base) != _residue(w[e2], base):
                 failures.append(
                     AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
                 )
@@ -237,9 +253,10 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
 
     For each dart ``e`` and out-dart ``e'`` at its source, the partner is the
     out-dart at the target whose weight differs from that of ``e'`` by an
-    integer multiple of the weight of ``e``.  Requires axioms 1 and 2; a
-    missing partner raises :class:`ConnectionNotFoundError`, several partners
-    (possible when some weight triple is dependent) raise
+    integer multiple of the weight of ``e``: one dict probe on the residues
+    of the target's out-darts modulo that weight.  Requires axioms 1 and 2;
+    a missing partner raises :class:`ConnectionNotFoundError`, several
+    partners (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
     check_labels(graph, axial)
@@ -248,12 +265,16 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
         eb = graph.reverse(e)
+        base = w[e]
+        partners: dict[Weight, list[str]] = {}
+        for d in graph.out_darts(q):
+            if d != eb:
+                partners.setdefault(_residue(w[d], base), []).append(d)
         nabla = {e: eb}
-        pool = [d for d in graph.out_darts(q) if d != eb]
         for e2 in graph.out_darts(p):
             if e2 == e:
                 continue
-            cands = [d for d in pool if _ratio(_sub(w[d], w[e2]), w[e]) is not None]
+            cands = partners.get(_residue(w[e2], base))
             if not cands:
                 raise ConnectionNotFoundError(
                     f"dart {e2} at vertex {p} has no partner across dart {e}"

@@ -14,7 +14,17 @@ from fractions import Fraction
 from itertools import product
 
 from gkmgraph import GkmGraph, IntegerMatrix, gen_grassmannian, gen_projective, gen_s6
+from gkmgraph.axial import (
+    AmbiguousConnectionError,
+    AxialFunction,
+    Connection,
+    ConnectionNotFoundError,
+    _ratio,
+    _sub,
+    check_labels,
+)
 from gkmgraph.extension import AxiomViolationError, project_axial
+from gkmgraph.graph import OrientedGraph
 
 
 def core_fixtures() -> dict[str, GkmGraph]:
@@ -42,6 +52,49 @@ def weight_ratio(diff, base):
     if all(Fraction(d) == c * b for d, b in zip(diff, base)):
         return c
     return None
+
+
+def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Connection:
+    """Reference for ``infer_connection``: test every (source, target) out-dart pair.
+
+    For each dart ``e`` and out-dart ``e'`` at its source, scan the target's
+    out-darts with the pairwise ratio test.  O(darts·m²·n), with the same
+    errors, messages and order as the residue-keyed inference.
+    """
+    check_labels(graph, axial)
+    w = axial.weights
+    maps: dict[str, dict[str, str]] = {}
+    for e in graph.darts:
+        p, q = graph.source(e), graph.target(e)
+        eb = graph.reverse(e)
+        nabla = {e: eb}
+        pool = [d for d in graph.out_darts(q) if d != eb]
+        for e2 in graph.out_darts(p):
+            if e2 == e:
+                continue
+            cands = [d for d in pool if _ratio(_sub(w[d], w[e2]), w[e]) is not None]
+            if not cands:
+                raise ConnectionNotFoundError(
+                    f"dart {e2} at vertex {p} has no partner across dart {e}"
+                )
+            if len(cands) > 1:
+                raise AmbiguousConnectionError(
+                    f"dart {e2} at vertex {p} has {len(cands)} partners across dart {e}; "
+                    "supply the connection explicitly"
+                )
+            nabla[e2] = cands[0]
+        if len(set(nabla.values())) != graph.valence:
+            raise ConnectionNotFoundError(
+                f"the forced partners across dart {e} do not form a bijection"
+            )
+        maps[e] = nabla
+    for e in graph.darts:
+        back = maps[graph.reverse(e)]
+        if any(back[img] != src for src, img in maps[e].items()):
+            raise ConnectionNotFoundError(
+                f"forced partners across {e} and its reverse are not mutually inverse"
+            )
+    return Connection(maps)
 
 
 def relation_holds(gkm: GkmGraph, values, e: str) -> bool:

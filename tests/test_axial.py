@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,7 @@ from gkmgraph import (
     AmbiguousConnectionError,
     AxialFunction,
     Connection,
+    ConnectionNotFoundError,
     GkmGraph,
     build_graph,
     congruence_coefficient,
@@ -16,8 +18,8 @@ from gkmgraph import (
     validate_axial,
     validate_gkm,
 )
-from gkmgraph.axial import NotProportionalError, _ratio
-from helpers import core_fixtures, rational_rank, weight_ratio
+from gkmgraph.axial import AxialError, NotProportionalError, _ratio, _residue
+from helpers import core_fixtures, infer_connection_by_scan, rational_rank, weight_ratio
 
 
 def test_fixtures_pass_all_axioms():
@@ -69,28 +71,31 @@ def test_infer_connection_matches_pinned_fixture_connections():
 
 def test_infer_connection_brute_force_oracle():
     # enumerate all bijections fixing e -> ē and count congruence-compatible ones
-    gkm = gen_projective(3)
-    g = gkm.graph
-    for e in g.darts:
-        p, q = g.source(e), g.target(e)
-        eb = g.reverse(e)
-        rest_p = [d for d in g.out_darts(p) if d != e]
-        rest_q = [d for d in g.out_darts(q) if d != eb]
-        valid = []
-        for image in permutations(rest_q):
-            pairs = dict(zip(rest_p, image))
-            pairs[e] = eb
-            ok = True
-            for e2, img in pairs.items():
-                diff = tuple(a - b for a, b in zip(gkm.weight(img), gkm.weight(e2)))
-                c = weight_ratio(diff, gkm.weight(e))
-                if c is None or c.denominator != 1:
-                    ok = False
-                    break
-            if ok:
-                valid.append(pairs)
-        assert len(valid) == 1
-        assert valid[0] == dict(gkm.connection.maps[e])
+    fixtures = (gen_projective(2), gen_projective(3), gen_projective(4), gen_grassmannian(2), gen_grassmannian(3))
+    for gkm in fixtures:
+        g = gkm.graph
+        inferred = infer_connection(g, gkm.axial)
+        for e in g.darts:
+            p, q = g.source(e), g.target(e)
+            eb = g.reverse(e)
+            rest_p = [d for d in g.out_darts(p) if d != e]
+            rest_q = [d for d in g.out_darts(q) if d != eb]
+            valid = []
+            for image in permutations(rest_q):
+                pairs = dict(zip(rest_p, image))
+                pairs[e] = eb
+                ok = True
+                for e2, img in pairs.items():
+                    diff = tuple(a - b for a, b in zip(gkm.weight(img), gkm.weight(e2)))
+                    c = weight_ratio(diff, gkm.weight(e))
+                    if c is None or c.denominator != 1:
+                        ok = False
+                        break
+                if ok:
+                    valid.append(pairs)
+            assert len(valid) == 1
+            assert valid[0] == dict(gkm.connection.maps[e])
+            assert valid[0] == inferred.maps[e]
 
 
 def test_ambiguous_connection_is_an_error():
@@ -109,8 +114,50 @@ def test_ambiguous_connection_is_an_error():
     for eid in list(weights):
         weights[eid + "~"] = tuple(-x for x in weights[eid])
     axial = AxialFunction(2, weights)
-    with pytest.raises(AmbiguousConnectionError):
+    with pytest.raises(AmbiguousConnectionError, match="dart e2 at vertex p has 2 partners across dart e1"):
         infer_connection(graph, axial)
+
+
+def _made_ambiguous(rng: random.Random, gkm: GkmGraph) -> dict:
+    # across the first dart e, give a second out-dart at the target the weight
+    # of a first one plus w(e): both then answer the same source out-dart
+    g = gkm.graph
+    weights = dict(gkm.axial.weights)
+    e = g.darts[0]
+    d1, d2 = rng.sample([d for d in g.out_darts(g.target(e)) if d != g.reverse(e)], 2)
+    weights[d2] = tuple(x + y for x, y in zip(weights[d1], weights[e]))
+    weights[g.reverse(d2)] = tuple(-x for x in weights[d2])
+    return weights
+
+
+def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
+    # weights perturbed at random (some zeroed) or made ambiguous, and never
+    # validated: the residue-keyed inference gives the scan's maps, or both
+    # raise the same error with the same message
+    rng = random.Random(5)
+    seen = {"ok": 0, ConnectionNotFoundError: 0, AmbiguousConnectionError: 0}
+
+    def outcome(infer, graph, axial):
+        try:
+            return infer(graph, axial).maps
+        except AxialError as exc:
+            return type(exc), str(exc)
+
+    for name, gkm in core_fixtures().items():
+        for trial in range(10):
+            if trial >= 8 and gkm.m >= 3:
+                weights = _made_ambiguous(rng, gkm)
+            else:
+                bend = (0.0, 0.01, 0.05, 0.2)[trial % 4]
+                weights = {}
+                for d, w in gkm.axial.weights.items():
+                    u = rng.random()
+                    weights[d] = (0,) * gkm.n if u < bend / 4 else tuple(x + (u < bend) * rng.choice((-1, 1)) for x in w)
+            axial = AxialFunction(gkm.n, weights)
+            expected = outcome(infer_connection_by_scan, gkm.graph, axial)
+            assert outcome(infer_connection, gkm.graph, axial) == expected, (name, trial)
+            seen["ok" if isinstance(expected, dict) else expected[0]] += 1
+    assert all(seen.values()), seen
 
 
 def test_congruence_coefficient_examples():
@@ -147,3 +194,21 @@ def test_ratio_helper():
     assert _ratio((1, -2), (2, -4)) is None  # one half is not an integer
     assert _ratio((0, 0), (0, 0)) == 0
     assert _ratio((1, 1), (0, 0)) is None
+
+
+def test_residue_helper():
+    # negative pivot: q = 3 // -2 = -2
+    assert _residue((3, 5), (-2, 1)) == (-1, 7)
+    assert _residue((3 - 6, 5 + 3), (-2, 1)) == (-1, 7)
+    assert _residue((4, 5), (-2, 1)) != (-1, 7)
+    # the pivot is the first nonzero coordinate, not the first coordinate
+    assert _residue((1, 7, 2), (0, 3, 1)) == (1, 1, 0)
+    assert _residue((1, 7 - 15, 2 - 5), (0, 3, 1)) == (1, 1, 0)
+    assert _residue((2, 7, 2), (0, 3, 1)) != (1, 1, 0)
+    # zero base: only equal weights differ by a multiple of it
+    assert _residue((1, -2), (0, 0)) == (1, -2)
+    assert _residue((0, 0), (0, 0)) == (0, 0)
+    # non-unit pivot: (1, 2) is half of (2, 4), not an integer multiple
+    assert _residue((0, 0), (2, 4)) == (0, 0)
+    assert _residue((1, 2), (2, 4)) == (1, 2)
+    assert _residue((-2, -4), (2, 4)) == (0, 0)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -22,3 +23,21 @@ def test_traced_functions_exist():
     assert names
     for module, attr in names:
         assert callable(getattr(importlib.import_module(f"gkmgraph.{module}"), attr, None)), (module, attr)
+
+
+def test_src_imports_only_the_standard_library():
+    # the package declares no dependencies and uses no numeric backend
+    src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
