@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .axial import GkmGraph
-from .congruence import congruence_vector, invariant_function, permutation
+from .congruence import invariant_function, permutation
 from .graph import OrientedGraph
 from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis
 
@@ -87,15 +87,17 @@ def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, .
     """Transport a vector across dart ``e``: the unique far-end value.
 
     Implements ``f(q) = N_e f(p) + f(p)_e * c(ē)`` for ``e`` from ``p`` to
-    ``q``; for members of the solution lattice this is the value forced by the
-    defining relation at ``e``.
+    ``q``, with ``c(ē)`` from :func:`invariant_function`; for members of the
+    solution lattice this is the value forced by the defining relation at
+    ``e``.
     """
-    return _step(gkm, e, congruence_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
+    return _step(gkm, e, invariant_function(gkm)[gkm.graph.reverse(e)])(f_at_source)
 
 
 def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """Matrix ``T`` with ``propagate(gkm, x, e) == T @ x`` for all ``x``."""
-    columns = [propagate(gkm, unit, e) for unit in IntegerMatrix.identity(gkm.m).data]
+    step = _step(gkm, e, invariant_function(gkm)[gkm.graph.reverse(e)])
+    columns = [step(unit) for unit in IntegerMatrix.identity(gkm.m).data]
     return IntegerMatrix.from_rows(columns, gkm.m).transpose()
 
 

@@ -6,12 +6,19 @@ endpoints under which any out-dart ``e'`` changes weight by an integer
 multiple of the weight of ``e`` (the congruence relation).  When every triple
 of weights at a vertex is linearly independent the connection is forced and
 can be inferred from the weights alone.
+
+The congruence relation is tested one way throughout: weights are packed into
+one integer each (:func:`_packed`), and a weight's class modulo ``Z·w(e)`` is
+the integer :func:`_residue_key`.  Inference, axiom 3 and the congruence
+coefficients of :mod:`gkmgraph.congruence` all read that packing.  Axiom 2
+compares primitive directions (:func:`_direction`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from math import gcd
+from typing import Callable, Mapping
 
 from .errors import GkmError
 from .graph import OrientedGraph
@@ -49,9 +56,6 @@ class Connection:
     """Per-dart bijections between the out-dart sets of the dart's endpoints."""
 
     maps: Mapping[str, Mapping[str, str]]
-
-    def image(self, dart: str, out_dart: str) -> str:
-        return self.maps[dart][out_dart]
 
 
 @dataclass(frozen=True)
@@ -120,49 +124,63 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _sub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
 
-def _pairwise_dependent(a: Weight, b: Weight) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+def _direction(v: Weight) -> Weight | None:
+    """``v`` divided by the gcd of its entries, first nonzero entry positive; ``None`` for zero.
 
-
-def _ratio(diff: Weight, base: Weight) -> int | None:
-    """Integer ``c`` with ``diff == c * base``, or ``None``."""
-    pivot = next((i for i, x in enumerate(base) if x), None)
-    if pivot is None:
-        return 0 if not any(diff) else None
-    q, r = divmod(diff[pivot], base[pivot])
-    if r:
-        return None
-    if any(d != q * b for d, b in zip(diff, base)):
-        return None
-    return q
-
-
-def _residue(v: Weight, base: Weight) -> Weight:
-    """Representative of ``v`` modulo ``Z * base``.
-
-    Two weights differ by an integer multiple of ``base`` exactly when their
-    residues are equal: with ``p`` the first nonzero coordinate of ``base``,
-    ``r(v) = v - (v[p] // base[p]) * base``, and ``r(v) = v`` when ``base`` is
-    zero.
+    Two nonzero weights are linearly dependent exactly when their directions
+    are equal; a zero weight is dependent on every weight.
     """
-    for p, b in enumerate(base):
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple([x // g for x in v])
+
+
+def _packed(graph: OrientedGraph, axial: AxialFunction) -> dict[str, int]:
+    """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``, ``s = 2·bitlen(M) + 2``.
+
+    ``M`` is the largest absolute entry.  Packing is linear, and a vector
+    whose entries are all below ``2^s`` in absolute value packs to 0 only when
+    it is zero.  Every vector a congruence test packs has entries of at most
+    ``2M(M+1) < 2^s``: the difference of two residues in
+    :func:`_residue_key`, and the remainder ``w(a) − w(b) − q·w(e)`` with
+    ``|q| ≤ 2M`` in ``invariant_function``.  So each test is exact
+    arithmetic on one integer per dart.
+    """
+    check_labels(graph, axial)
+    weights = axial.weights
+    s = 2 * max((abs(x) for d in graph.darts for x in weights[d]), default=0).bit_length() + 2
+    packed = {}
+    for d in graph.darts:
+        acc = 0
+        for x in reversed(weights[d]):
+            acc = (acc << s) + x
+        packed[d] = acc
+    return packed
+
+
+def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> Callable[[str], int]:
+    """Key of a dart's weight modulo ``Z·w(e)``.
+
+    Two darts get equal keys exactly when their weights differ by an integer
+    multiple of ``w(e)``.  With ``p`` the first nonzero coordinate of
+    ``w(e)``, the key of ``d`` is the packed residue
+    ``w(d) − (w(d)[p] // w(e)[p])·w(e)``, and the packed ``w(d)`` when
+    ``w(e)`` is zero.  Flooring makes congruent weights share one residue.
+    The quotient is at most ``M`` in absolute value, so each residue entry is
+    at most ``M(M+1)``, and :func:`_packed` tells residues apart exactly.
+    """
+    for p, b in enumerate(w[e]):
         if b:
-            q = v[p] // b
-            return tuple([x - q * y for x, y in zip(v, base)])
-    return tuple(v)
+            pe = packed[e]
+            return lambda d: packed[d] - (w[d][p] // b) * pe
+    return packed.__getitem__
 
 
 def check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
@@ -195,9 +213,10 @@ def validate_axial(
 
     for p in graph.vertices:
         out = graph.out_darts(p)
-        for i in range(len(out)):
+        dirs = [_direction(w[d]) for d in out]
+        for i, a in enumerate(dirs):
             for j in range(i + 1, len(out)):
-                if _pairwise_dependent(w[out[i]], w[out[j]]):
+                if a is None or a == dirs[j] or dirs[j] is None:
                     failures.append(
                         AxiomFailure(2, f"vertex {p}", f"darts {out[i]} and {out[j]} carry dependent weights")
                     )
@@ -217,7 +236,7 @@ def validate_axial(
 def _check_connection(
     graph: OrientedGraph, axial: AxialFunction, connection: Connection
 ) -> list[AxiomFailure]:
-    w = axial.weights
+    w, packed = axial.weights, _packed(graph, axial)
     failures: list[AxiomFailure] = []
     maps = connection.maps
     for e in graph.darts:
@@ -235,9 +254,9 @@ def _check_connection(
         back = maps.get(eb)
         if back is not None and any(back.get(img) != src for src, img in nabla.items()):
             failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
-        base = w[e]
+        key = _residue_key(packed, w, e)
         for e2, img in nabla.items():
-            if _residue(w[img], base) != _residue(w[e2], base):
+            if key(img) != key(e2):
                 failures.append(
                     AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
                 )
@@ -253,28 +272,27 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
 
     For each dart ``e`` and out-dart ``e'`` at its source, the partner is the
     out-dart at the target whose weight differs from that of ``e'`` by an
-    integer multiple of the weight of ``e``: one dict probe on the residues
-    of the target's out-darts modulo that weight.  Requires axioms 1 and 2;
-    a missing partner raises :class:`ConnectionNotFoundError`, several
+    integer multiple of the weight of ``e``: one dict probe on the
+    :func:`_residue_key` of the target's out-darts.  Requires axioms 1 and
+    2; a missing partner raises :class:`ConnectionNotFoundError`, several
     partners (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
-    check_labels(graph, axial)
-    w = axial.weights
+    w, packed = axial.weights, _packed(graph, axial)
     maps: dict[str, dict[str, str]] = {}
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
         eb = graph.reverse(e)
-        base = w[e]
-        partners: dict[Weight, list[str]] = {}
+        key = _residue_key(packed, w, e)
+        partners: dict[int, list[str]] = {}
         for d in graph.out_darts(q):
             if d != eb:
-                partners.setdefault(_residue(w[d], base), []).append(d)
+                partners.setdefault(key(d), []).append(d)
         nabla = {e: eb}
         for e2 in graph.out_darts(p):
             if e2 == e:
                 continue
-            cands = partners.get(_residue(w[e2], base))
+            cands = partners.get(key(e2))
             if not cands:
                 raise ConnectionNotFoundError(
                     f"dart {e2} at vertex {p} has no partner across dart {e}"
@@ -297,15 +315,3 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
                 f"forced partners across {e} and its reverse are not mutually inverse"
             )
     return Connection(maps)
-
-
-def congruence_coefficient(gkm: GkmGraph, e: str, e_prime: str) -> int:
-    """The integer ``c`` with ``weight(image of e') - weight(e') == c * weight(e)``."""
-    img = gkm.connection.image(e, e_prime)
-    diff = _sub(gkm.weight(img), gkm.weight(e_prime))
-    c = _ratio(diff, gkm.weight(e))
-    if c is None:
-        raise NotProportionalError(
-            f"weight change of {e_prime} across {e} is not a multiple of the base weight"
-        )
-    return c

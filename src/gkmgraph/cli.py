@@ -239,8 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (GkmError, ValueError) as exc:
-        # ValueError: an argument value the library rejects, or input that is not UTF-8
-        print(f"error: {exc}", file=sys.stderr)
+        # ValueError: an argument value the library rejects, or input that is not UTF-8;
+        # line breaks (ids may hold them) are escaped to keep the error on one line
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -2,14 +2,16 @@
 
 With an out-dart ordering fixed at every vertex, the connection along a dart
 ``e`` becomes a permutation matrix ``N_e``, and the congruence coefficients of
-all out-darts at the source collect into one integer vector per dart.  Both
-orientations are computed independently; the identity ``N_e c(e) = c(ē)``
-is a cheap cross-check on the connection and is exercised by the test suite.
+all out-darts at the source collect into one integer vector per dart.  The
+coefficients are read off the packed weights of :mod:`gkmgraph.axial`, one
+quotient and one packed check per out-dart.  Both orientations are computed
+independently; the identity ``N_e c(e) = c(ē)`` is a cheap cross-check on the
+connection and is exercised by the test suite.
 """
 
 from __future__ import annotations
 
-from .axial import GkmGraph, NotProportionalError, check_labels, congruence_coefficient
+from .axial import GkmGraph, NotProportionalError, _packed
 from .intlinalg import IntegerMatrix
 
 
@@ -33,43 +35,19 @@ def permutation_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     )
 
 
-def congruence_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
-    """Congruence coefficients of all out-darts at the source of ``e``, in order."""
-    p = gkm.graph.source(e)
-    return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.out_darts(p))
-
-
-def _packed(gkm: GkmGraph) -> dict[str, int]:
-    """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``.
-
-    With ``M`` the largest absolute entry, a quotient read at a pivot has
-    ``|q| ≤ 2M``, so ``w(a) − w(b) − q·w(e)`` has entries below
-    ``2M(M+1) < 2^s``; such a vector packs to 0 only when it is zero, which
-    turns each congruence check into one subtraction and one product.
-    """
-    check_labels(gkm.graph, gkm.axial)
-    weights = gkm.axial.weights
-    s = 2 * max((abs(x) for d in gkm.graph.darts for x in weights[d]), default=0).bit_length() + 2
-    packed = {}
-    for d in gkm.graph.darts:
-        acc = 0
-        for x in reversed(weights[d]):
-            acc = (acc << s) + x
-        packed[d] = acc
-    return packed
-
-
 def invariant_function(gkm: GkmGraph) -> dict[str, tuple[int, ...]]:
     """The full dart-to-vector map of congruence coefficients.
 
     This map is unchanged under any extension of the weights, which is what
     makes it usable as the sole input (besides the connection) to the
-    solution-lattice computation.  Each vector equals ``congruence_vector``
-    of its dart, and a dart without one raises the same error; quotients are
-    read at the first nonzero coordinate of the dart's weight and checked on
-    packed weights.
+    solution-lattice computation.  The coefficient of ``d`` across ``e`` is
+    the quotient of the weight change of ``d`` by ``w(e)``, read at the first
+    nonzero coordinate of ``w(e)`` (0 when ``w(e)`` is zero) and checked on
+    the packed weights.  A weight change that is not an integer multiple
+    raises :class:`NotProportionalError`, naming the first such out-dart of
+    the first such dart.
     """
-    g, w, packed = gkm.graph, gkm.axial.weights, _packed(gkm)
+    g, w, packed = gkm.graph, gkm.axial.weights, _packed(gkm.graph, gkm.axial)
     out = {}
     for e in g.darts:
         nabla, base = gkm.connection.maps[e], w[e]

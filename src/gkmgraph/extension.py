@@ -31,7 +31,12 @@ class NotSurjectiveError(GkmError):
 
 
 class AxiomViolationError(GkmError):
-    """A constructed labeling fails the axioms; carries the report text."""
+    """A constructed labeling fails the axioms; the message names the first failure."""
+
+    @classmethod
+    def from_report(cls, report: ValidationReport) -> "AxiomViolationError":
+        f = report.failures[0]
+        return cls(f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})")
 
 
 class GraphMismatchError(GkmError):
@@ -97,7 +102,7 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
         where = report.failures_for(4)[0].where
         raise EffectivenessError(f"no completion spans the full lattice; first failure at {where}")
     if not report.ok:
-        raise AxiomViolationError(report.summary())
+        raise AxiomViolationError.from_report(report)
     projection = IntegerMatrix(IntegerMatrix.identity(target_rank).data[:n], target_rank)
     return ExtensionResult(
         gkm=candidate,
@@ -125,7 +130,7 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
     out = gkm.with_weights(weights, projection.nrows)
     report = validate_gkm(out)
     if not report.ok:
-        raise AxiomViolationError(report.summary())
+        raise AxiomViolationError.from_report(report)
     return out
 
 

@@ -4,7 +4,10 @@ The oracles here deliberately avoid the code paths they are used to check:
 the defining relation is re-evaluated straight from the weights and the
 connection with rational arithmetic, ranks are computed by Gaussian
 elimination over Fractions, and lattice membership is decided by a rational
-solve followed by an integrality check.
+solve followed by an integrality check.  The pairwise congruence test
+(``ratio`` of a weight difference, 2×2 minors for dependence) is the
+reference for the packed residues and primitive directions of
+``gkmgraph.axial``, and imports nothing private from the package.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from gkmgraph.axial import (
     AxialFunction,
     Connection,
     ConnectionNotFoundError,
-    _ratio,
-    _sub,
+    NotProportionalError,
     check_labels,
 )
 from gkmgraph.extension import AxiomViolationError, project_axial
@@ -54,6 +56,50 @@ def weight_ratio(diff, base):
     return None
 
 
+def sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ratio(diff, base):
+    """Integer ``c`` with ``diff == c * base``, or ``None``."""
+    pivot = next((i for i, x in enumerate(base) if x), None)
+    if pivot is None:
+        return 0 if not any(diff) else None
+    q, r = divmod(diff[pivot], base[pivot])
+    if r:
+        return None
+    if any(d != q * b for d, b in zip(diff, base)):
+        return None
+    return q
+
+
+def pairwise_dependent(a, b) -> bool:
+    """Whether every 2×2 minor of the pair vanishes (so a zero weight is dependent on all)."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] * b[j] != a[j] * b[i]:
+                return False
+    return True
+
+
+def congruence_coefficient(gkm: GkmGraph, e: str, e_prime: str) -> int:
+    """The integer ``c`` with ``weight(image of e') - weight(e') == c * weight(e)``."""
+    img = gkm.connection.maps[e][e_prime]
+    c = ratio(sub(gkm.weight(img), gkm.weight(e_prime)), gkm.weight(e))
+    if c is None:
+        raise NotProportionalError(
+            f"weight change of {e_prime} across {e} is not a multiple of the base weight"
+        )
+    return c
+
+
+def congruence_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
+    """Congruence coefficients of all out-darts at the source of ``e``, in order."""
+    p = gkm.graph.source(e)
+    return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.out_darts(p))
+
+
 def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     """Reference for ``infer_connection``: test every (source, target) out-dart pair.
 
@@ -72,7 +118,7 @@ def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Conn
         for e2 in graph.out_darts(p):
             if e2 == e:
                 continue
-            cands = [d for d in pool if _ratio(_sub(w[d], w[e2]), w[e]) is not None]
+            cands = [d for d in pool if ratio(sub(w[d], w[e2]), w[e]) is not None]
             if not cands:
                 raise ConnectionNotFoundError(
                     f"dart {e2} at vertex {p} has no partner across dart {e}"

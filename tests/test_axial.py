@@ -10,16 +10,23 @@ from gkmgraph import (
     ConnectionNotFoundError,
     GkmGraph,
     build_graph,
-    congruence_coefficient,
     gen_grassmannian,
     gen_projective,
     gen_s6,
     infer_connection,
+    invariant_function,
     validate_axial,
     validate_gkm,
 )
-from gkmgraph.axial import AxialError, NotProportionalError, _ratio, _residue
-from helpers import core_fixtures, infer_connection_by_scan, rational_rank, weight_ratio
+from gkmgraph.axial import AxialError, NotProportionalError, _packed, _residue_key
+from helpers import (
+    core_fixtures,
+    infer_connection_by_scan,
+    pairwise_dependent,
+    rational_rank,
+    ratio,
+    weight_ratio,
+)
 
 
 def test_fixtures_pass_all_axioms():
@@ -160,20 +167,56 @@ def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
     assert all(seen.values()), seen
 
 
+def test_axiom2_matches_the_pairwise_minors():
+    # some out-darts forced to k times another out-dart's weight at the same
+    # vertex (k = 0 zeroes it, k < 0 flips its sign): the primitive
+    # directions find the witnesses the 2×2 minors find, in the same order
+    rng = random.Random(17)
+    zeroed = flipped = 0
+    for gkm in (gen_projective(5), gen_grassmannian(4), gen_s6()):
+        g = gkm.graph
+        for _ in range(30):
+            weights = dict(gkm.axial.weights)
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.sample(g.out_darts(rng.choice(g.vertices)), 2)
+                k = rng.randint(-3, 2)
+                weights[b] = tuple(k * x for x in weights[a])
+                weights[g.reverse(b)] = tuple(-x for x in weights[b])
+                zeroed += k == 0
+                flipped += k < 0
+            expected = [
+                (f"vertex {p}", f"darts {a} and {b} carry dependent weights")
+                for p in g.vertices
+                for i, a in enumerate(g.out_darts(p))
+                for b in g.out_darts(p)[i + 1 :]
+                if pairwise_dependent(weights[a], weights[b])
+            ]
+            report = validate_axial(g, AxialFunction(gkm.n, weights))
+            assert [(f.where, f.detail) for f in report.failures_for(2)] == expected
+            assert expected
+    assert zeroed and flipped
+
+
 def test_congruence_coefficient_examples():
     s6 = gen_s6()
+    inv = invariant_function(s6)
     for e in s6.graph.darts:
-        assert congruence_coefficient(s6, e, e) == -2
+        assert inv[e][s6.graph.dart_index(e)] == -2
     gr = gen_grassmannian(2)
+    inv = invariant_function(gr)
+
+    def coefficient(e, e_prime):
+        return inv[e][gr.graph.dart_index(e_prime)]
+
     # dart {1,2} -> {1,3}: keeps 1, replaces 2 by 3
     e = "01.02|01.03"
-    assert congruence_coefficient(gr, e, e) == -2
+    assert coefficient(e, e) == -2
     # same kept element, different new element: -1
-    assert congruence_coefficient(gr, e, "01.02|01.04") == -1
+    assert coefficient(e, "01.02|01.04") == -1
     # kept element is the replaced one, new element elsewhere: 0
-    assert congruence_coefficient(gr, e, "01.02|02.04") == 0
+    assert coefficient(e, "01.02|02.04") == 0
     # the other route to a subset containing the new element: -1
-    assert congruence_coefficient(gr, e, "01.02|02.03") == -1
+    assert coefficient(e, "01.02|02.03") == -1
 
 
 def test_congruence_coefficient_rejects_inconsistent_connection():
@@ -183,32 +226,47 @@ def test_congruence_coefficient_rejects_inconsistent_connection():
     maps["e1"]["e2"] = "e2~"
     maps["e1"]["e3"] = "e3~"
     broken = GkmGraph(s6.graph, s6.axial, Connection(maps))
-    with pytest.raises(NotProportionalError):
-        congruence_coefficient(broken, "e1", "e2")
+    with pytest.raises(NotProportionalError, match="weight change of e2 across e1"):
+        invariant_function(broken)
 
 
 def test_ratio_helper():
-    assert _ratio((2, -4), (1, -2)) == 2
-    assert _ratio((0, 0), (1, -2)) == 0
-    assert _ratio((1, 0), (1, -2)) is None
-    assert _ratio((1, -2), (2, -4)) is None  # one half is not an integer
-    assert _ratio((0, 0), (0, 0)) == 0
-    assert _ratio((1, 1), (0, 0)) is None
+    assert ratio((2, -4), (1, -2)) == 2
+    assert ratio((0, 0), (1, -2)) == 0
+    assert ratio((1, 0), (1, -2)) is None
+    assert ratio((1, -2), (2, -4)) is None  # one half is not an integer
+    assert ratio((0, 0), (0, 0)) == 0
+    assert ratio((1, 1), (0, 0)) is None
 
 
-def test_residue_helper():
+def _keys(base, *vectors):
+    """Residue keys of ``vectors`` modulo ``base``, packed together on one graph."""
+    names = [f"v{i}" for i in range(len(vectors))]
+    graph = build_graph(["p", "q"], [(d, "p", "q") for d in ["b", *names]])
+    weights = dict(zip(["b", *names], [base, *vectors]))
+    weights.update({d + "~": tuple(-x for x in w) for d, w in list(weights.items())})
+    key = _residue_key(_packed(graph, AxialFunction(len(base), weights)), weights, "b")
+    return [key(d) for d in names]
+
+
+def test_packed_residue_key():
     # negative pivot: q = 3 // -2 = -2
-    assert _residue((3, 5), (-2, 1)) == (-1, 7)
-    assert _residue((3 - 6, 5 + 3), (-2, 1)) == (-1, 7)
-    assert _residue((4, 5), (-2, 1)) != (-1, 7)
+    a, b, c = _keys((-2, 1), (3, 5), (3 - 6, 5 + 3), (4, 5))
+    assert a == b != c
     # the pivot is the first nonzero coordinate, not the first coordinate
-    assert _residue((1, 7, 2), (0, 3, 1)) == (1, 1, 0)
-    assert _residue((1, 7 - 15, 2 - 5), (0, 3, 1)) == (1, 1, 0)
-    assert _residue((2, 7, 2), (0, 3, 1)) != (1, 1, 0)
+    a, b, c = _keys((0, 3, 1), (1, 7, 2), (1, 7 - 15, 2 - 5), (2, 7, 2))
+    assert a == b != c
     # zero base: only equal weights differ by a multiple of it
-    assert _residue((1, -2), (0, 0)) == (1, -2)
-    assert _residue((0, 0), (0, 0)) == (0, 0)
+    a, b, c = _keys((0, 0), (1, -2), (1, -2), (0, 0))
+    assert a == b != c
     # non-unit pivot: (1, 2) is half of (2, 4), not an integer multiple
-    assert _residue((0, 0), (2, 4)) == (0, 0)
-    assert _residue((1, 2), (2, 4)) == (1, 2)
-    assert _residue((-2, -4), (2, 4)) == (0, 0)
+    a, b, c = _keys((2, 4), (0, 0), (1, 2), (-2, -4))
+    assert a == c != b
+    # residues (0, -12, 0) and (0, 4, -1) would pack equal in 4-bit fields
+    a, b = _keys((1, 3, 0), (3, -3, 0), (-1, 1, -1))
+    assert a != b
+    # the largest residue entry, M(M+1) for v = (M, -M) modulo (1, M), sits
+    # in the second field of the documented width s = 2·bitlen(M) + 2
+    for big in (1, 7, 8, 1000):
+        (key,) = _keys((1, big), (big, -big))
+        assert key == -big * (big + 1) << (2 * big.bit_length() + 2)

@@ -1,7 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkmgraph import document_from_gkm, emit_gkm, gen_grassmannian, gen_projective, gen_s6, load_gkm, validate_gkm
 from gkmgraph.cli import main
 
 
@@ -131,6 +139,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         ["rank", "{latin1}"],
         ["rank", "{deep}"],
         ["extend", "{s6}", "--target", "2", "-o", "{missing}"],
+        ["project", "{s6}", "--matrix", "1 0", "-o", "{out}"],
+        ["rank", "{newline}"],
     ],
     ids=[
         "projective-m-0",
@@ -140,6 +150,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         "not-utf-8",
         "deep-nesting",
         "output-dir-missing",
+        "project-breaks-the-axioms",
+        "line-break-in-an-id",
     ],
 )
 def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
@@ -152,7 +164,11 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
     out = tmp_path / "out.json"
     capsys.readouterr()
     missing = tmp_path / "no-such-dir" / "x.json"
-    paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out, "missing": missing}
+    doc = json.loads(open(s6_file).read())
+    doc["connection"][0]["dart"] = "a\nb"
+    newline = tmp_path / "newline.json"
+    newline.write_text(json.dumps(doc))
+    paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out, "missing": missing, "newline": newline}
     assert main([a.format(**paths) for a in args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -160,3 +176,96 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert not out.exists()
+
+
+def _fixture_documents():
+    out = {}
+    for name, gkm in (("s6", gen_s6()), ("projective3", gen_projective(3)), ("grassmannian2", gen_grassmannian(2))):
+        pinned = json.loads(emit_gkm(document_from_gkm(gkm)))
+        out[name] = pinned
+        out[name + "-free"] = {k: v for k, v in pinned.items() if k != "connection"}
+    return out
+
+
+FUZZ_DOCUMENTS = _fixture_documents()
+FUZZ_VALUES = [None, True, 0, -1, 1.5, "", "x", "e1", "p", "é", "a\nb", "a\u2028b", [], {}, [0], [[]], {"id": "x"}]
+FUZZ_HUGE = [2**64, -(10**30), 2**521 - 1, 10**4000]
+FUZZ_COMMANDS = [
+    ["validate", "{doc}"],
+    ["connection", "{doc}"],
+    ["invariant", "{doc}"],
+    ["rank", "{doc}", "--basis"],
+    ["rank", "{doc}", "--method", "full"],
+    ["dot", "{doc}", "--annotate", "congruence"],
+    ["extend", "{doc}", "--target", "3", "-o", "{out}"],
+    ["project", "{doc}", "--matrix", "1 0; 0 1", "-o", "{out}"],
+    ["check-extension", "{base}", "{doc}"],
+    ["check-extension", "{doc}", "{base}"],
+]
+
+
+def _paths(node, path=()):
+    """The key path of every node below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    # up to three mutations: drop a field or item, swap in a value of the
+    # wrong type or meaning, duplicate a list item, or swap in a huge integer
+    name = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = copy.deepcopy(FUZZ_DOCUMENTS[name])
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        kind = draw(st.sampled_from(["drop", "replace", "duplicate", "huge"]))
+        if kind == "duplicate":
+            paths = [p for p in paths if isinstance(p[-1], int)]
+        elif kind == "huge":
+            paths = [p for p in paths if type(_at(doc, p)) is int]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "duplicate":
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_HUGE if kind == "huge" else FUZZ_VALUES)))
+    return name, doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated=_mutated_documents(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_documents_end_in_an_exit_code_and_at_most_one_error_line(mutated, command):
+    # malformed or bent documents through every command, in-process: the exit
+    # code is 0, 1 or 2, no exception but SystemExit escapes, a failing
+    # command other than validate and check-extension says why in one
+    # error: line, and validate passes only documents that pass the axioms
+    name, doc = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"doc": Path(tmp) / "doc.json", "base": Path(tmp) / "base.json", "out": Path(tmp) / "out.json"}
+        text = json.dumps(doc)
+        paths["doc"].write_text(text, encoding="utf-8")
+        paths["base"].write_text(json.dumps(FUZZ_DOCUMENTS[name]), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([arg.format(**paths) for arg in command])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1 and command[0] not in ("validate", "check-extension"):
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), stderr.getvalue()
+    if code == 0 and command[0] == "validate":
+        assert validate_gkm(load_gkm(text)).ok

@@ -6,14 +6,13 @@ from gkmgraph import (
     AxialError,
     IntegerMatrix,
     NotProportionalError,
-    congruence_vector,
     gen_grassmannian,
     gen_projective,
     gen_s6,
     invariant_function,
     permutation_matrix,
 )
-from helpers import core_fixtures
+from helpers import congruence_vector, core_fixtures
 
 
 def test_s6_invariant_vectors():
@@ -144,7 +143,7 @@ def test_packing_leaves_room_for_the_largest_quotient():
     d = g.out_darts(g.source(e))[1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[g.reverse(e)] = (1, 3, 0), (-1, -3, 0)
-    weights[d], weights[gkm.connection.image(e, d)] = (0, 0, 0), (3, 1, 1)
+    weights[d], weights[gkm.connection.maps[e][d]] = (0, 0, 0), (3, 1, 1)
     bent = gkm.with_weights(weights, gkm.n)
     with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
         congruence_vector(bent, e)
@@ -159,7 +158,7 @@ def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
     weights = dict(gkm.axial.weights)
     weights[e] = weights[g.reverse(e)] = (0,) * gkm.n
     for d in g.out_darts(g.source(e))[1:]:
-        weights[gkm.connection.image(e, d)] = weights[d]
+        weights[gkm.connection.maps[e][d]] = weights[d]
     bent = gkm.with_weights(weights, gkm.n)
     assert congruence_vector(bent, e) == (0, 0, 0)
 

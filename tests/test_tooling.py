@@ -41,3 +41,18 @@ def test_src_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
+
+
+def test_helpers_import_nothing_private_from_the_package():
+    # the oracles in tests/helpers.py re-derive what they check, so they may
+    # use the public API only, never a private helper of the code under test
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    for node in ast.walk(ast.parse(helpers.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "gkmgraph":
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "gkmgraph"]
+        else:
+            continue
+        for name in names:
+            assert not any(part.startswith("_") for part in name.split(".")), name
