@@ -30,13 +30,18 @@ class NotSurjectiveError(GkmError):
     """The projection matrix is not onto the target lattice."""
 
 
+def _first_failure(report: ValidationReport) -> str:
+    """One line naming the first failed axiom of ``report`` and where it fails."""
+    f = report.failures[0]
+    return f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})"
+
+
 class AxiomViolationError(GkmError):
     """A constructed labeling fails the axioms; the message names the first failure."""
 
     @classmethod
     def from_report(cls, report: ValidationReport) -> "AxiomViolationError":
-        f = report.failures[0]
-        return cls(f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})")
+        return cls(_first_failure(report))
 
 
 class GraphMismatchError(GkmError):
@@ -137,14 +142,18 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
 def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
     """Decide whether ``candidate`` extends ``base`` and exhibit the projection.
 
-    Both labelings must live on the same graph with the same orderings.  The
-    projection is solved from the weights at one vertex (they span, so it is
-    unique if it exists) and then verified on every dart.
+    Both labelings must live on the same graph with the same orderings, and
+    the candidate must satisfy the axioms.  The projection is solved from the
+    weights at one vertex (the candidate's span, so it is unique if it
+    exists) and then verified on every dart.
     """
     if base.graph != candidate.graph:
         raise GraphMismatchError("the two labelings live on different graphs")
     if base.connection != candidate.connection:
         return ExtensionCheck(False, None, "the connections differ")
+    report = validate_gkm(candidate)
+    if not report.ok:
+        return ExtensionCheck(False, None, _first_failure(report))
     g = base.graph
     p = g.vertices[0]
     out = g.out_darts(p)

@@ -1,10 +1,11 @@
 """Connected m-valent multigraphs carried by darts (oriented half-edges).
 
 Darts, not vertex pairs, are the primitive: parallel edges are allowed, so a
-pair of endpoints does not determine an edge.  Every dart ``e`` has a reversal
-``ē`` under a fixed-point-free involution swapping its endpoints, and every
-vertex fixes an order on its outgoing darts (lexicographic by dart id unless
-pinned explicitly).
+pair of endpoints does not determine an edge.  Each undirected edge ``X`` is
+the dart pair ``X`` / ``X~``, so the reverse ``ē`` of a dart, a fixed-point-free
+involution swapping endpoints, is read off its name.  Every vertex fixes an
+order on its outgoing darts (lexicographic by dart id unless pinned
+explicitly).
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class NonRegularError(GraphError):
     """Some vertex does not have the common out-valence."""
 
 
-class BadInvolutionError(GraphError):
-    """The reversal map is not a fixed-point-free involution swapping endpoints."""
-
-
 REVERSE_SUFFIX = "~"
 
 
@@ -51,14 +48,14 @@ def reverse_name(dart_id: str) -> str:
 class OrientedGraph:
     """An m-valent connected multigraph with oriented darts.
 
-    Instances are immutable; build them with :func:`build_graph` or
-    :func:`build_graph_from_darts`, which verify all structural invariants.
+    The reverse of dart ``X`` is ``X~`` and that of ``X~`` is ``X``.
+    Instances are immutable; build them with :func:`build_graph`, which
+    verifies all structural invariants.
     """
 
     vertices: tuple[str, ...]
     sources: Mapping[str, str]
     targets: Mapping[str, str]
-    reversal: Mapping[str, str]
     orderings: Mapping[str, tuple[str, ...]]
     valence: int
 
@@ -81,7 +78,7 @@ class OrientedGraph:
         return self.targets[dart]
 
     def reverse(self, dart: str) -> str:
-        return self.reversal[dart]
+        return reverse_name(dart)
 
     def out_darts(self, vertex: str) -> tuple[str, ...]:
         return self.orderings[vertex]
@@ -91,53 +88,50 @@ class OrientedGraph:
         return self._positions[dart]
 
     def edge_representatives(self) -> tuple[str, ...]:
-        """One dart per undirected edge: the lexicographically smaller of the pair."""
-        return tuple(sorted(d for d in self.sources if d < self.reversal[d]))
+        """One dart per undirected edge: the forward dart ``X`` of the pair, sorted."""
+        return tuple(d for d in self.darts if not d.endswith(REVERSE_SUFFIX))
 
     def with_orderings(self, orderings: Mapping[str, Sequence[str]]) -> "OrientedGraph":
         """Same graph with the out-dart orderings replaced (and re-validated)."""
         new = dict(self.orderings)
         for v, order in orderings.items():
             new[v] = tuple(order)
-        return build_graph_from_darts(
-            self.vertices, dict(self.sources), dict(self.targets),
-            dict(self.reversal), orderings=new,
-        )
+        edges = [(e, self.source(e), self.target(e)) for e in self.edge_representatives()]
+        return build_graph(self.vertices, edges, orderings=new)
 
 
-def build_graph_from_darts(
+def build_graph(
     vertices: Iterable[str],
-    sources: Mapping[str, str],
-    targets: Mapping[str, str],
-    reversal: Mapping[str, str],
+    edges: Iterable[tuple[str, str, str]],
     orderings: Mapping[str, Sequence[str]] | None = None,
 ) -> OrientedGraph:
-    """Build and fully validate an :class:`OrientedGraph` from explicit darts."""
+    """Build and fully validate a graph from undirected edges ``(edge_id, source, target)``.
+
+    Each edge expands to the dart pair ``edge_id`` (forward) and
+    ``edge_id~`` (reverse).
+    """
     verts = tuple(sorted(vertices))
     if not verts:
         raise GraphError("a graph needs at least one vertex")
-    if len(set(verts)) != len(verts):
-        raise GraphError("duplicate vertex ids")
     vset = set(verts)
-    if set(sources) != set(targets):
-        raise GraphError("sources and targets list different darts")
+    if len(vset) != len(verts):
+        raise GraphError("duplicate vertex ids")
+    sources: dict[str, str] = {}
+    targets: dict[str, str] = {}
+    for eid, s, t in edges:
+        if REVERSE_SUFFIX in eid:
+            raise GraphError(f"edge id {eid!r} must not contain {REVERSE_SUFFIX!r}")
+        if eid in sources:
+            raise GraphError(f"duplicate edge id {eid!r}")
+        rid = reverse_name(eid)
+        sources[eid], targets[eid] = s, t
+        sources[rid], targets[rid] = t, s
     for d, s in sources.items():
         t = targets[d]
         if s not in vset or t not in vset:
             raise GraphError(f"dart {d} references an unknown vertex")
         if s == t:
             raise LoopEdgeError(f"dart {d} is a loop at vertex {s}")
-    if set(reversal) != set(sources):
-        raise BadInvolutionError("reversal must be defined on exactly the darts")
-    for d, r in reversal.items():
-        if r == d:
-            raise BadInvolutionError(f"reversal fixes dart {d}")
-        if r not in sources:
-            raise BadInvolutionError(f"reversal of {d} is the unknown dart {r}")
-        if reversal[r] != d:
-            raise BadInvolutionError(f"reversal is not an involution at dart {d}")
-        if sources[r] != targets[d] or targets[r] != sources[d]:
-            raise BadInvolutionError(f"reversal of {d} does not swap its endpoints")
 
     out: dict[str, list[str]] = {v: [] for v in verts}
     for d, s in sources.items():
@@ -179,34 +173,8 @@ def build_graph_from_darts(
 
     return OrientedGraph(
         vertices=verts,
-        sources=dict(sources),
-        targets=dict(targets),
-        reversal=dict(reversal),
+        sources=sources,
+        targets=targets,
         orderings=fixed,
         valence=valence,
     )
-
-
-def build_graph(
-    vertices: Iterable[str],
-    edges: Iterable[tuple[str, str, str]],
-    orderings: Mapping[str, Sequence[str]] | None = None,
-) -> OrientedGraph:
-    """Build a graph from undirected edges ``(edge_id, source, target)``.
-
-    Each edge expands to the dart pair ``edge_id`` (forward) and
-    ``edge_id~`` (reverse).
-    """
-    sources: dict[str, str] = {}
-    targets: dict[str, str] = {}
-    reversal: dict[str, str] = {}
-    for eid, s, t in edges:
-        if REVERSE_SUFFIX in eid:
-            raise GraphError(f"edge id {eid!r} must not contain {REVERSE_SUFFIX!r}")
-        if eid in sources:
-            raise GraphError(f"duplicate edge id {eid!r}")
-        rid = reverse_name(eid)
-        sources[eid], targets[eid] = s, t
-        sources[rid], targets[rid] = t, s
-        reversal[eid], reversal[rid] = rid, eid
-    return build_graph_from_darts(vertices, sources, targets, reversal, orderings)

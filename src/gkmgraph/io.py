@@ -175,13 +175,7 @@ def emit_gkm(doc: GkmDocument) -> str:
 def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     """Snapshot a labeled graph, pinning its connection and orderings."""
     g = gkm.graph
-    edges = []
-    for e in g.edge_representatives():
-        if g.reverse(e) != reverse_name(e):
-            raise GkmError(
-                f"dart pair {e}/{g.reverse(e)} does not follow the {REVERSE_SUFFIX!r} naming convention"
-            )
-        edges.append(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)))
+    edges = tuple(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)) for e in g.edge_representatives())
     entries = []
     for d in g.darts:
         nabla = gkm.connection.maps[d]
@@ -190,7 +184,7 @@ def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     return GkmDocument(
         torus_rank=gkm.axial.torus_rank,
         vertices=g.vertices,
-        edges=tuple(edges),
+        edges=edges,
         connection=tuple(entries),
         orderings={v: g.out_darts(v) for v in g.vertices},
     )

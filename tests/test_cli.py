@@ -84,6 +84,18 @@ def test_extend_and_check_extension(tmp_path, capsys):
     assert main(["check-extension", str(extended), str(projected)]) == 1
 
 
+def test_check_extension_rejects_a_candidate_failing_the_axioms(tmp_path, capsys):
+    base = gen_projective(3)
+    padded = base.with_weights({d: w + (0,) for d, w in base.axial.weights.items()}, 4)
+    base_path, padded_path = tmp_path / "base.json", tmp_path / "padded.json"
+    base_path.write_text(emit_gkm(document_from_gkm(base)))
+    padded_path.write_text(emit_gkm(document_from_gkm(padded)))
+    assert main(["check-extension", str(base_path), str(padded_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("extension: no (axiom 4 fails at vertex ")
+    assert len(out.splitlines()) == 1
+
+
 def test_extend_beyond_rank_fails(s6_file, tmp_path, capsys):
     out_path = tmp_path / "never.json"
     assert main(["extend", s6_file, "--target", "3", "-o", str(out_path)]) == 1

@@ -170,6 +170,17 @@ def test_verify_extension_rejects_scaled_labels():
     assert not verify_extension(scaled, gkm).ok
 
 
+def test_verify_extension_rejects_a_candidate_failing_the_axioms():
+    # a zero coordinate keeps every weight projecting back, but the weights
+    # no longer span Z^4 at any vertex
+    base = gen_projective(3)
+    padded = base.with_weights({d: w + (0,) for d, w in base.axial.weights.items()}, 4)
+    check = verify_extension(base, padded)
+    assert not check.ok
+    assert check.projection is None
+    assert check.detail.startswith("axiom 4 fails at vertex ")
+
+
 def test_verify_extension_needs_the_same_graph():
     with pytest.raises(GraphMismatchError):
         verify_extension(gen_s6(), gen_projective(2))

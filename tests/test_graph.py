@@ -1,13 +1,11 @@
 import pytest
 
 from gkmgraph.graph import (
-    BadInvolutionError,
     DisconnectedError,
     GraphError,
     LoopEdgeError,
     NonRegularError,
     build_graph,
-    build_graph_from_darts,
     reverse_name,
 )
 
@@ -64,25 +62,6 @@ def test_irregular_rejected():
     assert "vertex" in str(err.value)
 
 
-def test_bad_involution_rejected():
-    sources = {"x": "p", "y": "q"}
-    targets = {"x": "q", "y": "p"}
-    with pytest.raises(BadInvolutionError):
-        build_graph_from_darts(["p", "q"], sources, targets, {"x": "x", "y": "y"})
-    with pytest.raises(BadInvolutionError):
-        # both darts run p -> q, so no pairing can swap endpoints
-        build_graph_from_darts(
-            ["p", "q"], {"x": "p", "y": "p"}, {"x": "q", "y": "q"}, {"x": "y", "y": "x"}
-        )
-    ok = build_graph_from_darts(
-        ["p", "q"],
-        {"x": "p", "y": "q"},
-        {"x": "q", "y": "p"},
-        {"x": "y", "y": "x"},
-    )
-    assert ok.valence == 1
-
-
 def test_pinned_ordering_must_be_permutation():
     with pytest.raises(GraphError):
         build_graph(["p", "q", "r"], TRIANGLE, orderings={"p": ("pq", "pq")})
@@ -96,6 +75,29 @@ def test_with_orderings():
     g2 = g.with_orderings({"q": ("qr", "pq~")})
     assert g2.out_darts("q") == ("qr", "pq~")
     assert g2.out_darts("p") == g.out_darts("p")
+    assert g2.darts == g.darts
+    assert all(g2.reverse(d) == g.reverse(d) for d in g.darts)
+    with pytest.raises(GraphError):
+        g.with_orderings({"q": ("qr", "rp~")})
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        ([], [], GraphError, "a graph needs at least one vertex"),
+        (["p", "q", "p"], [("e", "p", "q")], GraphError, "duplicate vertex ids"),
+        (["p", "q"], [("e", "p", "q"), ("e", "q", "p")], GraphError, "duplicate edge id 'e'"),
+        (["p", "q"], [("e", "p", "r")], GraphError, "dart e references an unknown vertex"),
+        # every edge id is checked before any dart's endpoints
+        (["p", "q"], [("e", "p", "p"), ("f~", "p", "q")], GraphError, "edge id 'f~' must not contain '~'"),
+        (["p", "q"], [("e", "p", "p")], LoopEdgeError, "dart e is a loop at vertex p"),
+    ],
+)
+def test_malformed_graph_error(vertices, edges, error, message):
+    with pytest.raises(GraphError) as err:
+        build_graph(vertices, edges)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_edge_ids_cannot_contain_reverse_marker():

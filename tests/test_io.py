@@ -1,9 +1,11 @@
 import gc
 import json
+import random
 
 import pytest
 
 from gkmgraph import (
+    GkmGraph,
     axial_group_basis,
     document_from_gkm,
     emit_dot,
@@ -16,6 +18,7 @@ from gkmgraph import (
     parse_gkm,
 )
 from gkmgraph.io import ParseError, SchemaError
+from helpers import core_fixtures, shuffled_orderings
 
 MINIMAL = """
 {
@@ -42,6 +45,13 @@ def test_document_reconstructs_the_same_gkm():
         assert rebuilt.graph == gkm.graph
         assert rebuilt.axial == gkm.axial
         assert rebuilt.connection == gkm.connection
+    # documents store only forward darts, so a saved graph must pair its
+    # darts as X / X~; pinned orderings must survive the trip as well
+    rng = random.Random(7)
+    for name, gkm in core_fixtures().items():
+        g = gkm.graph.with_orderings(shuffled_orderings(rng, gkm.graph))
+        shuffled = GkmGraph(g, gkm.axial, gkm.connection)
+        assert gkm_from_document(parse_gkm(emit_gkm(document_from_gkm(shuffled)))) == shuffled, name
 
 
 def test_minimal_document_infers_connection():

@@ -56,3 +56,14 @@ def test_helpers_import_nothing_private_from_the_package():
             continue
         for name in names:
             assert not any(part.startswith("_") for part in name.split(".")), name
+
+
+def test_public_names_resolve():
+    # a name removed from the package but left in __all__ would otherwise
+    # fail only on a star import
+    import gkmgraph
+
+    names = gkmgraph.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(gkmgraph, name), name
