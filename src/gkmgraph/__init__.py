@@ -4,148 +4,50 @@ Represents m-valent multigraphs whose darts carry integer weight vectors and
 a connection, computes the congruence-coefficient invariant, the lattice of
 compatible vertex labelings with its rank (the sharp bound for extending the
 weights to a larger lattice), and constructs maximal extensions.
+
+The public names are resolved lazily: ``_MODULES`` maps each name to the
+submodule defining it, and that submodule is imported on first access, so
+``import gkmgraph`` loads nothing else.  Names are looked up anew on every
+access rather than cached here.
 """
 
-from .axgroup import (
-    AxialElement,
-    AxialGroupBasis,
-    axial_group_basis,
-    canonical_elements,
-    propagate,
-    transport_matrix,
-)
-from .axial import (
-    AmbiguousConnectionError,
-    AxialError,
-    AxialFunction,
-    AxiomFailure,
-    Connection,
-    ConnectionNotFoundError,
-    GkmGraph,
-    NotProportionalError,
-    ValidationReport,
-    infer_connection,
-    validate_axial,
-    validate_gkm,
-)
-from .congruence import (
-    invariant_function,
-    permutation,
-    permutation_matrix,
-)
-from .errors import GkmError
-from .extension import (
-    AxiomViolationError,
-    EffectivenessError,
-    ExtensionCheck,
-    ExtensionResult,
-    GraphMismatchError,
-    NotSurjectiveError,
-    RankExceededError,
-    extend_axial,
-    project_axial,
-    verify_extension,
-)
-from .families import gen_grassmannian, gen_projective, gen_s6
-from .graph import (
-    DisconnectedError,
-    GraphError,
-    LoopEdgeError,
-    NonRegularError,
-    OrientedGraph,
-    build_graph,
-    reverse_name,
-)
-from .intlinalg import (
-    IntegerMatrix,
-    NotInLatticeError,
-    complete_inside_lattice,
-    hermite_normal_form,
-    integer_kernel_basis,
-    invariant_factors,
-    lattice_basis,
-    matrix_rank,
-    saturation,
-    solve_left,
-)
-from .io import (
-    ConnectionEntry,
-    EdgeRecord,
-    GkmDocument,
-    ParseError,
-    SchemaError,
-    document_from_gkm,
-    emit_dot,
-    emit_gkm,
-    gkm_from_document,
-    load_gkm,
-    parse_gkm,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousConnectionError",
-    "AxialElement",
-    "AxialError",
-    "AxialFunction",
-    "AxialGroupBasis",
-    "AxiomFailure",
-    "AxiomViolationError",
-    "Connection",
-    "ConnectionEntry",
-    "ConnectionNotFoundError",
-    "DisconnectedError",
-    "EdgeRecord",
-    "EffectivenessError",
-    "ExtensionCheck",
-    "ExtensionResult",
-    "GkmDocument",
-    "GkmError",
-    "GkmGraph",
-    "GraphError",
-    "GraphMismatchError",
-    "IntegerMatrix",
-    "LoopEdgeError",
-    "NonRegularError",
-    "NotInLatticeError",
-    "NotProportionalError",
-    "NotSurjectiveError",
-    "OrientedGraph",
-    "ParseError",
-    "RankExceededError",
-    "SchemaError",
-    "ValidationReport",
-    "axial_group_basis",
-    "build_graph",
-    "canonical_elements",
-    "complete_inside_lattice",
-    "document_from_gkm",
-    "emit_dot",
-    "emit_gkm",
-    "extend_axial",
-    "gen_grassmannian",
-    "gen_projective",
-    "gen_s6",
-    "gkm_from_document",
-    "hermite_normal_form",
-    "infer_connection",
-    "integer_kernel_basis",
-    "invariant_factors",
-    "invariant_function",
-    "lattice_basis",
-    "load_gkm",
-    "matrix_rank",
-    "parse_gkm",
-    "permutation",
-    "permutation_matrix",
-    "project_axial",
-    "propagate",
-    "reverse_name",
-    "saturation",
-    "solve_left",
-    "transport_matrix",
-    "validate_axial",
-    "validate_gkm",
-    "verify_extension",
-]
+_MODULES = {
+    name: module
+    for module, names in {
+        "axgroup": "AxialElement AxialGroupBasis axial_group_basis canonical_elements propagate"
+        " transport_matrix",
+        "axial": "AmbiguousConnectionError AxialError AxialFunction AxiomFailure Connection"
+        " ConnectionNotFoundError GkmGraph NotProportionalError ValidationReport"
+        " infer_connection validate_axial validate_gkm",
+        "congruence": "invariant_function permutation permutation_matrix",
+        "errors": "GkmError",
+        "extension": "AxiomViolationError EffectivenessError ExtensionCheck ExtensionResult"
+        " GraphMismatchError NotSurjectiveError RankExceededError extend_axial project_axial"
+        " verify_extension",
+        "families": "gen_grassmannian gen_projective gen_s6",
+        "graph": "DisconnectedError GraphError LoopEdgeError NonRegularError OrientedGraph"
+        " build_graph reverse_name",
+        "intlinalg": "IntegerMatrix NotInLatticeError complete_inside_lattice hermite_normal_form"
+        " integer_kernel_basis invariant_factors lattice_basis matrix_rank saturation solve_left",
+        "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError document_from_gkm"
+        " emit_dot emit_gkm gkm_from_document load_gkm parse_gkm",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,21 +15,31 @@ remaining edge, ``full_system`` solves for all vertex vectors at once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axial import GkmGraph
 from .congruence import invariant_function, permutation
+from .errors import Frozen
 from .graph import OrientedGraph
 from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis
 
 
-@dataclass(frozen=True)
-class AxialElement:
+class AxialElement(Frozen):
     """A vertex-indexed family of integer vectors in out-dart order."""
 
-    values: Mapping[str, tuple[int, ...]]
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mapping[str, tuple[int, ...]]):
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __repr__(self):
+        return f"AxialElement(values={self.values!r})"
 
     def __getitem__(self, vertex: str) -> tuple[int, ...]:
         return self.values[vertex]
@@ -55,8 +65,7 @@ class AxialElement:
         return cls(values)
 
 
-@dataclass(frozen=True)
-class AxialGroupBasis:
+class AxialGroupBasis(NamedTuple):
     """Canonical basis of the solution lattice.
 
     ``coordinate_matrix`` is the Hermite normal form of the stacked

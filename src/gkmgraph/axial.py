@@ -16,9 +16,8 @@ compares primitive directions (:func:`_direction`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import GkmError
 from .graph import OrientedGraph
@@ -43,23 +42,20 @@ class NotProportionalError(AxialError):
     """A weight difference is not an integer multiple of the base weight."""
 
 
-@dataclass(frozen=True)
-class AxialFunction:
+class AxialFunction(NamedTuple):
     """Dart labeling by integer weight vectors of a fixed length."""
 
     torus_rank: int
     weights: Mapping[str, Weight]
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     """Per-dart bijections between the out-dart sets of the dart's endpoints."""
 
     maps: Mapping[str, Mapping[str, str]]
 
 
-@dataclass(frozen=True)
-class GkmGraph:
+class GkmGraph(NamedTuple):
     """A graph, an axial function, and a connection, used as one unit."""
 
     graph: OrientedGraph
@@ -82,15 +78,13 @@ class GkmGraph:
         return GkmGraph(self.graph, AxialFunction(torus_rank, dict(weights)), self.connection)
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: int
     where: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Pass/fail per axiom, with a witness for each failure."""
 
     checked: tuple[int, ...]

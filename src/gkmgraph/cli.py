@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when validation or a requested construction
 fails, 2 on usage errors (argparse's default).  All numeric output is exact
-integers.
+integers.  The solver, extension and family modules are imported by the
+commands that run them, so each command starts by loading only what it uses.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .axgroup import axial_group_basis
 from .axial import (
     AmbiguousConnectionError,
     ConnectionNotFoundError,
@@ -20,8 +20,6 @@ from .axial import (
 )
 from .congruence import invariant_function
 from .errors import GkmError
-from .extension import extend_axial, project_axial, verify_extension
-from .families import gen_grassmannian, gen_projective, gen_s6
 from .intlinalg import IntegerMatrix
 from .io import (
     document_from_gkm,
@@ -112,6 +110,8 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    from .axgroup import axial_group_basis
+
     gkm = load_gkm(_read(args.file))
     basis = axial_group_basis(gkm, method=args.method)
     print(f"rank: {basis.rank}")
@@ -124,6 +124,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    from .extension import extend_axial
+
     gkm = load_gkm(_read(args.file))
     result = extend_axial(gkm, args.target)
     _write_output(emit_gkm(document_from_gkm(result.gkm)), args.output)
@@ -131,6 +133,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    from .extension import project_axial
+
     gkm = load_gkm(_read(args.file))
     out = project_axial(gkm, _parse_matrix(args.matrix))
     _write_output(emit_gkm(document_from_gkm(out)), args.output)
@@ -138,6 +142,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_check_extension(args: argparse.Namespace) -> int:
+    from .extension import verify_extension
+
     base = load_gkm(_read(args.base))
     candidate = load_gkm(_read(args.candidate))
     check = verify_extension(base, candidate)
@@ -152,6 +158,8 @@ def cmd_check_extension(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .families import gen_grassmannian, gen_projective, gen_s6
+
     if args.family == "projective":
         gkm = gen_projective(args.m)
     elif args.family == "s6":

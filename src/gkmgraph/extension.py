@@ -10,7 +10,7 @@ assembles the new weights from ``ℓ`` independent lattice elements whose first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axgroup import AxialElement, axial_group_basis, canonical_elements
 from .axial import GkmGraph, ValidationReport, validate_gkm
@@ -48,16 +48,14 @@ class GraphMismatchError(GkmError):
     """Two labelings do not live on the same graph and orderings."""
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     gkm: GkmGraph
     projection: IntegerMatrix
     chosen_elements: tuple[AxialElement, ...]
     report: ValidationReport
 
 
-@dataclass(frozen=True)
-class ExtensionCheck:
+class ExtensionCheck(NamedTuple):
     ok: bool
     projection: IntegerMatrix | None
     detail: str

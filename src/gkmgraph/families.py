@@ -55,11 +55,6 @@ def gen_s6() -> GkmGraph:
     return gkm_from_document(GkmDocument(2, ("p", "q"), edges, connection))
 
 
-def _grass_vertex(pair: frozenset[int]) -> str:
-    i, j = sorted(pair)
-    return f"{i:02d}.{j:02d}"
-
-
 def gen_grassmannian(n: int) -> GkmGraph:
     """Johnson graph ``J(n+2, 2)`` with the Grassmannian weights.
 
@@ -73,25 +68,25 @@ def gen_grassmannian(n: int) -> GkmGraph:
     if n < 1:
         raise ValueError("n must be at least 1")
     ground = range(1, n + 3)
-    pairs = [frozenset(c) for c in combinations(ground, 2)]
-    vertices = [_grass_vertex(p) for p in pairs]
+    name = {frozenset((i, j)): f"{i:02d}.{j:02d}" for i, j in combinations(ground, 2)}
+    pairs = list(name)
+    neighbours = {u: [t for t in pairs if t != u and t & u] for u in pairs}
 
     def unit(i: int) -> tuple[int, ...]:
         # a_{n+2} is the zero vector by convention
         return tuple(1 if t == i else 0 for t in range(1, n + 2))
 
     def dart_id(u: frozenset[int], w: frozenset[int]) -> str:
-        a, b = sorted((_grass_vertex(u), _grass_vertex(w)))
-        eid = f"{a}|{b}"
-        return eid if _grass_vertex(u) == a else reverse_name(eid)
+        a, b = name[u], name[w]
+        return f"{a}|{b}" if a < b else reverse_name(f"{b}|{a}")
 
     edges = []
     connection = []
     for u, w in combinations(pairs, 2):
         if not (u & w):
             continue
-        a, b = sorted((_grass_vertex(u), _grass_vertex(w)))
-        src, dst = (u, w) if _grass_vertex(u) == a else (w, u)
+        src, dst = (u, w) if name[u] < name[w] else (w, u)
+        a, b = name[src], name[dst]
         eid = f"{a}|{b}"
         (old,) = src - dst
         (new,) = dst - src
@@ -100,8 +95,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
         # t == dst lands on swap(dst) == src, the reversed dart
         images = tuple(
             (dart_id(src, t), dart_id(dst, frozenset(swap.get(x, x) for x in t)))
-            for t in pairs
-            if t != src and t & src
+            for t in neighbours[src]
         )
         connection.append(ConnectionEntry(eid, images))
 
@@ -111,7 +105,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
         others = sorted(set(ground) - u)
         order = [dart_id(u, frozenset({i, k})) for k in others]
         order += [dart_id(u, frozenset({j, k})) for k in others]
-        orderings[_grass_vertex(u)] = tuple(order)
+        orderings[name[u]] = tuple(order)
 
-    doc = GkmDocument(n + 1, tuple(vertices), tuple(edges), tuple(connection), orderings)
+    doc = GkmDocument(n + 1, tuple(name.values()), tuple(edges), tuple(connection), orderings)
     return gkm_from_document(doc)

@@ -11,11 +11,10 @@ explicitly).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GkmError
+from .errors import Frozen, GkmError
 
 
 class GraphError(GkmError):
@@ -44,8 +43,7 @@ def reverse_name(dart_id: str) -> str:
     return dart_id + REVERSE_SUFFIX
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
+class OrientedGraph(Frozen):
     """An m-valent connected multigraph with oriented darts.
 
     The reverse of dart ``X`` is ``X~`` and that of ``X~`` is ``X``.
@@ -53,11 +51,31 @@ class OrientedGraph:
     verifies all structural invariants.
     """
 
-    vertices: tuple[str, ...]
-    sources: Mapping[str, str]
-    targets: Mapping[str, str]
-    orderings: Mapping[str, tuple[str, ...]]
-    valence: int
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        sources: Mapping[str, str],
+        targets: Mapping[str, str],
+        orderings: Mapping[str, tuple[str, ...]],
+        valence: int,
+    ):
+        self.__dict__.update(
+            vertices=vertices, sources=sources, targets=targets, orderings=orderings, valence=valence
+        )
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.sources, self.targets, self.orderings, self.valence)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return (
+            f"OrientedGraph(vertices={self.vertices!r}, sources={self.sources!r}, "
+            f"targets={self.targets!r}, orderings={self.orderings!r}, valence={self.valence!r})"
+        )
 
     @cached_property
     def darts(self) -> tuple[str, ...]:

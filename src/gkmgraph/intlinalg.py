@@ -10,31 +10,41 @@ their basis matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import GkmError
+from .errors import Frozen, GkmError
 
 
 class NotInLatticeError(GkmError):
     """A vector is not an integer combination of the given lattice basis."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Frozen):
     """Immutable integer matrix.
 
     ``ncols`` is stored explicitly so matrices with zero rows keep a
     well-defined shape.
     """
 
-    data: tuple[tuple[int, ...], ...]
-    ncols: int
+    __slots__ = ("data", "ncols")
 
-    def __post_init__(self):
-        for row in self.data:
-            if len(row) != self.ncols:
+    def __init__(self, data: tuple[tuple[int, ...], ...], ncols: int):
+        for row in data:
+            if len(row) != ncols:
                 raise ValueError("ragged rows in matrix")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ncols", ncols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data and self.ncols == other.ncols
+
+    def __hash__(self):
+        return hash((self.data, self.ncols))
+
+    def __repr__(self):
+        return f"IntegerMatrix(data={self.data!r}, ncols={self.ncols!r})"
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int | None = None) -> "IntegerMatrix":

@@ -12,8 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .axial import AxialFunction, Connection, GkmGraph, infer_connection
 from .congruence import invariant_function
@@ -29,22 +28,19 @@ class SchemaError(GkmError):
     """The JSON is well-formed but does not match the document schema."""
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     id: str
     source: str
     target: str
     weight: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConnectionEntry:
+class ConnectionEntry(NamedTuple):
     dart: str
     images: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class GkmDocument:
+class GkmDocument(NamedTuple):
     torus_rank: int
     vertices: tuple[str, ...]
     edges: tuple[EdgeRecord, ...]
@@ -85,7 +81,8 @@ def parse_gkm(text: str) -> GkmDocument:
     rank = obj.get("torus_rank")
     _expect(_is_int(rank) and rank >= 1, "torus_rank", "expected a positive integer")
     vertices = _string_list(obj.get("vertices"), "vertices")
-    _expect(len(set(vertices)) == len(vertices), "vertices", "duplicate vertex ids")
+    vertex_ids = set(vertices)
+    _expect(len(vertex_ids) == len(vertices), "vertices", "duplicate vertex ids")
 
     raw_edges = obj.get("edges")
     _expect(isinstance(raw_edges, list), "edges", "expected a list")
@@ -105,7 +102,7 @@ def parse_gkm(text: str) -> GkmDocument:
             isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends),
             f"{path}.endpoints", "expected a pair of vertex ids",
         )
-        _expect(ends[0] in vertices and ends[1] in vertices, f"{path}.endpoints", "unknown vertex")
+        _expect(ends[0] in vertex_ids and ends[1] in vertex_ids, f"{path}.endpoints", "unknown vertex")
         weight = e["weight"]
         _expect(
             isinstance(weight, list) and all(_is_int(x) for x in weight),
@@ -146,7 +143,7 @@ def parse_gkm(text: str) -> GkmDocument:
         _expect(isinstance(raw_ord, dict), "orderings", "expected an object")
         orderings = {}
         for v, lst in raw_ord.items():
-            _expect(v in vertices, f"orderings.{v}", "unknown vertex")
+            _expect(v in vertex_ids, f"orderings.{v}", "unknown vertex")
             orderings[v] = _string_list(lst, f"orderings.{v}")
 
     return GkmDocument(rank, vertices, tuple(edges), connection, orderings)

@@ -1,7 +1,22 @@
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from gkmgraph import (
+    AxiomFailure,
+    IntegerMatrix,
+    OrientedGraph,
+    axial_group_basis,
+    document_from_gkm,
+    extend_axial,
+    gen_s6,
+    validate_gkm,
+    verify_extension,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -67,3 +82,83 @@ def test_public_names_resolve():
     assert names == sorted(set(names))
     for name in names:
         assert hasattr(gkmgraph, name), name
+
+
+def test_cli_start_loads_only_what_it_runs():
+    # a command's start-up cost is the modules it imports and compiles; the
+    # solver, the extensions and the families load only in the commands that
+    # run them, and no record is built by dataclasses (which imports inspect)
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import gkmgraph.cli
+loaded = {{"dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.extension", "gkmgraph.families"}} & set(sys.modules)
+assert not loaded, sorted(loaded)
+import gkmgraph
+assert callable(gkmgraph.extend_axial)
+namespace = {{}}
+exec("from gkmgraph import *", namespace)
+assert all(name in namespace for name in gkmgraph.__all__)
+try:
+    gkmgraph.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+def _records():
+    """One instance of every public record class, with the name of one of its fields."""
+    gkm = gen_s6()
+    doc = document_from_gkm(gkm)
+    basis = axial_group_basis(gkm)
+    return [
+        (gkm, "graph"),
+        (gkm.graph, "valence"),
+        (gkm.axial, "weights"),
+        (gkm.connection, "maps"),
+        (doc, "vertices"),
+        (doc.edges[0], "weight"),
+        (doc.connection[0], "images"),
+        (validate_gkm(gkm), "failures"),
+        (AxiomFailure(1, "dart e1", "detail"), "axiom"),
+        (basis, "rank"),
+        (basis.elements[0], "values"),
+        (basis.canonical_matrix, "data"),
+        (extend_axial(gkm, gkm.n), "projection"),
+        (verify_extension(gkm, gkm), "ok"),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS])
+def test_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_records_with_equal_fields_compare_equal():
+    assert gen_s6() == gen_s6()
+    graph = gen_s6().graph
+    assert OrientedGraph(graph.vertices, graph.sources, graph.targets, graph.orderings, graph.valence) == graph
+    basis = axial_group_basis(gen_s6())
+    element = basis.elements[0]
+    assert type(element)(dict(element.values)) == element
+    a, b = IntegerMatrix(((1, 2), (3, 4)), 2), IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != IntegerMatrix(((1, 2),), 2) and a != a.data
+
+
+def test_integer_matrix_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged"):
+        IntegerMatrix(((1, 2), (3,)), 2)
