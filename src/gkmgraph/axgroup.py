@@ -7,9 +7,12 @@ must reproduce the vector at the far end.  The solutions form a lattice whose
 rank is squeezed between the weight rank ``n`` and the valence ``m``, and the
 value at a single vertex already determines the whole element.
 
-Two independent solvers are provided and must agree: ``propagate`` moves a
-base-vertex kernel along a spanning tree in O(m) steps and refines it on every
-remaining edge, ``full_system`` solves for all vertex vectors at once.
+Two independent solvers are provided and must agree.  ``propagate`` carries
+the unit vectors at a base vertex along a spanning tree in O(m) steps and
+refines a base-vertex kernel on the remaining edges, stopping once the kernel
+is down to rank ``n`` when the weights certify that ``n`` is the least rank
+possible; ``full_system`` solves for all vertex vectors at once and checks
+every edge.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .axial import GkmGraph
-from .congruence import invariant_function, permutation
+from .axial import GkmGraph, _neg
+from .congruence import _dart_vector, invariant_function, permutation
 from .errors import Frozen
 from .graph import OrientedGraph
-from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis
+from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
 
 
 class AxialElement(Frozen):
@@ -96,16 +99,16 @@ def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, .
     """Transport a vector across dart ``e``: the unique far-end value.
 
     Implements ``f(q) = N_e f(p) + f(p)_e * c(ē)`` for ``e`` from ``p`` to
-    ``q``, with ``c(ē)`` from :func:`invariant_function`; for members of the
-    solution lattice this is the value forced by the defining relation at
-    ``e``.
+    ``q``, with ``c(ē)`` the entry of :func:`invariant_function` at ``ē``,
+    computed for that dart alone; for members of the solution lattice this is
+    the value forced by the defining relation at ``e``.
     """
-    return _step(gkm, e, invariant_function(gkm)[gkm.graph.reverse(e)])(f_at_source)
+    return _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
 
 
 def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """Matrix ``T`` with ``propagate(gkm, x, e) == T @ x`` for all ``x``."""
-    step = _step(gkm, e, invariant_function(gkm)[gkm.graph.reverse(e)])
+    step = _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))
     columns = [step(unit) for unit in IntegerMatrix.identity(gkm.m).data]
     return IntegerMatrix.from_rows(columns, gkm.m).transpose()
 
@@ -128,37 +131,80 @@ def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]
     return tree, used
 
 
+def _combine(terms, width: int) -> tuple[int, ...]:
+    """``Σ c·row`` over the ``(c, row)`` pairs of ``terms``, skipping zero coefficients."""
+    out = [0] * width
+    for c, row in terms:
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _rank_n_is_the_floor(gkm: GkmGraph, base: str) -> bool:
+    """Whether the canonical elements put ``n`` independent solutions in the lattice.
+
+    Call only after :func:`invariant_function` has returned, so the
+    congruence holds with coefficients ``c``.  Transporting the value of the
+    i-th canonical element across ``e`` gives ``w(∇_ē d_j)_i + w(e)_i·c(ē)_j
+    = w(d_j)_i + c(ē)_j·(w(ē) + w(e))_i``, which is ``w(d_j)_i`` under
+    axiom 1.  Their restrictions to ``base`` are the columns of the weights
+    there, so the lattice has rank at least ``n`` when those have rational
+    rank ``n``.
+    """
+    g, w = gkm.graph, gkm.axial.weights
+    return all(w[g.reverse(e)] == _neg(w[e]) for e in g.edge_representatives()) and (
+        matrix_rank(IntegerMatrix.from_rows([w[d] for d in g.out_darts(base)], gkm.n)) == gkm.n
+    )
+
+
 def _solve_by_propagation(
     gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]], base: str
 ) -> list[tuple[int, ...]]:
-    """Refine the base-vertex kernel over every non-tree edge in turn.
+    """Refine the base-vertex kernel over the non-tree edges, stopping at rank ``n``.
 
     ``kernel`` spans the saturated lattice of base vectors meeting every
-    relation checked so far; a failing edge's block ``D`` has a saturated
-    integer kernel, whose combinations of the kernel rows span the new one.
-    """
-    g = gkm.graph
-    tree, used = _spanning_tree(g, base)
-    checks = [e for e in g.edge_representatives() if e not in used]
-    steps = {e: _step(gkm, e, inv[g.reverse(e)]) for e in tree + checks}
+    relation checked so far.  The unit vectors at ``base`` are spread over the
+    tree once, giving ``T_v`` at every vertex; a non-tree edge ``e`` from
+    ``p`` to ``q`` has the block ``D_e = step_e(T_p) − T_q``, and the kernel
+    fails it exactly when ``K·D_e`` is nonzero.  The saturated integer kernel
+    of that block gives the combinations of kernel rows spanning the new one.
 
-    def spread(kernel: list[tuple[int, ...]]) -> dict[str, list[tuple[int, ...]]]:
-        values = {base: kernel}
-        for e in tree:
-            values[g.target(e)] = list(map(steps[e], values[g.source(e)]))
+    The solution lattice always lies in ``kernel``, and both are saturated.
+    When :func:`_rank_n_is_the_floor` holds, the lattice has rank at least
+    ``n``, so a kernel of rank ``n`` already is the lattice and the remaining
+    edges are not checked.  Otherwise every edge is checked.  The final
+    kernel is spread over the tree once.
+    """
+    g, m = gkm.graph, gkm.graph.valence
+    tree, used = _spanning_tree(g, base)
+    tree_steps = [(g.source(e), g.target(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree]
+
+    def spread(rows: list[tuple[int, ...]]) -> dict[str, list[tuple[int, ...]]]:
+        values = {base: rows}
+        for p, q, step in tree_steps:
+            values[q] = list(map(step, values[p]))
         return values
 
-    kernel = list(IntegerMatrix.identity(g.valence).data)
-    values = spread(kernel)
-    for e in checks:
-        moved, there = list(map(steps[e], values[g.source(e)])), values[g.target(e)]
-        if moved == there:
+    kernel = list(IntegerMatrix.identity(m).data)
+    units = spread(kernel)
+    floor = gkm.n if _rank_n_is_the_floor(gkm, base) else None
+    for e in g.edge_representatives():
+        if len(kernel) == floor:
+            break
+        if e in used:
             continue
-        block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]
-        combos = integer_kernel_basis(IntegerMatrix.from_rows(block, g.valence).transpose())
-        cols = list(zip(*kernel))
-        kernel = [tuple(sum(c * x for c, x in zip(combo, col)) for col in cols) for combo in combos]
-        values = spread(kernel)
+        moved = map(_step(gkm, e, inv[g.reverse(e)]), units[g.source(e)])
+        d_rows = [  # the nonzero rows of D_e, with their indices
+            (j, tuple(a - b for a, b in zip(x, y)))
+            for j, (x, y) in enumerate(zip(moved, units[g.target(e)]))
+            if x != y
+        ]
+        block = [_combine(((k[j], d) for j, d in d_rows), m) for k in kernel]
+        if not any(map(any, block)):
+            continue
+        combos = integer_kernel_basis(IntegerMatrix.from_rows(block, m).transpose())
+        kernel = [_combine(zip(c, kernel), m) for c in combos]
+    values = spread(kernel)
     return [tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))]
 
 

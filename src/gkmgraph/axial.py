@@ -17,11 +17,10 @@ compares primitive directions (:func:`_direction`).
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import GkmError
 from .graph import OrientedGraph
-from .intlinalg import IntegerMatrix, invariant_factors
 
 Weight = tuple[int, ...]
 
@@ -136,27 +135,31 @@ def _direction(v: Weight) -> Weight | None:
     return tuple([x // g for x in v])
 
 
-def _packed(graph: OrientedGraph, axial: AxialFunction) -> dict[str, int]:
+def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int], int]:
     """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``, ``s = 2·bitlen(M) + 2``.
 
-    ``M`` is the largest absolute entry.  Packing is linear, and a vector
-    whose entries are all below ``2^s`` in absolute value packs to 0 only when
-    it is zero.  Every vector a congruence test packs has entries of at most
+    Returns the packing and ``M``, the largest absolute entry among the
+    weights of ``darts``.  Packing is linear, and a vector whose entries are
+    all below ``2^s`` in absolute value packs to 0 only when it is zero.
+    Every vector a congruence test packs has entries of at most
     ``2M(M+1) < 2^s``: the difference of two residues in
     :func:`_residue_key`, and the remainder ``w(a) − w(b) − q·w(e)`` with
     ``|q| ≤ 2M`` in ``invariant_function``.  So each test is exact
-    arithmetic on one integer per dart.
+    arithmetic on one integer per dart.  A dart without a weight of length
+    ``torus_rank`` raises :class:`AxialError`.
     """
-    check_labels(graph, axial)
+    darts = tuple(darts)
+    _check_weights(axial, darts)
     weights = axial.weights
-    s = 2 * max((abs(x) for d in graph.darts for x in weights[d]), default=0).bit_length() + 2
+    big = max((abs(x) for d in darts for x in weights[d]), default=0)
+    s = 2 * big.bit_length() + 2
     packed = {}
-    for d in graph.darts:
+    for d in darts:
         acc = 0
         for x in reversed(weights[d]):
             acc = (acc << s) + x
         packed[d] = acc
-    return packed
+    return packed, big
 
 
 def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> Callable[[str], int]:
@@ -179,7 +182,11 @@ def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> 
 
 def check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
     """Raise :class:`AxialError` unless every dart carries a weight of length ``torus_rank``."""
-    for d in graph.darts:
+    _check_weights(axial, graph.darts)
+
+
+def _check_weights(axial: AxialFunction, darts: Iterable[str]) -> None:
+    for d in darts:
         w = axial.weights.get(d)
         if w is None:
             raise AxialError(f"dart {d} carries no weight")
@@ -218,6 +225,8 @@ def validate_axial(
     if connection is not None:
         failures.extend(_check_connection(graph, axial, connection))
 
+    from .intlinalg import IntegerMatrix, invariant_factors
+
     for p in graph.vertices:
         mat = IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], axial.torus_rank)
         facs = invariant_factors(mat)
@@ -230,7 +239,7 @@ def validate_axial(
 def _check_connection(
     graph: OrientedGraph, axial: AxialFunction, connection: Connection
 ) -> list[AxiomFailure]:
-    w, packed = axial.weights, _packed(graph, axial)
+    w, packed = axial.weights, _packed(axial, graph.darts)[0]
     failures: list[AxiomFailure] = []
     maps = connection.maps
     for e in graph.darts:
@@ -272,7 +281,7 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     partners (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
-    w, packed = axial.weights, _packed(graph, axial)
+    w, packed = axial.weights, _packed(axial, graph.darts)[0]
     maps: dict[str, dict[str, str]] = {}
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when validation or a requested construction
 fails, 2 on usage errors (argparse's default).  All numeric output is exact
 integers.  The solver, extension and family modules are imported by the
-commands that run them, so each command starts by loading only what it uses.
+commands that run them, and the integer linear algebra by the code that calls
+it, so each command starts by loading only what it uses.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .axial import (
     AmbiguousConnectionError,
@@ -20,7 +22,6 @@ from .axial import (
 )
 from .congruence import invariant_function
 from .errors import GkmError
-from .intlinalg import IntegerMatrix
 from .io import (
     document_from_gkm,
     emit_dot,
@@ -31,6 +32,9 @@ from .io import (
     load_gkm,
     parse_gkm,
 )
+
+if TYPE_CHECKING:
+    from .intlinalg import IntegerMatrix
 
 
 def _read(path: str) -> str:
@@ -51,6 +55,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_matrix(text: str) -> IntegerMatrix:
+    from .intlinalg import IntegerMatrix
+
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()

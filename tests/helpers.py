@@ -7,16 +7,33 @@ elimination over Fractions, and lattice membership is decided by a rational
 solve followed by an integrality check.  The pairwise congruence test
 (``ratio`` of a weight difference, 2×2 minors for dependence) is the
 reference for the packed residues and primitive directions of
-``gkmgraph.axial``, and imports nothing private from the package.
+``gkmgraph.axial``, and the propagation that checks every edge
+(``propagation_checking_every_edge``) is the reference for the solver that
+stops at rank ``n``.  Nothing private is imported from the package.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from gkmgraph import GkmGraph, IntegerMatrix, gen_grassmannian, gen_projective, gen_s6
+from gkmgraph import (
+    EdgeRecord,
+    GkmDocument,
+    GkmGraph,
+    IntegerMatrix,
+    document_from_gkm,
+    gen_grassmannian,
+    gen_projective,
+    gen_s6,
+    gkm_from_document,
+    integer_kernel_basis,
+    invariant_function,
+    lattice_basis,
+    permutation,
+)
 from gkmgraph.axial import (
     AmbiguousConnectionError,
     AxialFunction,
@@ -291,3 +308,71 @@ def shuffled_orderings(rng: random.Random, graph) -> dict[str, tuple[str, ...]]:
         rng.shuffle(order)
         out[v] = tuple(order)
     return out
+
+
+def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:
+    """The same structure with the vertices renamed at random, so they sort in another order."""
+    names = [f"v{i:03d}" for i in range(len(gkm.graph.vertices))]
+    rng.shuffle(names)
+    new = dict(zip(gkm.graph.vertices, names))
+    doc = document_from_gkm(gkm)
+    return gkm_from_document(
+        GkmDocument(
+            doc.torus_rank,
+            tuple(new[v] for v in doc.vertices),
+            tuple(EdgeRecord(e.id, new[e.source], new[e.target], e.weight) for e in doc.edges),
+            doc.connection,
+            {new[v]: order for v, order in doc.orderings.items()},
+        )
+    )
+
+
+def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Reference for the propagation solver: ``(coordinate_matrix, canonical_matrix)``.
+
+    The base-vertex kernel starts as ``Z^m``, is spread over the
+    breadth-first tree (out-darts in sorted order), and is cut down by every
+    non-tree edge in turn, re-spread after each cut.  No edge is skipped, so
+    no rank argument is involved.  Transport across ``e`` is
+    ``y_j = x[σ(j)] + x[e]·c(ē)_j``.
+    """
+    g, m = gkm.graph, gkm.graph.valence
+    inv = invariant_function(gkm)
+
+    def step(e):
+        sig, pe, cbar = permutation(gkm, e), g.dart_index(e), inv[g.reverse(e)]
+        return lambda x: tuple(x[s] + x[pe] * c for s, c in zip(sig, cbar))
+
+    tree, seen, queue = [], {base}, deque([base])
+    while queue:
+        p = queue.popleft()
+        for e in sorted(g.out_darts(p)):
+            if g.target(e) not in seen:
+                seen.add(g.target(e))
+                tree.append(e)
+                queue.append(g.target(e))
+    used = set(tree) | {g.reverse(e) for e in tree}
+    steps = {e: step(e) for e in g.darts}
+
+    def spread(kernel):
+        values = {base: kernel}
+        for e in tree:
+            values[g.target(e)] = [steps[e](x) for x in values[g.source(e)]]
+        return values
+
+    kernel = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    values = spread(kernel)
+    for e in g.edge_representatives():
+        if e in used:
+            continue
+        moved, there = [steps[e](x) for x in values[g.source(e)]], values[g.target(e)]
+        if moved == there:
+            continue
+        block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]
+        combos = integer_kernel_basis(IntegerMatrix.from_rows(block, m).transpose())
+        kernel = [tuple(sum(c * k[j] for c, k in zip(combo, kernel)) for j in range(m)) for combo in combos]
+        values = spread(kernel)
+    width = m * len(g.vertices)
+    coords = lattice_basis([tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))], width)
+    restricted = lattice_basis([c[g.vertices.index(base) * m :][:m] for c in coords], m)
+    return IntegerMatrix.from_rows(coords, width), IntegerMatrix.from_rows(restricted, m)

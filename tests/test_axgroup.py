@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from gkmgraph import (
     GkmGraph,
     IntegerMatrix,
+    NotProportionalError,
     axial_group_basis,
     canonical_elements,
     gen_grassmannian,
     gen_projective,
     gen_s6,
+    infer_connection,
+    invariant_function,
     propagate,
     transport_matrix,
+    validate_gkm,
 )
 from gkmgraph.errors import GkmError
 from helpers import (
@@ -22,7 +26,9 @@ from helpers import (
     element_in_lattice,
     in_integer_span,
     method_fixtures,
+    propagation_checking_every_edge,
     rational_rank,
+    renamed_vertices,
     shuffled_orderings,
 )
 
@@ -54,6 +60,22 @@ def test_propagate_round_trip_is_identity():
         f = tuple(rng.randint(-9, 9) for _ in range(gkm.m))
         back = propagate(gkm, propagate(gkm, f, e), gkm.graph.reverse(e))
         assert back == f
+
+
+def test_propagate_reads_only_the_congruence_of_its_own_dart():
+    # a weight change that breaks the congruence across an unrelated dart
+    # leaves the transport across e as it was
+    gkm = gen_projective(4)
+    g = gkm.graph
+    e = g.darts[0]
+    near = {e, *g.out_darts(g.target(e)), *g.out_darts(g.source(e))}
+    far = next(d for d in g.darts if d not in near and g.reverse(d) not in near)
+    bent = gkm.with_weights(dict(gkm.axial.weights, **{far: (5,) * gkm.n}), gkm.n)
+    with pytest.raises(NotProportionalError):
+        invariant_function(bent)
+    for f in [(1, 0, 0, 0), (2, -1, 3, 5)]:
+        assert propagate(bent, f, e) == propagate(gkm, f, e)
+        assert transport_matrix(bent, e).mul_vector(f) == propagate(gkm, f, e)
 
 
 def test_transport_matrix_matches_propagate():
@@ -150,6 +172,108 @@ def test_methods_agree_off_the_axioms(name, data):
     expected = outcome("full_system")
     for v in gkm.graph.vertices:
         assert outcome("propagate", v) == expected, v
+
+
+def _agree_from_every_base(gkm):
+    def outcome(method, base=None):
+        try:
+            return axial_group_basis(gkm, method=method, base_vertex=base).coordinate_matrix
+        except GkmError as exc:
+            return type(exc)
+
+    expected = outcome("full_system")
+    for v in gkm.graph.vertices:
+        assert outcome("propagate", v) == expected, v
+    return expected
+
+
+def _gate(gkm):
+    """Which gate conditions hold: axiom 1, the congruence, rank n of the weights at every vertex."""
+    g, w = gkm.graph, gkm.axial.weights
+    try:
+        invariant_function(gkm)
+        congruence = True
+    except NotProportionalError:
+        congruence = False
+    return (
+        validate_gkm(gkm).passed(1),
+        congruence,
+        all(rational_rank([w[d] for d in g.out_darts(v)]) == gkm.n for v in g.vertices),
+    )
+
+
+def test_rank_n_exit_is_gated_by_axiom_1():
+    # only axiom 1 fails, on every edge of s6: w(X~) = w(X); the congruence
+    # holds and the weights at each vertex have rank n
+    s6 = gen_s6()
+    weights = {}
+    for e, w in zip(("e1", "e2", "e3"), [(1, 2), (0, 1), (-1, 0)]):
+        weights[e] = weights[e + "~"] = w
+    bent = s6.with_weights(weights, s6.n)
+    gkm = GkmGraph(bent.graph, bent.axial, infer_connection(bent.graph, bent.axial))
+    assert {f.axiom for f in validate_gkm(gkm).failures} == {1}
+    _agree_from_every_base(gkm)
+    # projective(2) with w(X~) = w(X) on the two edges at vertex 0: transport
+    # cuts the lattice to rank 0 < n = m, so stopping at rank n would be wrong
+    gkm = gen_projective(2)
+    weights = dict(gkm.axial.weights, **{"0-1~": (1, 0), "0-2~": (0, 1)})
+    bent = gkm.with_weights(weights, gkm.n)
+    assert _gate(bent) == (False, True, True)
+    for v in bent.graph.vertices:
+        basis = axial_group_basis(bent, base_vertex=v)
+        assert basis.rank == 0
+        assert (basis.coordinate_matrix, basis.canonical_matrix) == propagation_checking_every_edge(bent, v)
+
+
+def test_rank_n_exit_is_gated_by_the_base_vertex_rank():
+    # weights in Z^4 of rank 3 everywhere: axiom 1 and the congruence hold,
+    # and the propagation starts at rank m = 4 = n, above the lattice's 3
+    gkm = gen_grassmannian(2)
+    lift = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
+    weights = {d: tuple(sum(a * b for a, b in zip(r, w)) for r in lift) for d, w in gkm.axial.weights.items()}
+    lifted = gkm.with_weights(weights, 4)
+    assert _gate(lifted) == (True, True, False)
+    assert _agree_from_every_base(lifted).nrows == 3
+
+
+def test_rank_n_exit_is_gated_by_the_congruence():
+    # axiom 1 holds and the weights at each vertex keep rank n, but one
+    # weight change is not a multiple: both methods raise the same error
+    gkm = gen_projective(3)
+    e = gkm.graph.edge_representatives()[-1]
+    weights = dict(gkm.axial.weights)
+    weights[e], weights[gkm.graph.reverse(e)] = (1, 2, 3), (-1, -2, -3)
+    bent = gkm.with_weights(weights, gkm.n)
+    assert _gate(bent) == (True, False, True)
+    assert _agree_from_every_base(bent) is NotProportionalError
+
+
+def _oracle_cases():
+    rng = random.Random(5)
+    cases = {}
+    for name, gkm in [(f"grassmannian{n}", gen_grassmannian(n)) for n in range(5, 11)] + [
+        (f"projective{m}", gen_projective(m)) for m in (5, 9)
+    ]:
+        cases[name] = gkm
+        cases[name + "-shuffled"] = GkmGraph(
+            gkm.graph.with_orderings(shuffled_orderings(rng, gkm.graph)), gkm.axial, gkm.connection
+        )
+        cases[name + "-renamed"] = renamed_vertices(rng, gkm)
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_propagation_matches_checking_every_edge(name):
+    # past the reach of full_system: the solver that stops at rank n gives
+    # the lattice of the propagation that checks every edge, bit for bit
+    gkm = ORACLE_CASES[name]
+    vertices = gkm.graph.vertices
+    for base in (vertices[0], vertices[len(vertices) // 2], vertices[-1]):
+        basis = axial_group_basis(gkm, base_vertex=base)
+        assert (basis.coordinate_matrix, basis.canonical_matrix) == propagation_checking_every_edge(gkm, base)
 
 
 def test_rank_nullity_against_rational_oracle():

@@ -245,7 +245,7 @@ def _keys(base, *vectors):
     graph = build_graph(["p", "q"], [(d, "p", "q") for d in ["b", *names]])
     weights = dict(zip(["b", *names], [base, *vectors]))
     weights.update({d + "~": tuple(-x for x in w) for d, w in list(weights.items())})
-    key = _residue_key(_packed(graph, AxialFunction(len(base), weights)), weights, "b")
+    key = _residue_key(_packed(AxialFunction(len(base), weights), graph.darts)[0], weights, "b")
     return [key(d) for d in names]
 
 

@@ -151,6 +151,29 @@ def test_packing_leaves_room_for_the_largest_quotient():
         invariant_function(bent)
 
 
+def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
+    # w(e) = (1, 0, 0) packs to 1 and the weight change (0, 1, 0) of d to
+    # 2^s, so the packed division is exact with q = 2^s; only the bound
+    # |q| <= 2M tells that (0, 1, 0) is not a multiple of (1, 0, 0)
+    gkm = gen_projective(3)
+    g = gkm.graph
+    e = g.darts[0]
+    d = g.out_darts(g.source(e))[1]
+    weights = dict(gkm.axial.weights)
+    weights[e], weights[g.reverse(e)] = (1, 0, 0), (-1, 0, 0)
+    weights[d], weights[gkm.connection.maps[e][d]] = (0, 0, 0), (0, 1, 0)
+    bent = gkm.with_weights(weights, gkm.n)
+
+    def first_failure(compute):
+        with pytest.raises(NotProportionalError) as exc:
+            compute()
+        return str(exc.value)
+
+    expected = first_failure(lambda: {x: congruence_vector(bent, x) for x in g.darts})
+    assert expected.startswith(f"weight change of {d} across {e} is")
+    assert first_failure(lambda: invariant_function(bent)) == expected
+
+
 def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
     gkm = gen_projective(3)
     g = gkm.graph
