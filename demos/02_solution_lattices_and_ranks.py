@@ -36,5 +36,5 @@ print()
 print("solver cross-check on J(4,2):")
 gkm = gen_grassmannian(2)
 a = axial_group_basis(gkm, method="propagate")
-b = axial_group_basis(gkm, method="full_system")
-print("  propagate == full_system:", a.coordinate_matrix == b.coordinate_matrix)
+b = axial_group_basis(gkm, method="full")
+print("  propagate == full:", a.coordinate_matrix == b.coordinate_matrix)

@@ -25,9 +25,8 @@ _MODULES = {
         " infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation permutation_matrix",
         "errors": "GkmError",
-        "extension": "AxiomViolationError EffectivenessError ExtensionCheck ExtensionResult"
-        " GraphMismatchError NotSurjectiveError RankExceededError extend_axial project_axial"
-        " verify_extension",
+        "extension": "AxiomViolationError ExtensionCheck ExtensionResult GraphMismatchError"
+        " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
         "graph": "DisconnectedError GraphError LoopEdgeError NonRegularError OrientedGraph"
         " build_graph reverse_name",

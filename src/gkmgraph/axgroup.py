@@ -11,8 +11,8 @@ Two independent solvers are provided and must agree.  ``propagate`` carries
 the unit vectors at a base vertex along a spanning tree in O(m) steps and
 refines a base-vertex kernel on the remaining edges, stopping once the kernel
 is down to rank ``n`` when the weights certify that ``n`` is the least rank
-possible; ``full_system`` solves for all vertex vectors at once and checks
-every edge.
+possible; ``full`` solves for all vertex vectors at once and checks every
+edge.
 """
 
 from __future__ import annotations
@@ -84,8 +84,20 @@ class AxialGroupBasis(NamedTuple):
 
 
 def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Transport across ``e`` in O(m): ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``, with ``cbar = c(ē)``."""
-    sig, pe = permutation(gkm, e), gkm.graph.dart_index(e)
+    """Transport across ``e`` in O(m): ``y_j = x[σ(j)] − k·x[p_e]·c(ē)_j``, with ``cbar = c(ē)``.
+
+    The ē row of the relation at ``e`` reads ``k·f(q)_ē = f(p)_e`` with
+    ``k = 1 + c(ē)_ē``.  Once :func:`invariant_function` has returned, ``k``
+    is 1 or −1: with the connection taking ``ē`` to ``e`` and back, the
+    congruence across ``ē`` gives ``w(e) = k·w(ē)`` and the one across ``e``
+    gives ``w(ē) = k'·w(e)``, so ``w(e) = ±w(ē)``.  Hence
+    ``f(q)_ē = k·f(p)_e``, and the other rows follow.  Under axiom 1
+    ``k = −1``, and the step is ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``.
+    """
+    g = gkm.graph
+    sig, pe = permutation(gkm, e), g.dart_index(e)
+    k = 1 + cbar[g.dart_index(g.reverse(e))]
+    cbar = [-k * c for c in cbar]
     pick = itemgetter(*sig) if len(sig) > 1 else lambda x: (x[sig[0]],)
 
     def step(x: Sequence[int]) -> tuple[int, ...]:
@@ -98,10 +110,11 @@ def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]
 def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, ...]:
     """Transport a vector across dart ``e``: the unique far-end value.
 
-    Implements ``f(q) = N_e f(p) + f(p)_e * c(ē)`` for ``e`` from ``p`` to
+    Implements ``f(q) = N_e f(p) − k·f(p)_e·c(ē)`` for ``e`` from ``p`` to
     ``q``, with ``c(ē)`` the entry of :func:`invariant_function` at ``ē``,
-    computed for that dart alone; for members of the solution lattice this is
-    the value forced by the defining relation at ``e``.
+    computed for that dart alone, and ``k = 1 + c(ē)_ē`` (−1 under axiom 1;
+    see :func:`_step`); for members of the solution lattice this is the value
+    forced by the defining relation at ``e``.
     """
     return _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
 
@@ -239,10 +252,10 @@ def axial_group_basis(
 ) -> AxialGroupBasis:
     """Solve the defining relations and return the canonical lattice basis.
 
-    ``method`` is ``"propagate"`` or ``"full_system"`` (alias ``"full"``);
-    both canonicalize to the same basis.  ``base_vertex`` defaults to the
-    smallest vertex id and only affects the propagation start and the
-    restriction used for ``canonical_matrix``, never the lattice itself.
+    ``method`` is ``"propagate"`` or ``"full"``; both canonicalize to the
+    same basis.  ``base_vertex`` defaults to the smallest vertex id and only
+    affects the propagation start and the restriction used for
+    ``canonical_matrix``, never the lattice itself.
     """
     g = gkm.graph
     base = g.vertices[0] if base_vertex is None else base_vertex
@@ -251,7 +264,7 @@ def axial_group_basis(
     inv = invariant_function(gkm)
     if method == "propagate":
         coords = _solve_by_propagation(gkm, inv, base)
-    elif method in ("full_system", "full"):
+    elif method == "full":
         coords = _solve_full_system(gkm, inv)
     else:
         raise ValueError(f"unknown method {method!r}")

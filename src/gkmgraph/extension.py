@@ -22,10 +22,6 @@ class RankExceededError(GkmError):
     """The requested rank is above the rank of the solution lattice."""
 
 
-class EffectivenessError(GkmError):
-    """No completion produced weights spanning the full lattice at every vertex."""
-
-
 class NotSurjectiveError(GkmError):
     """The projection matrix is not onto the target lattice."""
 
@@ -79,9 +75,7 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
     lattice (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  On valid
     input the canonical elements span a primitive sublattice, so the chosen
     elements are part of a basis of the lattice.  The candidate is validated
-    once: failing only the lattice-spanning axiom raises
-    :class:`EffectivenessError`, failing any other axiom
-    :class:`AxiomViolationError`.
+    once, and failing any axiom raises :class:`AxiomViolationError`.
     """
     n = gkm.axial.torus_rank
     if target_rank < n:
@@ -101,9 +95,6 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
     chosen = canon + [AxialElement.from_coordinates(g, r) for r in completion[: target_rank - n]]
     candidate = _assemble(gkm, chosen)
     report = validate_gkm(candidate)
-    if report.failures and all(f.axiom == 4 for f in report.failures):
-        where = report.failures_for(4)[0].where
-        raise EffectivenessError(f"no completion spans the full lattice; first failure at {where}")
     if not report.ok:
         raise AxiomViolationError.from_report(report)
     projection = IntegerMatrix(IntegerMatrix.identity(target_rank).data[:n], target_rank)

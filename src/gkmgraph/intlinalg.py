@@ -10,6 +10,7 @@ their basis matrices.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import Frozen, GkmError
@@ -197,76 +198,27 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
 
 
 def invariant_factors(m: IntegerMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form: positive, each dividing the next."""
-    a = [list(row) for row in m.data]
-    nr, nc = len(a), m.ncols
+    """Nonzero diagonal of the Smith form: positive, each dividing the next.
 
-    def clear_corner(t: int) -> None:
-        # Alternate row and column eliminations until a[t][t] is the only
-        # nonzero entry in its row and column.
-        while True:
-            for i in range(t + 1, nr):
-                b = a[i][t]
-                if not b:
-                    continue
-                p = a[t][t]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [y - q * x for x, y in zip(a[t], a[i])]
-                else:
-                    g, s, u = _xgcd(p, b)
-                    p_, b_ = p // g, b // g
-                    rt, ri = a[t], a[i]
-                    a[t] = [s * x + u * y for x, y in zip(rt, ri)]
-                    a[i] = [p_ * y - b_ * x for x, y in zip(rt, ri)]
-            col_dirty = False
-            for j in range(t + 1, nc):
-                b = a[t][j]
-                if not b:
-                    continue
-                p = a[t][t]
-                if b % p == 0:
-                    q = b // p
-                    for row in a:
-                        row[j] -= q * row[t]
-                else:
-                    g, s, u = _xgcd(p, b)
-                    p_, b_ = p // g, b // g
-                    for row in a:
-                        x, y = row[t], row[j]
-                        row[t] = s * x + u * y
-                        row[j] = p_ * y - b_ * x
-                    col_dirty = True  # column t below row t may be nonzero again
-            if not col_dirty and all(a[i][t] == 0 for i in range(t + 1, nr)):
-                return
-
-    factors: list[int] = []
-    for t in range(min(nr, nc)):
-        pos = next(
-            ((i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
-            None,
-        )
-        if pos is None:
+    Alternates the row HNF of the matrix and of its transpose, dropping zero
+    rows, until every row has a single nonzero entry (Kannan & Bachem, 1979).
+    Each pass either lowers the leading entry of the unfinished block or
+    clears that block's first row and column for good.  A gcd/lcm pass then
+    turns the diagonal into a divisibility chain; the factors are unique, so
+    that chain is the Smith diagonal.
+    """
+    rows, ncols = [list(row) for row in m.data], m.ncols
+    while True:
+        del rows[len(_echelon(rows, ncols)):]
+        if all(len(row) - row.count(0) == 1 for row in rows):
             break
-        i, j = pos
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        clear_corner(t)
-        while True:
-            p = a[t][t]
-            bad = next(
-                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])),
-                None,
-            )
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            clear_corner(t)
-        factors.append(abs(a[t][t]))
-    return tuple(factors)
+        rows, ncols = [list(col) for col in zip(*rows)], len(rows)
+    d = [sum(row) for row in rows]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def solve_left(m: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:

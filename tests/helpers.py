@@ -7,9 +7,10 @@ elimination over Fractions, and lattice membership is decided by a rational
 solve followed by an integrality check.  The pairwise congruence test
 (``ratio`` of a weight difference, 2×2 minors for dependence) is the
 reference for the packed residues and primitive directions of
-``gkmgraph.axial``, and the propagation that checks every edge
+``gkmgraph.axial``, the propagation that checks every edge
 (``propagation_checking_every_edge``) is the reference for the solver that
-stops at rank ``n``.  Nothing private is imported from the package.
+stops at rank ``n``, and Smith invariant factors are read off the gcds of
+minors (``smith_by_minors``).  Nothing private is imported from the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from gkmgraph import (
     EdgeRecord,
@@ -229,6 +231,43 @@ def rational_rank(rows) -> int:
     return rank
 
 
+def determinant(rows) -> int:
+    """Exact determinant of a square matrix by Gaussian elimination over Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(mat)):
+        piv = next((i for i in range(j, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            mat[j], mat[piv] = mat[piv], mat[j]
+            det = -det
+        det *= mat[j][j]
+        for i in range(j + 1, len(mat)):
+            f = mat[i][j] / mat[j][j]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[j])]
+    return int(det)
+
+
+def smith_by_minors(rows, ncols: int) -> tuple[int, ...]:
+    """Nonzero Smith invariant factors from determinantal divisors: ``s_k = d_k / d_(k-1)``.
+
+    ``d_k`` is the gcd of all k×k minors (``d_0 = 1``); the factors stop at
+    the first ``k`` whose minors all vanish, which is the rank plus one.
+    """
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        d = 0
+        for r in combinations(range(len(rows)), k):
+            for c in combinations(range(ncols), k):
+                d = gcd(d, determinant([[rows[i][j] for j in c] for i in r]))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
 def rational_solve(rows, target):
     """Fractions x with x @ rows == target, or None (rows independent)."""
     if not rows:
@@ -334,14 +373,16 @@ def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMa
     breadth-first tree (out-darts in sorted order), and is cut down by every
     non-tree edge in turn, re-spread after each cut.  No edge is skipped, so
     no rank argument is involved.  Transport across ``e`` is
-    ``y_j = x[σ(j)] + x[e]·c(ē)_j``.
+    ``y_j = x[σ(j)] − k·x[e]·c(ē)_j`` with ``k = 1 + c(ē)_ē``, read from the ē
+    row ``k·f(q)_ē = f(p)_e`` of the relation (``k = −1`` under axiom 1).
     """
     g, m = gkm.graph, gkm.graph.valence
     inv = invariant_function(gkm)
 
     def step(e):
         sig, pe, cbar = permutation(gkm, e), g.dart_index(e), inv[g.reverse(e)]
-        return lambda x: tuple(x[s] + x[pe] * c for s, c in zip(sig, cbar))
+        k = 1 + cbar[g.dart_index(g.reverse(e))]
+        return lambda x: tuple(x[s] - k * x[pe] * c for s, c in zip(sig, cbar))
 
     tree, seen, queue = [], {base}, deque([base])
     while queue:

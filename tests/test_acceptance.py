@@ -125,14 +125,14 @@ def test_criterion_07_solver_equivalence():
 
     for name, gkm in method_fixtures().items():
         a = axial_group_basis(gkm, method="propagate")
-        b = axial_group_basis(gkm, method="full_system")
+        b = axial_group_basis(gkm, method="full")
         assert a.coordinate_matrix == b.coordinate_matrix, name
     rng = random.Random(617)
     for trial in range(100):
         m = rng.randint(1, 5)
         projected, _ = random_valid_projection(rng, gen_projective(m))
         a = axial_group_basis(projected, method="propagate")
-        b = axial_group_basis(projected, method="full_system")
+        b = axial_group_basis(projected, method="full")
         assert a.coordinate_matrix == b.coordinate_matrix, f"trial {trial}"
     _report(7, "propagation and full-system lattices identical everywhere")
 

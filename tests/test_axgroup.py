@@ -138,9 +138,16 @@ def test_projective_rank_is_pinned_by_bounds():
 def test_methods_agree_on_fixtures():
     for name, gkm in method_fixtures().items():
         a = axial_group_basis(gkm, method="propagate")
-        b = axial_group_basis(gkm, method="full_system")
+        b = axial_group_basis(gkm, method="full")
         assert a.coordinate_matrix == b.coordinate_matrix, name
         assert a.elements == b.elements, name
+
+
+def test_method_is_propagate_or_full():
+    gkm = gen_s6()
+    assert axial_group_basis(gkm, method="full") == axial_group_basis(gkm, method="propagate")
+    with pytest.raises(ValueError, match="unknown method 'full_system'"):
+        axial_group_basis(gkm, method="full_system")
 
 
 RELABEL_FIXTURES = core_fixtures()
@@ -150,10 +157,12 @@ RELABEL_FIXTURES = core_fixtures()
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_methods_agree_off_the_axioms(name, data):
-    # weights relabelled through a random small matrix and never validated,
-    # so pairwise independence and spanning may fail; from every base vertex
-    # the propagation solver must still match the full system, lattice or error
+    # weights relabelled through a random small matrix, with w(X~) = w(X) on
+    # a drawn set of edges, and never validated, so axioms 1, 2 and 4 may
+    # fail; from every base vertex the propagation solver must still match
+    # the full system, lattice or error
     gkm = RELABEL_FIXTURES[name]
+    g = gkm.graph
     k = data.draw(st.integers(1, gkm.n + 1), label="rows")
     row = st.lists(st.integers(-2, 2), min_size=gkm.n, max_size=gkm.n)
     matrix = data.draw(st.lists(row, min_size=k, max_size=k), label="matrix")
@@ -161,17 +170,9 @@ def test_methods_agree_off_the_axioms(name, data):
         d: tuple(sum(a * b for a, b in zip(r, w)) for r in matrix)
         for d, w in gkm.axial.weights.items()
     }
-    relabelled = gkm.with_weights(weights, k)
-
-    def outcome(method, base=None):
-        try:
-            return axial_group_basis(relabelled, method=method, base_vertex=base).coordinate_matrix
-        except GkmError as exc:
-            return type(exc)
-
-    expected = outcome("full_system")
-    for v in gkm.graph.vertices:
-        assert outcome("propagate", v) == expected, v
+    for e in data.draw(st.sets(st.sampled_from(g.edge_representatives())), label="w(X~) = w(X)"):
+        weights[g.reverse(e)] = weights[e]
+    _agree_from_every_base(gkm.with_weights(weights, k))
 
 
 def _agree_from_every_base(gkm):
@@ -181,7 +182,7 @@ def _agree_from_every_base(gkm):
         except GkmError as exc:
             return type(exc)
 
-    expected = outcome("full_system")
+    expected = outcome("full")
     for v in gkm.graph.vertices:
         assert outcome("propagate", v) == expected, v
     return expected
@@ -213,15 +214,16 @@ def test_rank_n_exit_is_gated_by_axiom_1():
     gkm = GkmGraph(bent.graph, bent.axial, infer_connection(bent.graph, bent.axial))
     assert {f.axiom for f in validate_gkm(gkm).failures} == {1}
     _agree_from_every_base(gkm)
-    # projective(2) with w(X~) = w(X) on the two edges at vertex 0: transport
-    # cuts the lattice to rank 0 < n = m, so stopping at rank n would be wrong
+    # projective(2) with w(X~) = w(X) on the two edges at vertex 0: across
+    # those edges k = 1 + c(ē)_ē is 1, not -1, and the transport must read
+    # the step from the ē row of the relation to agree with the full system
     gkm = gen_projective(2)
     weights = dict(gkm.axial.weights, **{"0-1~": (1, 0), "0-2~": (0, 1)})
     bent = gkm.with_weights(weights, gkm.n)
     assert _gate(bent) == (False, True, True)
+    assert _agree_from_every_base(bent).nrows == 2
     for v in bent.graph.vertices:
         basis = axial_group_basis(bent, base_vertex=v)
-        assert basis.rank == 0
         assert (basis.coordinate_matrix, basis.canonical_matrix) == propagation_checking_every_edge(bent, v)
 
 
@@ -267,7 +269,7 @@ ORACLE_CASES = _oracle_cases()
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_propagation_matches_checking_every_edge(name):
-    # past the reach of full_system: the solver that stops at rank n gives
+    # past the reach of the full system: the solver that stops at rank n gives
     # the lattice of the propagation that checks every edge, bit for bit
     gkm = ORACLE_CASES[name]
     vertices = gkm.graph.vertices

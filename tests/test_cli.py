@@ -104,6 +104,20 @@ def test_extend_beyond_rank_fails(s6_file, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_extend_of_a_labeling_failing_axiom_4_names_the_axiom(tmp_path, capsys):
+    doc = json.loads(emit_gkm(document_from_gkm(gen_projective(3))))
+    for edge in doc["edges"]:
+        edge["weight"] = [2 * x for x in edge["weight"]]
+    path, out_path = tmp_path / "doubled.json", tmp_path / "never.json"
+    path.write_text(json.dumps(doc))
+    assert main(["extend", str(path), "--target", "3", "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: axiom 4 fails at vertex 0: weights do not span")
+    assert len(captured.err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_project_rejects_non_surjection(s6_file, tmp_path, capsys):
     assert main(["project", s6_file, "--matrix", "2 0; 0 1", "-o", str(tmp_path / "x.json")]) == 1
     assert "error" in capsys.readouterr().err

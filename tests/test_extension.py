@@ -62,6 +62,15 @@ def test_rank_exceeded():
             extend_axial(gkm, rank + 1)
 
 
+def test_extending_a_labeling_that_fails_an_axiom_names_the_failure():
+    # every weight doubled: the input itself fails axiom 4, and extending it
+    # by nothing builds no completion, so the error names the failed axiom
+    gkm = gen_projective(3)
+    doubled = gkm.with_weights({d: tuple(2 * x for x in w) for d, w in gkm.axial.weights.items()}, gkm.n)
+    with pytest.raises(AxiomViolationError, match=r"^axiom 4 fails at vertex 0: weights do not span"):
+        extend_axial(doubled, 3)
+
+
 def test_target_below_current_rank_is_a_usage_error():
     with pytest.raises(ValueError):
         extend_axial(gen_s6(), 1)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gkmgraph import extend_axial, project_axial
 from gkmgraph.intlinalg import (
     IntegerMatrix,
     NotInLatticeError,
@@ -14,7 +17,7 @@ from gkmgraph.intlinalg import (
     saturation,
     solve_left,
 )
-from helpers import rational_rank
+from helpers import core_fixtures, rational_rank, smith_by_minors
 
 
 def random_matrix(rng, nrows, ncols, span=9):
@@ -176,6 +179,17 @@ def test_invariant_factors():
     assert invariant_factors(IntegerMatrix.zeros(2, 2)) == ()
     facs = invariant_factors(IntegerMatrix.from_rows([[2, 0], [0, 4]]))
     assert facs == (2, 4)
+    # three, two and five alternations of row and column HNF, then empty shapes
+    for rows, ncols, factors in [
+        ([[2, 1], [0, 2]], 2, (1, 4)),
+        ([[4, 6, 0], [0, 4, 6], [6, 0, 4]], 3, (2, 2, 70)),
+        ([[9, -6, 2], [9, 2, -5], [-6, 0, -3]], 3, (1, 1, 372)),
+        ([], 3, ()),
+        ([[], [], []], 0, ()),
+        ([[0, 0], [0, 3], [0, 0]], 2, (3,)),
+    ]:
+        assert smith_by_minors(rows, ncols) == factors
+        assert invariant_factors(IntegerMatrix.from_rows(rows, ncols)) == factors
 
 
 def test_invariant_factors_divisibility_random():
@@ -187,6 +201,33 @@ def test_invariant_factors_divisibility_random():
         assert all(f > 0 for f in facs)
         for a, b in zip(facs, facs[1:]):
             assert b % a == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_invariant_factors_match_the_minors(data):
+    nrows, ncols = data.draw(st.integers(0, 4), label="rows"), data.draw(st.integers(0, 5), label="cols")
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="matrix")
+    assert invariant_factors(IntegerMatrix.from_rows(rows, ncols)) == smith_by_minors(rows, ncols)
+
+
+@pytest.mark.parametrize("name", sorted(core_fixtures()))
+def test_invariant_factors_match_the_minors_on_vertex_matrices(name):
+    # the weights at each vertex of a fixture and, from n = 3 on, of its
+    # projection by [I | 2, 4, ...] and of the extension of that back to rank n
+    gkm = core_fixtures()[name]
+    n = gkm.n
+    labelings = [gkm]
+    if n >= 3:
+        pi = IntegerMatrix.from_rows([[int(i == j) for j in range(n - 1)] + [2 * i + 2] for i in range(n - 1)], n)
+        projected = project_axial(gkm, pi)
+        labelings += [projected, extend_axial(projected, n).gkm]
+    for labeling in labelings:
+        g, w, k = labeling.graph, labeling.axial.weights, labeling.n
+        for v in g.vertices:
+            rows = [w[d] for d in g.out_darts(v)]
+            assert invariant_factors(IntegerMatrix.from_rows(rows, k)) == smith_by_minors(rows, k), (name, k, v)
 
 
 def test_solve_left():

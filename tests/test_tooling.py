@@ -58,6 +58,24 @@ def test_src_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
 
 
+def test_xgcd_has_only_the_two_eliminations_as_callers():
+    # integer elimination lives in _echelon, plus the column elimination that
+    # complete_inside_lattice needs for its completion; a third caller of the
+    # xgcd step would be a second elimination routine beside them
+    src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
+    callers = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "_xgcd":
+                callers.append((path.stem, function))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert sorted(callers) == [("intlinalg", "_echelon"), ("intlinalg", "complete_inside_lattice")]
+
+
 def test_helpers_import_nothing_private_from_the_package():
     # the oracles in tests/helpers.py re-derive what they check, so they may
     # use the public API only, never a private helper of the code under test
