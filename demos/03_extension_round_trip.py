@@ -29,13 +29,13 @@ print("  lattice rank is still", axial_group_basis(projected).rank)
 print("  congruence data unchanged:", invariant_function(projected) == invariant_function(original))
 print()
 
-result = extend_axial(projected, 3)
+extended = extend_axial(projected, 3)
 print("extended back to rank 3:")
 for d in sorted(projected.graph.edge_representatives()):
-    print(f"  {d}: {projected.weight(d)} -> {result.gkm.weight(d)}")
+    print(f"  {d}: {projected.weight(d)} -> {extended.weight(d)}")
 print()
 
-check = verify_extension(projected, result.gkm)
+check = verify_extension(projected, extended)
 print("extension verified:", check.ok)
 print("recovering projection:")
 for row in check.projection.data:

@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 _MODULES = {
     name: module
     for module, names in {
-        "axgroup": "AxialElement AxialGroupBasis axial_group_basis canonical_elements propagate"
-        " transport_matrix",
+        "axgroup": "AxialElement AxialGroupBasis axial_group_basis canonical_elements propagate",
         "axial": "AmbiguousConnectionError AxialError AxialFunction AxiomFailure Connection"
         " ConnectionNotFoundError GkmGraph NotProportionalError ValidationReport"
         " infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation permutation_matrix",
         "errors": "GkmError",
-        "extension": "AxiomViolationError ExtensionCheck ExtensionResult GraphMismatchError"
+        "extension": "AxiomViolationError ExtensionCheck GraphMismatchError"
         " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
         "graph": "DisconnectedError GraphError LoopEdgeError NonRegularError OrientedGraph"

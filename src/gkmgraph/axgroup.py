@@ -7,12 +7,13 @@ must reproduce the vector at the far end.  The solutions form a lattice whose
 rank is squeezed between the weight rank ``n`` and the valence ``m``, and the
 value at a single vertex already determines the whole element.
 
-Two independent solvers are provided and must agree.  ``propagate`` carries
-the unit vectors at a base vertex along a spanning tree in O(m) steps and
-refines a base-vertex kernel on the remaining edges, stopping once the kernel
-is down to rank ``n`` when the weights certify that ``n`` is the least rank
-possible; ``full`` solves for all vertex vectors at once and checks every
-edge.
+Two independent solvers are provided, and they must agree wherever the
+connection takes each dart to its reverse, as axiom 3 requires.
+``propagate`` carries the unit vectors at a base vertex along a spanning tree
+in O(m) steps and refines a base-vertex kernel on the remaining edges,
+stopping once the kernel is down to rank ``n`` when the weights certify that
+``n`` is the least rank possible; ``full`` solves for all vertex vectors at
+once and checks every edge.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .axial import GkmGraph, _neg
+from .axial import GkmGraph
 from .congruence import _dart_vector, invariant_function, permutation
 from .errors import Frozen
 from .graph import OrientedGraph
@@ -47,20 +48,9 @@ class AxialElement(Frozen):
     def __getitem__(self, vertex: str) -> tuple[int, ...]:
         return self.values[vertex]
 
-    def component(self, graph: OrientedGraph, dart: str) -> int:
-        """The coordinate of this element at a dart (at the dart's source)."""
-        return self.values[graph.source(dart)][graph.dart_index(dart)]
-
-    def coordinates(self, vertex_order: Sequence[str]) -> tuple[int, ...]:
-        """All values concatenated in the given vertex order."""
-        out: list[int] = []
-        for v in vertex_order:
-            out.extend(self.values[v])
-        return tuple(out)
-
     @classmethod
     def from_coordinates(cls, graph: OrientedGraph, coord: Sequence[int]) -> "AxialElement":
-        """The element whose ``coordinates(graph.vertices)`` are ``coord``."""
+        """The element whose values, concatenated in vertex order, are ``coord``."""
         m = graph.valence
         values = {
             v: tuple(coord[i * m : (i + 1) * m]) for i, v in enumerate(graph.vertices)
@@ -86,13 +76,16 @@ class AxialGroupBasis(NamedTuple):
 def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """Transport across ``e`` in O(m): ``y_j = x[σ(j)] − k·x[p_e]·c(ē)_j``, with ``cbar = c(ē)``.
 
-    The ē row of the relation at ``e`` reads ``k·f(q)_ē = f(p)_e`` with
-    ``k = 1 + c(ē)_ē``.  Once :func:`invariant_function` has returned, ``k``
-    is 1 or −1: with the connection taking ``ē`` to ``e`` and back, the
+    Exact when the connection takes ``e`` to ``ē`` and ``ē`` to ``e``;
+    axiom 3 guarantees ``∇_d(d) = d̄`` for every dart.  Then the ē row of the
+    relation at ``e`` reads ``k·f(q)_ē = f(p)_e`` with ``k = 1 + c(ē)_ē``.
+    Once :func:`invariant_function` has returned, ``k`` is 1 or −1: the
     congruence across ``ē`` gives ``w(e) = k·w(ē)`` and the one across ``e``
     gives ``w(ē) = k'·w(e)``, so ``w(e) = ±w(ē)``.  Hence
     ``f(q)_ē = k·f(p)_e``, and the other rows follow.  Under axiom 1
-    ``k = −1``, and the step is ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``.
+    ``k = −1``, and the step is ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``.  Where
+    ``∇_ē(ē) ≠ e`` the ē row reads another coordinate of ``f(p)``, and the
+    step is not the transport of solutions.
     """
     g = gkm.graph
     sig, pe = permutation(gkm, e), g.dart_index(e)
@@ -117,13 +110,6 @@ def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, .
     forced by the defining relation at ``e``.
     """
     return _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
-
-
-def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
-    """Matrix ``T`` with ``propagate(gkm, x, e) == T @ x`` for all ``x``."""
-    step = _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))
-    columns = [step(unit) for unit in IntegerMatrix.identity(gkm.m).data]
-    return IntegerMatrix.from_rows(columns, gkm.m).transpose()
 
 
 def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]]:
@@ -157,17 +143,19 @@ def _rank_n_is_the_floor(gkm: GkmGraph, base: str) -> bool:
     """Whether the canonical elements put ``n`` independent solutions in the lattice.
 
     Call only after :func:`invariant_function` has returned, so the
-    congruence holds with coefficients ``c``.  Transporting the value of the
-    i-th canonical element across ``e`` gives ``w(∇_ē d_j)_i + w(e)_i·c(ē)_j
-    = w(d_j)_i + c(ē)_j·(w(ē) + w(e))_i``, which is ``w(d_j)_i`` under
-    axiom 1.  Their restrictions to ``base`` are the columns of the weights
-    there, so the lattice has rank at least ``n`` when those have rational
-    rank ``n``.
+    congruence across every dart holds with coefficients ``c``.  The relation
+    at ``e`` from ``p`` to ``q``, at out-dart ``d`` of ``q``, asks
+    ``f(p)_{∇_ē d} − f(q)_d = f(q)_ē·c(ē)_d``; for the i-th canonical
+    element, whose value at ``d`` is ``w(d)_i``, this is the i-th coordinate
+    of the congruence across ``ē``.  So the canonical elements are solutions
+    with no further condition, and their restrictions to ``base`` are the
+    columns of the weights there: the lattice has rank at least ``n`` when
+    those have rational rank ``n``.  The exit at rank ``n`` also needs the
+    kernel to contain the lattice, which holds when :func:`_step` is exact:
+    the connection takes every dart to its reverse, as axiom 3 requires.
     """
     g, w = gkm.graph, gkm.axial.weights
-    return all(w[g.reverse(e)] == _neg(w[e]) for e in g.edge_representatives()) and (
-        matrix_rank(IntegerMatrix.from_rows([w[d] for d in g.out_darts(base)], gkm.n)) == gkm.n
-    )
+    return matrix_rank(IntegerMatrix.from_rows([w[d] for d in g.out_darts(base)], gkm.n)) == gkm.n
 
 
 def _solve_by_propagation(
@@ -182,10 +170,10 @@ def _solve_by_propagation(
     fails it exactly when ``K·D_e`` is nonzero.  The saturated integer kernel
     of that block gives the combinations of kernel rows spanning the new one.
 
-    The solution lattice always lies in ``kernel``, and both are saturated.
-    When :func:`_rank_n_is_the_floor` holds, the lattice has rank at least
-    ``n``, so a kernel of rank ``n`` already is the lattice and the remaining
-    edges are not checked.  Otherwise every edge is checked.  The final
+    With :func:`_step` exact (axiom 3), the solution lattice lies in
+    ``kernel``, and both are saturated.  When :func:`_rank_n_is_the_floor`
+    holds, the lattice has rank at least ``n``, so a kernel of rank ``n``
+    already is the lattice and the remaining edges are not checked.  Otherwise every edge is checked.  The final
     kernel is spread over the tree once.
     """
     g, m = gkm.graph, gkm.graph.valence

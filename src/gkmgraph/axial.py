@@ -7,11 +7,13 @@ multiple of the weight of ``e`` (the congruence relation).  When every triple
 of weights at a vertex is linearly independent the connection is forced and
 can be inferred from the weights alone.
 
-The congruence relation is tested one way throughout: weights are packed into
-one integer each (:func:`_packed`), and a weight's class modulo ``Z·w(e)`` is
-the integer :func:`_residue_key`.  Inference, axiom 3 and the congruence
-coefficients of :mod:`gkmgraph.congruence` all read that packing.  Axiom 2
-compares primitive directions (:func:`_direction`).
+Weights are packed into one integer each (:func:`_packed`), and every
+congruence test reads that packing, in one of two ways.  Inference and axiom 3
+compare residues: a weight's class modulo ``Z·w(e)`` is the integer
+:func:`_residue_key`.  The congruence coefficients of
+:mod:`gkmgraph.congruence` divide instead: one ``divmod`` of packed integers
+per out-dart, whose quotient must be exact and at most ``2M`` in absolute
+value.  Axiom 2 compares primitive directions (:func:`_direction`).
 """
 
 from __future__ import annotations

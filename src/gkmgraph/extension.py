@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axgroup import AxialElement, axial_group_basis, canonical_elements
+from .axgroup import axial_group_basis
 from .axial import GkmGraph, ValidationReport, validate_gkm
 from .errors import GkmError
 from .intlinalg import IntegerMatrix, complete_inside_lattice, invariant_factors, solve_left
@@ -44,38 +44,24 @@ class GraphMismatchError(GkmError):
     """Two labelings do not live on the same graph and orderings."""
 
 
-class ExtensionResult(NamedTuple):
-    gkm: GkmGraph
-    projection: IntegerMatrix
-    chosen_elements: tuple[AxialElement, ...]
-    report: ValidationReport
-
-
 class ExtensionCheck(NamedTuple):
     ok: bool
     projection: IntegerMatrix | None
     detail: str
 
 
-def _assemble(gkm: GkmGraph, chosen: list[AxialElement]) -> GkmGraph:
-    g = gkm.graph
-    weights = {}
-    for d in g.darts:
-        p = g.source(d)
-        j = g.dart_index(d)
-        weights[d] = tuple(f.values[p][j] for f in chosen)
-    return gkm.with_weights(weights, len(chosen))
+def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
+    """Extend the weights to rank ``target_rank``; the first ``n`` coordinates are the old weights.
 
-
-def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
-    """Extend the weights to rank ``target_rank``.
-
-    The chosen elements are the canonical ones followed by the first
-    ``target_rank - n`` vectors of their completion inside the solution
-    lattice (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  On valid
-    input the canonical elements span a primitive sublattice, so the chosen
-    elements are part of a basis of the lattice.  The candidate is validated
-    once, and failing any axiom raises :class:`AxiomViolationError`.
+    The canonical elements are the weights read in coordinate order (vertex,
+    then out-dart), and the new coordinates of each dart are the entries at
+    its coordinate of the first ``target_rank - n`` vectors of their
+    completion inside the solution lattice
+    (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  On valid input
+    the canonical elements span a primitive sublattice, so the chosen
+    elements are part of a basis of the lattice, and projecting by
+    ``[I_n | 0]`` recovers ``gkm``.  The result is validated once, and
+    failing any axiom raises :class:`AxiomViolationError`.
     """
     n = gkm.axial.torus_rank
     if target_rank < n:
@@ -85,25 +71,16 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> ExtensionResult:
         raise RankExceededError(
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
-    g = gkm.graph
-    verts = g.vertices
-    canon = list(canonical_elements(gkm))
-    completion, _ = complete_inside_lattice(
-        [el.coordinates(verts) for el in canon],
-        [el.coordinates(verts) for el in basis.elements],
-    )
-    chosen = canon + [AxialElement.from_coordinates(g, r) for r in completion[: target_rank - n]]
-    candidate = _assemble(gkm, chosen)
-    report = validate_gkm(candidate)
+    g, w = gkm.graph, gkm.axial.weights
+    darts = [d for v in g.vertices for d in g.out_darts(v)]
+    canon = [tuple(w[d][i] for d in darts) for i in range(n)]
+    completion, _ = complete_inside_lattice(canon, basis.coordinate_matrix.data)
+    new = completion[: target_rank - n]
+    out = gkm.with_weights({d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}, target_rank)
+    report = validate_gkm(out)
     if not report.ok:
         raise AxiomViolationError.from_report(report)
-    projection = IntegerMatrix(IntegerMatrix.identity(target_rank).data[:n], target_rank)
-    return ExtensionResult(
-        gkm=candidate,
-        projection=projection,
-        chosen_elements=tuple(chosen),
-        report=report,
-    )
+    return out
 
 
 def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:

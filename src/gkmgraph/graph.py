@@ -109,14 +109,6 @@ class OrientedGraph(Frozen):
         """One dart per undirected edge: the forward dart ``X`` of the pair, sorted."""
         return tuple(d for d in self.darts if not d.endswith(REVERSE_SUFFIX))
 
-    def with_orderings(self, orderings: Mapping[str, Sequence[str]]) -> "OrientedGraph":
-        """Same graph with the out-dart orderings replaced (and re-validated)."""
-        new = dict(self.orderings)
-        for v, order in orderings.items():
-            new[v] = tuple(order)
-        edges = [(e, self.source(e), self.target(e)) for e in self.edge_representatives()]
-        return build_graph(self.vertices, edges, orderings=new)
-
 
 def build_graph(
     vertices: Iterable[str],

@@ -10,7 +10,10 @@ reference for the packed residues and primitive directions of
 ``gkmgraph.axial``, the propagation that checks every edge
 (``propagation_checking_every_edge``) is the reference for the solver that
 stops at rank ``n``, and Smith invariant factors are read off the gcds of
-minors (``smith_by_minors``).  Nothing private is imported from the package.
+minors (``smith_by_minors``).  ``transport_matrix`` (``propagate`` on the
+unit vectors) and ``with_orderings`` (``build_graph`` with other orderings)
+rebuild from the public API what only tests need.  Nothing private is
+imported from the package.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from gkmgraph import (
     GkmDocument,
     GkmGraph,
     IntegerMatrix,
+    build_graph,
     document_from_gkm,
     gen_grassmannian,
     gen_projective,
@@ -35,6 +39,7 @@ from gkmgraph import (
     invariant_function,
     lattice_basis,
     permutation,
+    propagate,
 )
 from gkmgraph.axial import (
     AmbiguousConnectionError,
@@ -347,6 +352,51 @@ def shuffled_orderings(rng: random.Random, graph) -> dict[str, tuple[str, ...]]:
         rng.shuffle(order)
         out[v] = tuple(order)
     return out
+
+
+def bent_documents(rng: random.Random, gkm: GkmGraph, count: int) -> list[GkmDocument]:
+    """``count`` connection-free documents of ``gkm`` with bent weights.
+
+    Half of them first map every weight through a random square matrix with
+    entries in [-2, 2], which keeps each congruence.  Then up to three edge
+    weights are zeroed, shifted by ±1 in some entries, doubled, or copied
+    from another edge (at least one when nothing was mapped).  Documents
+    still negate ``w(X~)``.
+    """
+    doc = document_from_gkm(gkm)
+    out = []
+    for _ in range(count):
+        edges = list(doc.edges)
+        mapped = rng.random() < 0.5
+        if mapped:
+            mat = [[rng.randint(-2, 2) for _ in range(doc.torus_rank)] for _ in range(doc.torus_rank)]
+            edges = [e._replace(weight=tuple(sum(a * b for a, b in zip(r, e.weight)) for r in mat)) for e in edges]
+        for _ in range(rng.randint(0 if mapped else 1, 3)):
+            i = rng.randrange(len(edges))
+            w = edges[i].weight
+            new = rng.choice(
+                [
+                    (0,) * len(w),
+                    tuple(x + rng.choice((-1, 0, 1)) for x in w),
+                    tuple(2 * x for x in w),
+                    rng.choice(edges).weight,
+                ]
+            )
+            edges[i] = edges[i]._replace(weight=new)
+        out.append(doc._replace(edges=tuple(edges), connection=None))
+    return out
+
+
+def with_orderings(graph: OrientedGraph, orderings) -> OrientedGraph:
+    """The same graph rebuilt by ``build_graph`` with the orderings at some vertices replaced."""
+    edges = [(e, graph.source(e), graph.target(e)) for e in graph.edge_representatives()]
+    return build_graph(graph.vertices, edges, orderings={**graph.orderings, **orderings})
+
+
+def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
+    """Matrix ``T`` with ``T @ x == propagate(gkm, x, e)``: ``propagate`` on the unit vectors."""
+    columns = [propagate(gkm, unit, e) for unit in IntegerMatrix.identity(gkm.m).data]
+    return IntegerMatrix.from_rows(columns, gkm.m).transpose()
 
 
 def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:

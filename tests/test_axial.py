@@ -19,7 +19,9 @@ from gkmgraph import (
     validate_gkm,
 )
 from gkmgraph.axial import AxialError, NotProportionalError, _packed, _residue_key
+from gkmgraph.io import labels_from_document
 from helpers import (
+    bent_documents,
     core_fixtures,
     infer_connection_by_scan,
     pairwise_dependent,
@@ -65,10 +67,28 @@ def test_axiom4_distinguishes_integer_and_rational_span():
 
 
 def test_inferred_connection_passes_axiom3():
+    # validate does not re-check axiom 3 on a connection it inferred: on every
+    # fixture, and wherever inference succeeds on a document with bent weights
+    # (whatever the other axioms say), the connection passes axiom 3
     for name, gkm in core_fixtures().items():
         conn = infer_connection(gkm.graph, gkm.axial)
         report = validate_axial(gkm.graph, gkm.axial, conn)
         assert report.passed(3), name
+    rng = random.Random(23)
+    fixtures = {**core_fixtures(), "grassmannian4": gen_grassmannian(4), "projective6": gen_projective(6)}
+    inferred = failing_other_axioms = 0
+    for name, gkm in fixtures.items():
+        for doc in bent_documents(rng, gkm, 60):
+            graph, axial = labels_from_document(doc)
+            try:
+                conn = infer_connection(graph, axial)
+            except (ConnectionNotFoundError, AmbiguousConnectionError):
+                continue
+            report = validate_axial(graph, axial, conn)
+            assert report.passed(3), (name, doc)
+            inferred += 1
+            failing_other_axioms += not report.ok
+    assert inferred > 100 and failing_other_axioms > 50, (inferred, failing_other_axioms)
 
 
 def test_infer_connection_matches_pinned_fixture_connections():

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -9,8 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmgraph import document_from_gkm, emit_gkm, gen_grassmannian, gen_projective, gen_s6, load_gkm, validate_gkm
+from gkmgraph import (
+    document_from_gkm,
+    emit_gkm,
+    gen_grassmannian,
+    gen_projective,
+    gen_s6,
+    infer_connection,
+    load_gkm,
+    validate_axial,
+    validate_gkm,
+)
 from gkmgraph.cli import main
+from gkmgraph.errors import GkmError
+from gkmgraph.io import labels_from_document
+from helpers import bent_documents
 
 
 @pytest.fixture
@@ -49,6 +63,31 @@ def test_validate_failure_exits_1(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_validate_reports_axiom_3_of_an_inferred_connection_as_checked(tmp_path, capsys):
+    # validate skips the axiom 3 check on a connection it inferred; its report
+    # reads as the full check, on fixtures and on bent weights
+    rng = random.Random(31)
+    docs = []
+    for gkm in (gen_s6(), gen_projective(4), gen_grassmannian(3)):
+        docs += [document_from_gkm(gkm)._replace(connection=None)] + bent_documents(rng, gkm, 40)
+    path = tmp_path / "doc.json"
+    inferred = failing = 0
+    for doc in docs:
+        path.write_text(emit_gkm(doc))
+        code = main(["validate", str(path)])
+        out = capsys.readouterr().out
+        graph, axial = labels_from_document(doc)
+        try:
+            report = validate_axial(graph, axial, infer_connection(graph, axial))
+        except GkmError:
+            continue
+        inferred += 1
+        failing += not report.ok
+        assert out == "connection: inferred from the weights\n" + report.summary() + "\n"
+        assert code == (0 if report.ok else 1)
+    assert inferred > 10 and failing > 5, (inferred, failing)
 
 
 def test_connection_and_invariant(s6_file, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,12 +6,16 @@ import pytest
 from gkmgraph import (
     IntegerMatrix,
     axial_group_basis,
+    canonical_elements,
+    document_from_gkm,
+    emit_gkm,
     extend_axial,
     gen_grassmannian,
     gen_projective,
     gen_s6,
     invariant_function,
     project_axial,
+    validate_gkm,
     verify_extension,
 )
 from gkmgraph.extension import (
@@ -27,9 +32,9 @@ DROP_A3 = IntegerMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 def test_extension_by_nothing_is_the_identity():
     for name, gkm in core_fixtures().items():
         result = extend_axial(gkm, gkm.n)
-        assert result.gkm.axial == gkm.axial, name
-        assert result.projection == IntegerMatrix.identity(gkm.n), name
-        assert result.report.ok
+        assert result.axial == gkm.axial, name
+        assert all(result.weight(d)[: gkm.n] == gkm.weight(d) for d in gkm.graph.darts), name
+        assert validate_gkm(result).ok
 
 
 def test_round_trip_project_then_extend():
@@ -37,16 +42,16 @@ def test_round_trip_project_then_extend():
     projected = project_axial(original, DROP_A3)
     assert projected.n == 2
     result = extend_axial(projected, 3)
-    assert result.gkm.n == 3
-    check = verify_extension(projected, result.gkm)
+    assert result.n == 3
+    check = verify_extension(projected, result)
     assert check.ok
-    # the computed projection recovers the projected weights exactly
+    # projecting by [I | 0] recovers the projected weights exactly
     for d in projected.graph.darts:
-        assert result.projection.mul_vector(result.gkm.weight(d)) == projected.weight(d)
+        assert result.weight(d)[:2] == projected.weight(d)
     # the congruence data and the solution lattice are untouched
-    assert invariant_function(result.gkm) == invariant_function(projected)
+    assert invariant_function(result) == invariant_function(projected)
     assert (
-        axial_group_basis(result.gkm).coordinate_matrix
+        axial_group_basis(result).coordinate_matrix
         == axial_group_basis(projected).coordinate_matrix
     )
 
@@ -81,14 +86,16 @@ def test_all_feasible_targets_succeed_and_verify():
         basis = axial_group_basis(gkm)
         for target in range(gkm.n, basis.rank + 1):
             result = extend_axial(gkm, target)
-            assert result.gkm.n == target, name
-            assert result.report.ok, name
-            check = verify_extension(gkm, result.gkm)
+            assert result.n == target, name
+            assert validate_gkm(result).ok, name
+            check = verify_extension(gkm, result)
             assert check.ok, name
-            assert invariant_function(result.gkm) == invariant_function(gkm), name
-            # chosen elements start with the canonical block and stay inside
-            # the solution lattice
-            for el in result.chosen_elements:
+            assert invariant_function(result) == invariant_function(gkm), name
+            # the chosen elements, the canonical elements of the result, start
+            # with the canonical block and stay inside the solution lattice
+            chosen = canonical_elements(result)
+            assert chosen[: gkm.n] == canonical_elements(gkm), name
+            for el in chosen:
                 assert element_in_lattice(gkm, el), name
 
 
@@ -96,7 +103,7 @@ def test_extension_lattice_is_unchanged():
     gkm = gen_s6()
     result = extend_axial(gkm, 2)
     assert (
-        axial_group_basis(result.gkm).coordinate_matrix
+        axial_group_basis(result).coordinate_matrix
         == axial_group_basis(gkm).coordinate_matrix
     )
 
@@ -128,9 +135,39 @@ def test_projections_extend_back_and_verify():
     assert len(cases) > 20
     for projected, target in cases:
         result = extend_axial(projected, target)
-        assert result.report.ok
-        assert verify_extension(projected, result.gkm).ok
-        assert invariant_function(result.gkm) == invariant_function(projected)
+        assert validate_gkm(result).ok
+        assert verify_extension(projected, result).ok
+        assert invariant_function(result) == invariant_function(projected)
+
+
+# sha256 of the document written for extend_axial(project_axial(F, [I | v]), n),
+# by fixture F with its fold v; projective(10) completes with an echelon pivot
+# above 1, the others with unit pivots
+EXTEND_DOCUMENTS = {
+    (gen_projective, 3, ((1,), (2,))):
+        "ef47ebf7657c0ca4d307bf22ad1b52a90098d82c4ec1d39e8c0464b006212229",
+    (gen_projective, 4, ((1,), (2,), (3,))):
+        "e48f346c578c1972e37ffe1706b9b7354f9ec23ff76d555c6ac6fb7163e9c6b7",
+    (gen_projective, 5, ((1,), (2,), (3,), (4,))):
+        "97e5372f81af27ff493d640ad81ea6b7b36fee0fc15fac17d85c9ad8e2bdbd19",
+    (gen_projective, 6, ((1,), (2,), (3,), (4,), (5,))):
+        "897a1beca7cd0a10e9650fda8fb28b9171523531ed31a966622e444eb984051d",
+    (gen_projective, 10, ((3,), (-2,), (2,), (2,), (3,), (-2,), (-1,), (2,), (2,))):
+        "ce39fdcf7414cd46d99d3680d84a2b842e42ce33373cbaec7dd56eb979222820",
+    (gen_grassmannian, 2, ((2,), (2,))):
+        "9cdfe0252187c8c231e72708385ff652b90fc029b80e9e7b15b1bb7d3481226d",
+    (gen_grassmannian, 3, ((1,), (2,), (3,))):
+        "194eae50e1489c40c873b48961a0d8f5ebdf4cc2df1e34c23319af1ef2515232",
+}
+
+
+@pytest.mark.parametrize("case", EXTEND_DOCUMENTS, ids=lambda c: f"{c[0].__name__[4:]}{c[1]}")
+def test_extend_writes_the_pinned_document(case):
+    gen, size, v = case
+    original = gen(size)
+    result = extend_axial(project_axial(original, _fold(v)), original.n)
+    text = emit_gkm(document_from_gkm(result))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTEND_DOCUMENTS[case]
 
 
 def test_project_identity_is_identity():

@@ -222,7 +222,7 @@ def test_invariant_factors_match_the_minors_on_vertex_matrices(name):
     if n >= 3:
         pi = IntegerMatrix.from_rows([[int(i == j) for j in range(n - 1)] + [2 * i + 2] for i in range(n - 1)], n)
         projected = project_axial(gkm, pi)
-        labelings += [projected, extend_axial(projected, n).gkm]
+        labelings += [projected, extend_axial(projected, n)]
     for labeling in labelings:
         g, w, k = labeling.graph, labeling.axial.weights, labeling.n
         for v in g.vertices:

@@ -18,7 +18,7 @@ from gkmgraph import (
     parse_gkm,
 )
 from gkmgraph.io import ParseError, SchemaError
-from helpers import core_fixtures, shuffled_orderings
+from helpers import core_fixtures, shuffled_orderings, with_orderings
 
 MINIMAL = """
 {
@@ -49,7 +49,7 @@ def test_document_reconstructs_the_same_gkm():
     # darts as X / X~; pinned orderings must survive the trip as well
     rng = random.Random(7)
     for name, gkm in core_fixtures().items():
-        g = gkm.graph.with_orderings(shuffled_orderings(rng, gkm.graph))
+        g = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
         shuffled = GkmGraph(g, gkm.axial, gkm.connection)
         assert gkm_from_document(parse_gkm(emit_gkm(document_from_gkm(shuffled)))) == shuffled, name
 

@@ -12,7 +12,6 @@ from gkmgraph import (
     OrientedGraph,
     axial_group_basis,
     document_from_gkm,
-    extend_axial,
     gen_s6,
     validate_gkm,
     verify_extension,
@@ -152,7 +151,6 @@ def _records():
         (basis, "rank"),
         (basis.elements[0], "values"),
         (basis.canonical_matrix, "data"),
-        (extend_axial(gkm, gkm.n), "projection"),
         (verify_extension(gkm, gkm), "ok"),
     ]
 
