@@ -22,10 +22,10 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .axial import GkmGraph
+from .axial import AxialError, GkmGraph
 from .congruence import _dart_vector, invariant_function, permutation
 from .errors import Frozen
-from .graph import OrientedGraph
+from .graph import OrientedGraph, reverse_name
 from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
 
 
@@ -84,8 +84,8 @@ def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]
     gives ``w(ē) = k'·w(e)``, so ``w(e) = ±w(ē)``.  Hence
     ``f(q)_ē = k·f(p)_e``, and the other rows follow.  Under axiom 1
     ``k = −1``, and the step is ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``.  Where
-    ``∇_ē(ē) ≠ e`` the ē row reads another coordinate of ``f(p)``, and the
-    step is not the transport of solutions.
+    ``∇_ē(ē) ≠ e`` the ē row reads another coordinate of ``f(p)``, so
+    :func:`_solve_by_propagation` refuses such a connection.
     """
     g = gkm.graph
     sig, pe = permutation(gkm, e), g.dart_index(e)
@@ -152,7 +152,7 @@ def _rank_n_is_the_floor(gkm: GkmGraph, base: str) -> bool:
     columns of the weights there: the lattice has rank at least ``n`` when
     those have rational rank ``n``.  The exit at rank ``n`` also needs the
     kernel to contain the lattice, which holds when :func:`_step` is exact:
-    the connection takes every dart to its reverse, as axiom 3 requires.
+    the connection takes every dart to its reverse, as the solver checks.
     """
     g, w = gkm.graph, gkm.axial.weights
     return matrix_rank(IntegerMatrix.from_rows([w[d] for d in g.out_darts(base)], gkm.n)) == gkm.n
@@ -170,13 +170,17 @@ def _solve_by_propagation(
     fails it exactly when ``K·D_e`` is nonzero.  The saturated integer kernel
     of that block gives the combinations of kernel rows spanning the new one.
 
-    With :func:`_step` exact (axiom 3), the solution lattice lies in
-    ``kernel``, and both are saturated.  When :func:`_rank_n_is_the_floor`
-    holds, the lattice has rank at least ``n``, so a kernel of rank ``n``
-    already is the lattice and the remaining edges are not checked.  Otherwise every edge is checked.  The final
-    kernel is spread over the tree once.
+    A connection with ``∇_d(d) ≠ d̄`` is an :class:`AxialError` naming the
+    first such dart of its maps; otherwise :func:`_step` is exact, the
+    solution lattice lies in ``kernel``, and both are saturated.  When
+    :func:`_rank_n_is_the_floor` holds, a kernel of rank ``n`` already is the
+    lattice and the remaining edges are not checked; otherwise every edge is.
+    The final kernel is spread over the tree once.
     """
     g, m = gkm.graph, gkm.graph.valence
+    for d, nabla in gkm.connection.maps.items():
+        if nabla[d] != reverse_name(d):
+            raise AxialError(f"connection sends dart {d} to {nabla[d]}, not to its reverse {reverse_name(d)}")
     tree, used = _spanning_tree(g, base)
     tree_steps = [(g.source(e), g.target(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree]
 

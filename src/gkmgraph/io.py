@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
 from .axial import AxialFunction, Connection, GkmGraph, infer_connection
@@ -149,24 +150,52 @@ def parse_gkm(text: str) -> GkmDocument:
     return GkmDocument(rank, vertices, tuple(edges), connection, orderings)
 
 
+class _Quoted(dict):
+    """JSON string literals by string, each quoted once by the C function ``json.dumps`` uses."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = literal = encode_basestring_ascii(text)
+        return literal
+
+
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    """``items``, each laid out at indent ``pad + "  "``, as one array (``"[]"``) or object (``"{}"``)."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def emit_gkm(doc: GkmDocument) -> str:
-    """Serialize a document; ``parse_gkm(emit_gkm(doc)) == doc``."""
-    obj: dict = {
-        "torus_rank": doc.torus_rank,
-        "vertices": list(doc.vertices),
-        "edges": [
-            {"id": e.id, "endpoints": [e.source, e.target], "weight": list(e.weight)}
-            for e in doc.edges
-        ],
-    }
+    """Serialize a document; ``parse_gkm(emit_gkm(doc)) == doc``.
+
+    The text is ``json.dumps(obj, indent=2) + "\\n"`` of the document as a JSON
+    object, byte for byte, laid out here because ``json.dumps`` runs its
+    pure-Python encoder whenever ``indent`` is set.  Each distinct string is
+    quoted once, by the C function ``json.dumps`` uses; integers by ``repr``.
+    """
+    q = _Quoted()
+    edges = []
+    for e in doc.edges:
+        ends = _block("[]", [q[e.source], q[e.target]], "      ")
+        weight = _block("[]", list(map(repr, e.weight)), "      ")
+        edges.append(_block("{}", [f'"id": {q[e.id]}', f'"endpoints": {ends}', f'"weight": {weight}'], "    "))
+    fields = [
+        f'"torus_rank": {doc.torus_rank!r}',
+        '"vertices": ' + _block("[]", [q[v] for v in doc.vertices], "  "),
+        '"edges": ' + _block("[]", edges, "  "),
+    ]
     if doc.connection is not None:
-        obj["connection"] = [
-            {"dart": c.dart, "maps": [[a, b] for a, b in c.images]}
-            for c in doc.connection
-        ]
+        entries = []
+        for c in doc.connection:
+            # one string per pair: a connection holds tens of thousands of them
+            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in c.images]
+            maps = _block("[]", pairs, "      ")
+            entries.append(_block("{}", [f'"dart": {q[c.dart]}', f'"maps": {maps}'], "    "))
+        fields.append('"connection": ' + _block("[]", entries, "  "))
     if doc.orderings is not None:
-        obj["orderings"] = {v: list(order) for v, order in doc.orderings.items()}
-    return json.dumps(obj, indent=2) + "\n"
+        orderings = [f"{q[v]}: " + _block("[]", [q[d] for d in o], "    ") for v, o in doc.orderings.items()]
+        fields.append('"orderings": ' + _block("{}", orderings, "  "))
+    return _block("{}", fields, "") + "\n"
 
 
 def document_from_gkm(gkm: GkmGraph) -> GkmDocument:

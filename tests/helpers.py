@@ -387,6 +387,26 @@ def bent_documents(rng: random.Random, gkm: GkmGraph, count: int) -> list[GkmDoc
     return out
 
 
+# s6 with torus rank 1 and a pinned connection sending e2 to e3~, not to its
+# reverse e2~ (axiom 3 fails, so does axiom 2); the congruence still holds
+# across every dart, so the propagation step would read the wrong coordinate
+TWISTED_S6 = """{
+  "torus_rank": 1,
+  "vertices": ["p", "q"],
+  "edges": [
+    {"id": "e1", "endpoints": ["p", "q"], "weight": [-2]},
+    {"id": "e2", "endpoints": ["p", "q"], "weight": [1]},
+    {"id": "e3", "endpoints": ["p", "q"], "weight": [1]}
+  ],
+  "connection": [
+    {"dart": "e1", "maps": [["e1", "e1~"], ["e2", "e3~"], ["e3", "e2~"]]},
+    {"dart": "e2", "maps": [["e1", "e2~"], ["e2", "e3~"], ["e3", "e1~"]]},
+    {"dart": "e3", "maps": [["e1", "e1~"], ["e2", "e2~"], ["e3", "e3~"]]}
+  ]
+}
+"""
+
+
 def with_orderings(graph: OrientedGraph, orderings) -> OrientedGraph:
     """The same graph rebuilt by ``build_graph`` with the orderings at some vertices replaced."""
     edges = [(e, graph.source(e), graph.target(e)) for e in graph.edge_representatives()]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
+    AxialError,
     GkmGraph,
     IntegerMatrix,
     NotProportionalError,
@@ -15,11 +16,13 @@ from gkmgraph import (
     gen_s6,
     infer_connection,
     invariant_function,
+    load_gkm,
     propagate,
     validate_gkm,
 )
 from gkmgraph.errors import GkmError
 from helpers import (
+    TWISTED_S6,
     brute_force_solutions,
     core_fixtures,
     element_in_lattice,
@@ -187,6 +190,18 @@ def _agree_from_every_base(gkm):
     for v in gkm.graph.vertices:
         assert outcome("propagate", v) == expected, v
     return expected
+
+
+def test_propagation_refuses_a_connection_not_sending_each_dart_to_its_reverse():
+    # the step reads f(q)_ē from the ē row, which holds f(p) at ∇_ē(ē); off
+    # ∇_d(d) = d̄ it would give p:(4, 1, -2) where the lattice is p:(2, -1, -1)
+    gkm = load_gkm(TWISTED_S6)
+    assert invariant_function(gkm)  # the congruence holds; only the connection is off
+    with pytest.raises(AxialError, match=r"^connection sends dart e2 to e3~, not to its reverse e2~$"):
+        axial_group_basis(gkm)
+    full = axial_group_basis(gkm, method="full")
+    assert full.coordinate_matrix == IntegerMatrix.from_rows([[2, -1, -1, -2, 1, 1]])
+    assert all(element_in_lattice(gkm, el) for el in full.elements)
 
 
 def _gate(gkm):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -24,7 +25,7 @@ from gkmgraph import (
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
-from helpers import bent_documents
+from helpers import TWISTED_S6, bent_documents
 
 
 @pytest.fixture
@@ -41,6 +42,22 @@ def test_gen_writes_a_parseable_document(s6_file, capsys):
     assert main(["gen", "projective", "--m", "2"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["torus_rank"] == 2
+
+
+# sha256 of the file `gkmgraph gen` writes, taken from json.dumps(indent=2)
+# text, which emit_gkm must reproduce byte for byte
+GEN_DOCUMENTS = {
+    ("s6",): "d5157740a354e443e05943828e9e5112fa3d1a8cdfa88da9a3ddea361b8488bb",
+    ("projective", "--m", "5"): "0c435105fc45051ececac664c1ce4d29cf767ce2f60cbda4527c433b90514557",
+    ("grassmannian", "--n", "4"): "efe9d4ea36433f20c6034a635561b6784d0420a4d57074bd82ad162f51e82a0e",
+}
+
+
+@pytest.mark.parametrize("spec", GEN_DOCUMENTS, ids=lambda spec: "".join(spec[::2]))
+def test_gen_writes_the_pinned_document(spec, tmp_path):
+    path = tmp_path / "out.json"
+    assert main(["gen", *spec, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DOCUMENTS[spec]
 
 
 def test_validate_ok(s6_file, capsys):
@@ -107,6 +124,17 @@ def test_rank_output(s6_file, capsys):
     assert "f1:" in out
     assert main(["rank", s6_file, "--method", "full"]) == 0
     assert "rank: 2" in capsys.readouterr().out
+
+
+def test_rank_refuses_a_connection_not_sending_each_dart_to_its_reverse(tmp_path, capsys):
+    path = tmp_path / "twisted.json"
+    path.write_text(TWISTED_S6)
+    assert main(["rank", str(path), "--basis"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: connection sends dart e2 to e3~, not to its reverse e2~\n"
+    assert main(["rank", str(path), "--basis", "--method", "full"]) == 0
+    assert capsys.readouterr().out.endswith("f1: p:(2, -1, -1) q:(-2, 1, 1)\n")
 
 
 def test_extend_and_check_extension(tmp_path, capsys):

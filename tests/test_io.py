@@ -3,8 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkmgraph import (
+    ConnectionEntry,
+    EdgeRecord,
+    GkmDocument,
     GkmGraph,
     axial_group_basis,
     document_from_gkm,
@@ -37,6 +42,65 @@ def test_parse_and_emit_round_trip():
     for gkm in (gen_s6(), gen_projective(2), gen_grassmannian(2)):
         doc = document_from_gkm(gkm)
         assert parse_gkm(emit_gkm(doc)) == doc
+
+
+def _dumps_oracle(doc):
+    """The text of ``json.dumps(indent=2)``, from the object that ``emit_gkm`` once handed it."""
+    obj = {
+        "torus_rank": doc.torus_rank,
+        "vertices": list(doc.vertices),
+        "edges": [
+            {"id": e.id, "endpoints": [e.source, e.target], "weight": list(e.weight)}
+            for e in doc.edges
+        ],
+    }
+    if doc.connection is not None:
+        obj["connection"] = [
+            {"dart": c.dart, "maps": [[a, b] for a, b in c.images]}
+            for c in doc.connection
+        ]
+    if doc.orderings is not None:
+        obj["orderings"] = {v: list(order) for v, order in doc.orderings.items()}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+FAMILIES = (
+    [(gen_s6, None)]
+    + [(gen_projective, m) for m in range(1, 21)]
+    + [(gen_grassmannian, n) for n in range(1, 13)]
+)
+
+
+@pytest.mark.parametrize("gen, size", FAMILIES, ids=[f"{g.__name__[4:]}{s or ''}" for g, s in FAMILIES])
+def test_emit_writes_the_json_dumps_text(gen, size):
+    doc = document_from_gkm(gen() if size is None else gen(size))
+    assert emit_gkm(doc) == _dumps_oracle(doc)
+
+
+def _tuples(elements):
+    return st.lists(elements, max_size=3).map(tuple)
+
+
+# any code point, lone surrogates included; integers past 64 bits
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=5)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**130), 2**130))
+_DOCUMENTS = st.builds(
+    GkmDocument,
+    _INTS,
+    _tuples(_TEXT),
+    _tuples(st.builds(EdgeRecord, _TEXT, _TEXT, _TEXT, _tuples(_INTS))),
+    st.none() | _tuples(st.builds(ConnectionEntry, _TEXT, _tuples(st.tuples(_TEXT, _TEXT)))),
+    st.none() | st.dictionaries(_TEXT, _tuples(_TEXT), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+@example(GkmDocument(1, (), (), None, None))
+@example(GkmDocument(-(2**70), (), (), (), {}))
+@example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), (ConnectionEntry("d", ()),), {"v": ()}))
+def test_emit_writes_the_json_dumps_text_of_any_document(doc):
+    assert emit_gkm(doc) == _dumps_oracle(doc)
 
 
 def test_document_reconstructs_the_same_gkm():

@@ -57,6 +57,20 @@ def test_src_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "__future__", (path.name, name)
 
 
+def test_src_never_asks_json_for_an_indented_encoding():
+    # json.dumps and json.dump run their pure-Python encoder whenever indent
+    # is set; emit_gkm lays out that text itself at the C encoder's speed
+    src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps"):
+                assert all(k.arg != "indent" for k in node.keywords), (path.name, node.lineno)
+
+
 def test_xgcd_has_only_the_two_eliminations_as_callers():
     # integer elimination lives in _echelon, plus the column elimination that
     # complete_inside_lattice needs for its completion; a third caller of the
