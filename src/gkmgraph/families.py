@@ -49,7 +49,7 @@ def gen_s6() -> GkmGraph:
         EdgeRecord("e3", "p", "q", (-1, -1)),
     )
     connection = tuple(
-        ConnectionEntry(f"e{i}", ((f"e{i}", f"e{i}~"), (f"e{j}", f"e{k}~"), (f"e{k}", f"e{j}~")))
+        ConnectionEntry(f"e{i}", {f"e{i}": f"e{i}~", f"e{j}": f"e{k}~", f"e{k}": f"e{j}~"})
         for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     )
     return gkm_from_document(GkmDocument(2, ("p", "q"), edges, connection))
@@ -93,10 +93,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
         edges.append(EdgeRecord(eid, a, b, tuple(x - y for x, y in zip(unit(new), unit(old)))))
         swap = {old: new, new: old}
         # t == dst lands on swap(dst) == src, the reversed dart
-        images = tuple(
-            (dart_id(src, t), dart_id(dst, frozenset(swap.get(x, x) for x in t)))
-            for t in neighbours[src]
-        )
+        images = {dart_id(src, t): dart_id(dst, frozenset(swap.get(x, x) for x in t)) for t in neighbours[src]}
         connection.append(ConnectionEntry(eid, images))
 
     orderings = {}

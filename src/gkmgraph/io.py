@@ -5,11 +5,14 @@ one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
 ordering sections.  Parsing is purely structural; the axioms are checked by
 :func:`gkmgraph.axial.validate_axial` once a graph is assembled.
+
+The connection, most of a document, is held once: the decoder turns each
+dart's list of pairs into a dict of interned dart ids while it reads, and
+that dict becomes the assembled graph's connection map.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -38,7 +41,7 @@ class EdgeRecord(NamedTuple):
 
 class ConnectionEntry(NamedTuple):
     dart: str
-    images: tuple[tuple[str, str], ...]
+    images: Mapping[str, str]
 
 
 class GkmDocument(NamedTuple):
@@ -64,10 +67,44 @@ def _string_list(obj, path: str) -> tuple[str, ...]:
     return tuple(obj)
 
 
+class _Images(dict):
+    """A connection map decoded from its list of pairs, each dart id interned."""
+
+
+def _images(maps: list, path: str) -> _Images:
+    """``[source, image]`` pairs as a map; a malformed or repeated source raises :class:`SchemaError`."""
+    images = _Images()
+    for kk, pair in enumerate(maps):
+        # no _expect here: its path string would be formatted for every
+        # pair, and a document carries tens of thousands of them
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise SchemaError(f"{path}.maps[{kk}]: expected a pair of dart ids")
+        if pair[0] in images:
+            raise SchemaError(f"{path}.maps[{kk}]: dart {pair[0]} is mapped twice")
+        images[sys.intern(pair[0])] = sys.intern(pair[1])
+    return images
+
+
+def _decode_object(pairs: list) -> dict:
+    """A JSON object; in one shaped ``{"dart", "maps"}``, ``maps`` is decoded by :func:`_images`.
+
+    This runs as each object closes, so the pair lists are freed entry by
+    entry.  A map it cannot decode is left as it is for the schema walk.
+    """
+    obj = dict(pairs)
+    if len(pairs) == 2 and obj.keys() == {"dart", "maps"} and isinstance(obj["maps"], list):
+        try:
+            obj["maps"] = _images(obj["maps"], "")
+        except SchemaError:
+            pass
+    return obj
+
+
 def parse_gkm(text: str) -> GkmDocument:
     """Parse a document, raising :class:`ParseError` or :class:`SchemaError`."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_decode_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -126,16 +163,11 @@ def parse_gkm(text: str) -> GkmDocument:
             _expect(dart not in seen_darts, f"{path}.dart", "duplicate dart")
             seen_darts.add(dart)
             maps = c["maps"]
-            _expect(isinstance(maps, list), f"{path}.maps", "expected a list of pairs")
-            images = []
-            for kk, pair in enumerate(maps):
-                # no _expect here: its path string would be formatted for every
-                # pair, and a document carries tens of thousands of them
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and isinstance(pair[0], str) and isinstance(pair[1], str)):
-                    raise SchemaError(f"{path}.maps[{kk}]: expected a pair of dart ids")
-                images.append((pair[0], pair[1]))
-            entries.append(ConnectionEntry(dart, tuple(images)))
+            if type(maps) is not _Images:
+                # the decoder left it: a duplicated key, or an error to report
+                _expect(isinstance(maps, list), f"{path}.maps", "expected a list of pairs")
+                maps = _images(maps, path)
+            entries.append(ConnectionEntry(dart, maps))
         connection = tuple(entries)
 
     orderings = None
@@ -188,7 +220,7 @@ def emit_gkm(doc: GkmDocument) -> str:
         entries = []
         for c in doc.connection:
             # one string per pair: a connection holds tens of thousands of them
-            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in c.images]
+            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in c.images.items()]
             maps = _block("[]", pairs, "      ")
             entries.append(_block("{}", [f'"dart": {q[c.dart]}', f'"maps": {maps}'], "    "))
         fields.append('"connection": ' + _block("[]", entries, "  "))
@@ -205,8 +237,7 @@ def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     entries = []
     for d in g.darts:
         nabla = gkm.connection.maps[d]
-        images = tuple((e2, nabla[e2]) for e2 in g.out_darts(g.source(d)))
-        entries.append(ConnectionEntry(d, images))
+        entries.append(ConnectionEntry(d, {e2: nabla[e2] for e2 in g.out_darts(g.source(d))}))
     return GkmDocument(
         torus_rank=gkm.axial.torus_rank,
         vertices=g.vertices,
@@ -231,7 +262,10 @@ def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction
 
 
 def gkm_from_document(doc: GkmDocument) -> GkmGraph:
-    """Assemble a labeled graph; the connection is inferred when absent."""
+    """Assemble a labeled graph; the connection is inferred when absent.
+
+    Each entry's ``images`` becomes the graph's map for that dart as it is, not copied.
+    """
     graph, axial = labels_from_document(doc)
     if doc.connection is None:
         return GkmGraph(graph, axial, infer_connection(graph, axial))
@@ -239,7 +273,7 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     for entry in doc.connection:
         if entry.dart not in graph.sources:
             raise SchemaError(f"connection: unknown dart {entry.dart}")
-        nabla = dict(entry.images)
+        nabla = entry.images
         source, target = graph.source(entry.dart), graph.target(entry.dart)
         if set(nabla) != set(graph.out_darts(source)) or set(nabla.values()) != set(graph.out_darts(target)):
             raise SchemaError(
@@ -258,19 +292,8 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
 
 
 def load_gkm(text: str) -> GkmGraph:
-    """Parse and assemble a document, with the cyclic garbage collector paused.
-
-    Loading allocates a container per JSON array and per connection pair,
-    about 10^5 for grassmannian(12), and forms no reference cycles, so the
-    collector's passes over that growing heap would free nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return gkm_from_document(parse_gkm(text))
-    finally:
-        if enabled:
-            gc.enable()
+    """Parse and assemble a document."""
+    return gkm_from_document(parse_gkm(text))
 
 
 def format_vector(v: tuple[int, ...]) -> str:

@@ -137,6 +137,18 @@ def test_rank_refuses_a_connection_not_sending_each_dart_to_its_reverse(tmp_path
     assert capsys.readouterr().out.endswith("f1: p:(2, -1, -1) q:(-2, 1, 1)\n")
 
 
+@pytest.mark.parametrize("command", ["rank", "validate", "invariant"])
+def test_a_dart_mapped_twice_is_an_error(command, tmp_path, capsys):
+    obj = json.loads(emit_gkm(document_from_gkm(gen_s6())))
+    obj["connection"][0]["maps"].insert(1, ["e2", "nonexistent~"])
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps(obj, indent=2))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: connection[0].maps[2]: dart e2 is mapped twice\n"
+
+
 def test_extend_and_check_extension(tmp_path, capsys):
     base = tmp_path / "proj.json"
     projected = tmp_path / "projected.json"

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +57,7 @@ def _dumps_oracle(doc):
     }
     if doc.connection is not None:
         obj["connection"] = [
-            {"dart": c.dart, "maps": [[a, b] for a, b in c.images]}
+            {"dart": c.dart, "maps": [[a, b] for a, b in c.images.items()]}
             for c in doc.connection
         ]
     if doc.orderings is not None:
@@ -89,7 +90,7 @@ _DOCUMENTS = st.builds(
     _INTS,
     _tuples(_TEXT),
     _tuples(st.builds(EdgeRecord, _TEXT, _TEXT, _TEXT, _tuples(_INTS))),
-    st.none() | _tuples(st.builds(ConnectionEntry, _TEXT, _tuples(st.tuples(_TEXT, _TEXT)))),
+    st.none() | _tuples(st.builds(ConnectionEntry, _TEXT, st.dictionaries(_TEXT, _TEXT, max_size=3))),
     st.none() | st.dictionaries(_TEXT, _tuples(_TEXT), max_size=3),
 )
 
@@ -98,7 +99,7 @@ _DOCUMENTS = st.builds(
 @given(_DOCUMENTS)
 @example(GkmDocument(1, (), (), None, None))
 @example(GkmDocument(-(2**70), (), (), (), {}))
-@example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), (ConnectionEntry("d", ()),), {"v": ()}))
+@example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), (ConnectionEntry("d", {}),), {"v": ()}))
 def test_emit_writes_the_json_dumps_text_of_any_document(doc):
     assert emit_gkm(doc) == _dumps_oracle(doc)
 
@@ -184,9 +185,122 @@ def test_malformed_connection_pair_is_a_schema_error(pair):
         parse_gkm(json.dumps(obj))
 
 
+def _s6_json():
+    return json.loads(emit_gkm(document_from_gkm(gen_s6())))
+
+
+def test_a_dart_mapped_twice_is_a_schema_error():
+    # the dropped pair names a dart that does not exist; keeping the last
+    # image would hide it
+    obj = _s6_json()
+    obj["connection"][0]["maps"].insert(1, ["e2", "nonexistent~"])
+    message = r"^connection\[0\]\.maps\[2\]: dart e2 is mapped twice$"
+    with pytest.raises(SchemaError, match=message):
+        parse_gkm(json.dumps(obj))
+    with pytest.raises(SchemaError, match=message):
+        load_gkm(json.dumps(obj, indent=2))
+
+
+def test_connection_entry_with_its_keys_reversed_loads():
+    obj = _s6_json()
+    obj["connection"] = [{"maps": c["maps"], "dart": c["dart"]} for c in obj["connection"]]
+    assert parse_gkm(json.dumps(obj)) == document_from_gkm(gen_s6())
+
+
+def test_duplicate_json_keys_keep_the_last_value():
+    text = emit_gkm(document_from_gkm(gen_s6()))
+    for prefix in ('"dart": "e2", ', '"maps": [["e1", "e2~"]], ', '"maps": {"e1": "e1~"}, '):
+        doubled = text.replace('"dart": "e1",', prefix + '"dart": "e1",', 1)
+        assert parse_gkm(doubled) == parse_gkm(text), prefix
+    doubled = text.replace('"dart": "e1",', '"dart": "e1", "maps": [], "dart": "e1",', 1)
+    assert parse_gkm(doubled) == parse_gkm(text)
+
+
+# messages taken from a parser that decoded plain lists of pairs
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("orderings", "orderings.p: expected a list of strings"),
+        ("orderings-list", "orderings.p: expected a list of strings"),
+        ("edges", "edges[1]: expected fields id, endpoints, weight"),
+        ("weight", "edges[1].weight: expected a list of integers"),
+        ("top", "$: unknown fields: ['dart', 'maps']"),
+        ("pair", "connection[0].maps[0]: expected a pair of dart ids"),
+    ],
+)
+def test_an_entry_shaped_object_elsewhere_is_reported_as_before(where, message):
+    entry = {"dart": "e1", "maps": [["e1", "e1~"], ["e2", "e3~"], ["e3", "e2~"]]}
+    obj = _s6_json()
+    if where == "orderings":
+        obj["orderings"]["p"] = entry
+    elif where == "orderings-list":
+        obj["orderings"]["p"] = [entry]
+    elif where == "edges":
+        obj["edges"][1] = entry
+    elif where == "weight":
+        obj["edges"][1]["weight"] = entry
+    elif where == "top":
+        obj = entry
+    else:
+        obj["connection"][0]["maps"][0] = entry
+    with pytest.raises(SchemaError) as err:
+        parse_gkm(json.dumps(obj))
+    assert str(err.value) == message
+
+
+def test_malformed_connection_entries_are_reported_as_before():
+    obj = _s6_json()
+    obj["connection"][1]["dart"] = 5
+    with pytest.raises(SchemaError, match=r"^connection\[1\]\.dart: expected a string$"):
+        parse_gkm(json.dumps(obj))
+    obj = _s6_json()
+    obj["connection"][1]["maps"] = dict(obj["connection"][1]["maps"])
+    with pytest.raises(SchemaError, match=r"^connection\[1\]\.maps: expected a list of pairs$"):
+        parse_gkm(json.dumps(obj))
+    obj = _s6_json()
+    obj["connection"][1]["maps"] = [[f"a{i}", f"b{i}"] for i in range(10)] + [["a10"]]
+    with pytest.raises(SchemaError, match=r"^connection\[1\]\.maps\[10\]: expected a pair of dart ids$"):
+        parse_gkm(json.dumps(obj))
+
+
+def test_a_map_out_of_ordering_order_parses_and_emits_byte_for_byte():
+    obj = _s6_json()
+    obj["connection"][0]["maps"].reverse()
+    text = json.dumps(obj, indent=2) + "\n"
+    doc = parse_gkm(text)
+    assert list(doc.connection[0].images) == ["e3", "e2", "e1"]
+    assert emit_gkm(doc) == text
+    assert gkm_from_document(doc).connection == gen_s6().connection
+
+
+def test_load_peak_memory_stays_below_one_and_a_half_times_the_text():
+    # each entry's pair lists are freed as it is decoded, so no second copy
+    # of the connection is ever held
+    text = emit_gkm(document_from_gkm(gen_grassmannian(9)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        load_gkm(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text), (peak, len(text))
+
+
+def test_loaded_maps_share_one_string_per_dart():
+    for text in (
+        emit_gkm(document_from_gkm(gen_grassmannian(4))),
+        # forward darts only: the reverse maps are inverted from these
+        json.dumps({**_s6_json(), "connection": [c for c in _s6_json()["connection"] if c["dart"][-1] != "~"]}),
+    ):
+        gkm = load_gkm(text)
+        ids = {id(x) for nabla in gkm.connection.maps.values() for x in (*nabla, *nabla.values())}
+        assert len(ids) == len(gkm.graph.darts)
+
+
 def test_load_restores_the_garbage_collector_state():
-    # load_gkm pauses the cyclic collector; it must leave it as it found it,
-    # also when the document is rejected
+    # load_gkm must leave the cyclic collector as it found it, also when the
+    # document is rejected
     text = emit_gkm(document_from_gkm(gen_s6()))
     was = gc.isenabled()
     try:

@@ -71,6 +71,25 @@ def test_src_never_asks_json_for_an_indented_encoding():
                 assert all(k.arg != "indent" for k in node.keywords), (path.name, node.lineno)
 
 
+def test_src_decodes_json_only_in_parse_gkm_with_the_pairs_hook():
+    # one decode path: the connection is decoded into its dicts while
+    # json.loads runs, so a second json.load/json.loads would hold it twice
+    src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) in (
+                "load", "loads"
+            ):
+                calls.append((path.stem, function, [k.arg for k in child.keywords]))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert calls == [("io", "parse_gkm", ["object_pairs_hook"])]
+
+
 def test_xgcd_has_only_the_two_eliminations_as_callers():
     # integer elimination lives in _echelon, plus the column elimination that
     # complete_inside_lattice needs for its completion; a third caller of the
