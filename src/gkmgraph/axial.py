@@ -10,10 +10,11 @@ can be inferred from the weights alone.
 Weights are packed into one integer each (:func:`_packed`), and every
 congruence test reads that packing, in one of two ways.  Inference and axiom 3
 compare residues: a weight's class modulo ``Z·w(e)`` is the integer
-:func:`_residue_key`.  The congruence coefficients of
-:mod:`gkmgraph.congruence` divide instead: one ``divmod`` of packed integers
-per out-dart, whose quotient must be exact and at most ``2M`` in absolute
-value.  Axiom 2 compares primitive directions (:func:`_direction`).
+:func:`_residue_key`.  Inference runs one residue search per edge: under
+``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  The
+congruence coefficients of :mod:`gkmgraph.congruence` divide: one ``divmod``
+of packed integers per out-dart, whose quotient must be exact and at most
+``2M`` in absolute value.  Axiom 2 compares directions (:func:`_direction`).
 """
 
 from __future__ import annotations
@@ -278,16 +279,25 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     For each dart ``e`` and out-dart ``e'`` at its source, the partner is the
     out-dart at the target whose weight differs from that of ``e'`` by an
     integer multiple of the weight of ``e``: one dict probe on the
-    :func:`_residue_key` of the target's out-darts.  Requires axioms 1 and
-    2; a missing partner raises :class:`ConnectionNotFoundError`, several
-    partners (possible when some weight triple is dependent) raise
-    :class:`AmbiguousConnectionError`.
+    :func:`_residue_key` of the target's out-darts.  One search per edge: when
+    ``w(ē) = −w(e)`` the same residue classes pair the same darts, so ``∇_ē``
+    is the inverse of ``∇_e``.  Requires axioms 1 and 2; a missing partner
+    raises :class:`ConnectionNotFoundError`, several partners (possible when
+    some weight triple is dependent) raise :class:`AmbiguousConnectionError`.
     """
     w, packed = axial.weights, _packed(axial, graph.darts)[0]
     maps: dict[str, dict[str, str]] = {}
+    searched_twice = set()
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
         eb = graph.reverse(e)
+        back = maps.get(eb)
+        if back is not None:
+            if packed[e] + packed[eb] == 0:  # packing is linear and exact: w(e) = −w(ē)
+                inverse = {img: src for src, img in back.items()}
+                maps[e] = {e: eb, **{d: inverse[d] for d in graph.out_darts(p)}}
+                continue
+            searched_twice.add(eb)
         key = _residue_key(packed, w, e)
         partners: dict[int, list[str]] = {}
         for d in graph.out_darts(q):
@@ -313,9 +323,9 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
                 f"the forced partners across dart {e} do not form a bijection"
             )
         maps[e] = nabla
+    # only a pair searched on both sides can fail; its maps are bijections, so it fails at its first dart
     for e in graph.darts:
-        back = maps[graph.reverse(e)]
-        if any(back[img] != src for src, img in maps[e].items()):
+        if e in searched_twice and any(maps[graph.reverse(e)][img] != src for src, img in maps[e].items()):
             raise ConnectionNotFoundError(
                 f"forced partners across {e} and its reverse are not mutually inverse"
             )

@@ -91,8 +91,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             note = f"connection: none ({exc})"
         report = validate_axial(graph, axial)
         if connection is not None:
-            # axiom 3 holds without a check: inference sends e to ē, builds mutually
-            # inverse bijections of congruent darts, and documents negate w(X~)
+            # axiom 3 holds without a check: inference sends e to ē and pairs congruent
+            # darts; documents negate w(X~), so each ∇_ē is built as the inverse of ∇_e
             report = report._replace(checked=(1, 2, 3, 4))
     if note:
         print(note)

@@ -52,19 +52,9 @@ class GkmDocument(NamedTuple):
     orderings: Mapping[str, tuple[str, ...]] | None = None
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(f"{path}: {message}")
-
-
 def _is_int(x) -> bool:
     """JSON integers only: ``bool`` subclasses ``int`` but is not one here."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _string_list(obj, path: str) -> tuple[str, ...]:
-    _expect(isinstance(obj, list) and all(isinstance(x, str) for x in obj), path, "expected a list of strings")
-    return tuple(obj)
 
 
 class _Images(dict):
@@ -75,8 +65,6 @@ def _images(maps: list, path: str) -> _Images:
     """``[source, image]`` pairs as a map; a malformed or repeated source raises :class:`SchemaError`."""
     images = _Images()
     for kk, pair in enumerate(maps):
-        # no _expect here: its path string would be formatted for every
-        # pair, and a document carries tens of thousands of them
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise SchemaError(f"{path}.maps[{kk}]: expected a pair of dart ids")
@@ -112,74 +100,90 @@ def parse_gkm(text: str) -> GkmDocument:
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"an integer literal exceeds Python's int-max-str-digits limit of {limit} digits") from exc
-    _expect(isinstance(obj, dict), "$", "expected a JSON object")
+    # a path and message is formatted only when its check fails, not per edge
+    if not isinstance(obj, dict):
+        raise SchemaError("$: expected a JSON object")
     unknown = set(obj) - {"torus_rank", "vertices", "edges", "connection", "orderings"}
-    _expect(not unknown, "$", f"unknown fields: {sorted(unknown)}")
+    if unknown:
+        raise SchemaError(f"$: unknown fields: {sorted(unknown)}")
 
     rank = obj.get("torus_rank")
-    _expect(_is_int(rank) and rank >= 1, "torus_rank", "expected a positive integer")
-    vertices = _string_list(obj.get("vertices"), "vertices")
+    if not (_is_int(rank) and rank >= 1):
+        raise SchemaError("torus_rank: expected a positive integer")
+    vertices = obj.get("vertices")
+    if not (isinstance(vertices, list) and all(isinstance(x, str) for x in vertices)):
+        raise SchemaError("vertices: expected a list of strings")
     vertex_ids = set(vertices)
-    _expect(len(vertex_ids) == len(vertices), "vertices", "duplicate vertex ids")
+    if len(vertex_ids) != len(vertices):
+        raise SchemaError("vertices: duplicate vertex ids")
 
     raw_edges = obj.get("edges")
-    _expect(isinstance(raw_edges, list), "edges", "expected a list")
-    edges = []
-    seen_edges = set()
+    if not isinstance(raw_edges, list):
+        raise SchemaError("edges: expected a list")
+    edges, seen_edges = [], set()
     for k, e in enumerate(raw_edges):
-        path = f"edges[{k}]"
-        _expect(isinstance(e, dict), path, "expected an object")
-        _expect(set(e) == {"id", "endpoints", "weight"}, path, "expected fields id, endpoints, weight")
+        if not isinstance(e, dict):
+            raise SchemaError(f"edges[{k}]: expected an object")
+        if e.keys() != {"id", "endpoints", "weight"}:
+            raise SchemaError(f"edges[{k}]: expected fields id, endpoints, weight")
         eid = e["id"]
-        _expect(isinstance(eid, str) and eid, f"{path}.id", "expected a nonempty string")
-        _expect(REVERSE_SUFFIX not in eid, f"{path}.id", f"edge ids must not contain {REVERSE_SUFFIX!r}")
-        _expect(eid not in seen_edges, f"{path}.id", "duplicate edge id")
+        if not (isinstance(eid, str) and eid):
+            raise SchemaError(f"edges[{k}].id: expected a nonempty string")
+        if REVERSE_SUFFIX in eid:
+            raise SchemaError(f"edges[{k}].id: edge ids must not contain {REVERSE_SUFFIX!r}")
+        if eid in seen_edges:
+            raise SchemaError(f"edges[{k}].id: duplicate edge id")
         seen_edges.add(eid)
         ends = e["endpoints"]
-        _expect(
-            isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends),
-            f"{path}.endpoints", "expected a pair of vertex ids",
-        )
-        _expect(ends[0] in vertex_ids and ends[1] in vertex_ids, f"{path}.endpoints", "unknown vertex")
+        if not (isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends)):
+            raise SchemaError(f"edges[{k}].endpoints: expected a pair of vertex ids")
+        if not (ends[0] in vertex_ids and ends[1] in vertex_ids):
+            raise SchemaError(f"edges[{k}].endpoints: unknown vertex")
         weight = e["weight"]
-        _expect(
-            isinstance(weight, list) and all(_is_int(x) for x in weight),
-            f"{path}.weight", "expected a list of integers",
-        )
-        _expect(len(weight) == rank, f"{path}.weight", f"expected {rank} integers, got {len(weight)}")
+        if not (isinstance(weight, list) and all(_is_int(x) for x in weight)):
+            raise SchemaError(f"edges[{k}].weight: expected a list of integers")
+        if len(weight) != rank:
+            raise SchemaError(f"edges[{k}].weight: expected {rank} integers, got {len(weight)}")
         edges.append(EdgeRecord(eid, ends[0], ends[1], tuple(weight)))
 
     connection = None
     if obj.get("connection") is not None:
         raw_conn = obj["connection"]
-        _expect(isinstance(raw_conn, list), "connection", "expected a list")
-        entries = []
-        seen_darts = set()
+        if not isinstance(raw_conn, list):
+            raise SchemaError("connection: expected a list")
+        entries, seen_darts = [], set()
         for k, c in enumerate(raw_conn):
-            path = f"connection[{k}]"
-            _expect(isinstance(c, dict) and set(c) == {"dart", "maps"}, path, "expected fields dart, maps")
+            if not (isinstance(c, dict) and c.keys() == {"dart", "maps"}):
+                raise SchemaError(f"connection[{k}]: expected fields dart, maps")
             dart = c["dart"]
-            _expect(isinstance(dart, str), f"{path}.dart", "expected a string")
-            _expect(dart not in seen_darts, f"{path}.dart", "duplicate dart")
+            if not isinstance(dart, str):
+                raise SchemaError(f"connection[{k}].dart: expected a string")
+            if dart in seen_darts:
+                raise SchemaError(f"connection[{k}].dart: duplicate dart")
             seen_darts.add(dart)
             maps = c["maps"]
             if type(maps) is not _Images:
                 # the decoder left it: a duplicated key, or an error to report
-                _expect(isinstance(maps, list), f"{path}.maps", "expected a list of pairs")
-                maps = _images(maps, path)
+                if not isinstance(maps, list):
+                    raise SchemaError(f"connection[{k}].maps: expected a list of pairs")
+                maps = _images(maps, f"connection[{k}]")
             entries.append(ConnectionEntry(dart, maps))
         connection = tuple(entries)
 
     orderings = None
     if obj.get("orderings") is not None:
         raw_ord = obj["orderings"]
-        _expect(isinstance(raw_ord, dict), "orderings", "expected an object")
+        if not isinstance(raw_ord, dict):
+            raise SchemaError("orderings: expected an object")
         orderings = {}
         for v, lst in raw_ord.items():
-            _expect(v in vertex_ids, f"orderings.{v}", "unknown vertex")
-            orderings[v] = _string_list(lst, f"orderings.{v}")
+            if v not in vertex_ids:
+                raise SchemaError(f"orderings.{v}: unknown vertex")
+            if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
+                raise SchemaError(f"orderings.{v}: expected a list of strings")
+            orderings[v] = tuple(lst)
 
-    return GkmDocument(rank, vertices, tuple(edges), connection, orderings)
+    return GkmDocument(rank, tuple(vertices), tuple(edges), connection, orderings)
 
 
 class _Quoted(dict):
@@ -298,7 +302,7 @@ def load_gkm(text: str) -> GkmGraph:
 
 def format_vector(v: tuple[int, ...]) -> str:
     """An integer vector as ``(a, b, c)``, as the command line and DOT labels print it."""
-    return "(" + ", ".join(str(x) for x in v) + ")"
+    return "(" + ", ".join(map(repr, v)) + ")"
 
 
 def _dot_string(text: str) -> str:

@@ -27,7 +27,9 @@ from helpers import (
     pairwise_dependent,
     rational_rank,
     ratio,
+    shuffled_orderings,
     weight_ratio,
+    with_orderings,
 )
 
 
@@ -157,18 +159,35 @@ def _made_ambiguous(rng: random.Random, gkm: GkmGraph) -> dict:
     return weights
 
 
+def _in_search_order(graph, maps) -> bool:
+    """Each map iterates ``e`` first, then the other out-darts of its source in ordering order."""
+    return all(
+        list(maps[e]) == [e, *(d for d in graph.out_darts(graph.source(e)) if d != e)] for e in graph.darts
+    )
+
+
 def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
     # weights perturbed at random (some zeroed) or made ambiguous, and never
-    # validated: the residue-keyed inference gives the scan's maps, or both
-    # raise the same error with the same message
+    # validated: the residue-keyed inference gives the scan's maps, in the
+    # scan's order, or both raise the same error with the same message.  The
+    # perturbed weights break axiom 1 on some edges, so both darts of such an
+    # edge are searched; document-shaped labels negate w(X~) on every edge, so
+    # every reverse map is the inverse of its dart's
     rng = random.Random(5)
     seen = {"ok": 0, ConnectionNotFoundError: 0, AmbiguousConnectionError: 0}
+    seen_documents = dict.fromkeys(seen, 0)
 
     def outcome(infer, graph, axial):
         try:
-            return infer(graph, axial).maps
+            maps = infer(graph, axial).maps
         except AxialError as exc:
             return type(exc), str(exc)
+        return [(e, list(nabla.items())) for e, nabla in maps.items()]
+
+    def check(graph, axial, counts, where):
+        expected = outcome(infer_connection_by_scan, graph, axial)
+        assert outcome(infer_connection, graph, axial) == expected, where
+        counts["ok" if isinstance(expected, list) else expected[0]] += 1
 
     for name, gkm in core_fixtures().items():
         for trial in range(10):
@@ -180,11 +199,64 @@ def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
                 for d, w in gkm.axial.weights.items():
                     u = rng.random()
                     weights[d] = (0,) * gkm.n if u < bend / 4 else tuple(x + (u < bend) * rng.choice((-1, 1)) for x in w)
-            axial = AxialFunction(gkm.n, weights)
-            expected = outcome(infer_connection_by_scan, gkm.graph, axial)
-            assert outcome(infer_connection, gkm.graph, axial) == expected, (name, trial)
-            seen["ok" if isinstance(expected, dict) else expected[0]] += 1
+            check(gkm.graph, AxialFunction(gkm.n, weights), seen, (name, trial))
     assert all(seen.values()), seen
+
+    fixtures = {**core_fixtures(), "grassmannian4": gen_grassmannian(4), "projective6": gen_projective(6)}
+    for name, gkm in fixtures.items():
+        for doc in bent_documents(rng, gkm, 12):
+            doc = doc._replace(orderings=shuffled_orderings(rng, gkm.graph))
+            check(*labels_from_document(doc), seen_documents, (name, doc))
+        graph = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
+        check(graph, gkm.axial, seen_documents, name)
+        if gkm.m >= 3:
+            check(graph, AxialFunction(gkm.n, _made_ambiguous(rng, gkm)), seen_documents, name)
+        zeroed = dict(gkm.axial.weights)
+        edge = rng.choice(graph.edge_representatives())
+        zeroed[edge] = zeroed[graph.reverse(edge)] = (0,) * gkm.n
+        check(graph, AxialFunction(gkm.n, zeroed), seen_documents, name)
+    assert all(seen_documents.values()), seen_documents
+
+
+def test_infer_connection_searches_each_edge_once(monkeypatch):
+    # one residue key per edge where w(X~) = −w(X), built for the dart that
+    # sorts first; an edge off axiom 1 has both darts keyed.  Every map
+    # iterates in the order of the direct search
+    keyed = []
+
+    def counting_key(packed, w, e):
+        keyed.append(e)
+        return _residue_key(packed, w, e)
+
+    monkeypatch.setattr("gkmgraph.axial._residue_key", counting_key)
+
+    def infer_counting(graph, weights, torus_rank):
+        keyed.clear()
+        labels = AxialFunction(torus_rank, weights)
+        conn = infer_connection(graph, labels)
+        assert conn == infer_connection_by_scan(graph, labels)
+        assert _in_search_order(graph, conn.maps)
+        return keyed
+
+    rng = random.Random(41)
+    for gkm in (gen_grassmannian(4), gen_projective(6)):
+        graph = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
+        assert infer_counting(graph, gkm.axial.weights, gkm.n) == list(graph.edge_representatives())
+
+    # projective(6) with every dart into vertex 3 negated: the six edges at 3,
+    # forward or reverse into it, are off axiom 1
+    gkm = gen_projective(6)
+    graph = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
+    weights = dict(gkm.axial.weights)
+    into = [graph.reverse(d) for d in graph.out_darts("3")]
+    weights.update({d: tuple(-x for x in weights[d]) for d in into})
+    expected = [d for d in graph.darts if not d.endswith("~") or d in into or graph.reverse(d) in into]
+    assert infer_counting(graph, weights, gkm.n) == expected
+
+    # one edge off axiom 1 on two vertices (b and c are dependent)
+    graph = build_graph(["p", "q"], [("a", "p", "q"), ("b", "p", "q"), ("c", "p", "q")])
+    weights = {"a": (1, 0), "a~": (1, 1), "b": (0, 1), "b~": (0, -1), "c": (0, -1), "c~": (0, 1)}
+    assert infer_counting(graph, weights, 2) == ["a", "a~", "b", "c"]
 
 
 def test_axiom2_matches_the_pairwise_minors():

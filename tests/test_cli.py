@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
+    EdgeRecord,
+    GkmDocument,
     document_from_gkm,
     emit_gkm,
     gen_grassmannian,
@@ -58,6 +60,70 @@ def test_gen_writes_the_pinned_document(spec, tmp_path):
     path = tmp_path / "out.json"
     assert main(["gen", *spec, "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DOCUMENTS[spec]
+
+
+def shuffled_free_document(gkm, seed: int) -> GkmDocument:
+    """``gkm`` with no connection or orderings, its vertex and edge ids renamed and shuffled by ``seed``."""
+    rng = random.Random(seed)
+    doc = document_from_gkm(gkm)
+    names = rng.sample(range(len(doc.vertices)), len(doc.vertices))
+    vertices = {v: f"v{k:03d}" for v, k in zip(doc.vertices, names)}
+    ids = rng.sample(range(len(doc.edges)), len(doc.edges))
+    edges = [EdgeRecord(f"e{i:03d}", vertices[e.source], vertices[e.target], e.weight) for i, e in zip(ids, doc.edges)]
+    new_vertices = rng.sample(sorted(vertices.values()), len(vertices))
+    return GkmDocument(doc.torus_rank, tuple(new_vertices), tuple(rng.sample(edges, len(edges))))
+
+
+def axiom_2_corrupted(doc: GkmDocument, seed: int) -> GkmDocument:
+    """``doc`` with one out-dart at a vertex given the weight of another out-dart there."""
+    rng = random.Random(seed)
+    vertex = rng.choice(doc.vertices)
+    i, j = rng.sample([k for k, e in enumerate(doc.edges) if vertex in (e.source, e.target)], 2)
+
+    def sign(e):
+        return 1 if e.source == vertex else -1
+
+    weight = tuple(sign(doc.edges[i]) * sign(doc.edges[j]) * x for x in doc.edges[j].weight)
+    edges = list(doc.edges)
+    edges[i] = edges[i]._replace(weight=weight)
+    return doc._replace(edges=tuple(edges))
+
+
+INFERRING_DOCUMENTS = {
+    "projective5": lambda: shuffled_free_document(gen_projective(5), 7),
+    "grassmannian3": lambda: shuffled_free_document(gen_grassmannian(3), 8),
+    "projective5-corrupted": lambda: axiom_2_corrupted(shuffled_free_document(gen_projective(5), 7), 9),
+    "grassmannian3-corrupted": lambda: axiom_2_corrupted(shuffled_free_document(gen_grassmannian(3), 8), 10),
+}
+
+# sha256 and exit code of the stdout of each command that infers the
+# connection, on connection-free documents with shuffled ids; on the
+# corrupted copies, validate's `connection: none (…)` line names the first
+# dart across which inference fails
+INFERRING_OUTPUTS = {
+    ("projective5", "validate"): ("3bf9e270ec484ea2ed9b2859dba5a44d40a9e944dd69092c2edad9183bddce17", 0),
+    ("projective5", "connection"): ("b8fbb93188e5e1545ac6df7d361efad2ad90be07b22b14ee3f37314b531200e1", 0),
+    ("projective5", "invariant"): ("f7c5381695c06f70fd05222c6838abaff656e838c68f122215c9421debdb4ce6", 0),
+    ("projective5", "dot"): ("ac8e886b4ebfa0ea84fc6fc686e6eb72c0422dee4d5a3bd9bb0fe020a561df41", 0),
+    ("grassmannian3", "validate"): ("3bf9e270ec484ea2ed9b2859dba5a44d40a9e944dd69092c2edad9183bddce17", 0),
+    ("grassmannian3", "connection"): ("4e622fbac4fbeb32b4dcf1ac442ae1aee234e2e9584b132326d2bd266a38c934", 0),
+    ("grassmannian3", "invariant"): ("3029aa329254917eff70a9588f5c532ba7f39f950893dea46eb7a6f0bf572944", 0),
+    ("grassmannian3", "dot"): ("bfb35c9406fbde9a62c2158c166be46e6fa1372af038ba19095efc2263a59a6b", 0),
+    ("projective5-corrupted", "validate"): ("bd85d5668df0feaac12fa17e395235cb927067ea416a9189cf638ec9737b92ca", 1),
+    ("grassmannian3-corrupted", "validate"): ("22bc880f96cf8c30d67eb97183cf24b7b071490a0bb0aa799bd39c3cba9e0317", 1),
+}
+
+
+@pytest.mark.parametrize("case", INFERRING_OUTPUTS, ids="-".join)
+def test_inferring_commands_print_the_pinned_output(case, tmp_path, capsys):
+    document, command = case
+    path = tmp_path / "doc.json"
+    path.write_text(emit_gkm(INFERRING_DOCUMENTS[document]()))
+    code = main([command, str(path)] + (["--annotate", "congruence"] if command == "dot" else []))
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == INFERRING_OUTPUTS[case]
+    if document.endswith("corrupted"):
+        assert out.startswith("connection: none (")
 
 
 def test_validate_ok(s6_file, capsys):
