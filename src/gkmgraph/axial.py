@@ -8,13 +8,14 @@ of weights at a vertex is linearly independent the connection is forced and
 can be inferred from the weights alone.
 
 Weights are packed into one integer each (:func:`_packed`), and every
-congruence test reads that packing, in one of two ways.  Inference and axiom 3
-compare residues: a weight's class modulo ``Z·w(e)`` is the integer
-:func:`_residue_key`.  Inference runs one residue search per edge: under
-``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  The
-congruence coefficients of :mod:`gkmgraph.congruence` divide: one ``divmod``
-of packed integers per out-dart, whose quotient must be exact and at most
-``2M`` in absolute value.  Axiom 2 compares directions (:func:`_direction`).
+congruence test reads that packing, in one of two ways.  Inference alone
+compares residues: a weight's class modulo ``Z·w(e)`` is the integer
+:func:`_residue_key`, and inference runs one residue search per edge: under
+``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  Axiom 3
+and the congruence coefficients of :mod:`gkmgraph.congruence` divide: one
+``divmod`` of packed integers per out-dart, whose quotient must be exact and
+at most ``2M`` in absolute value.  Axiom 2 compares directions
+(:func:`_direction`), and axiom 4 reads one row HNF per vertex.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int],
     all below ``2^s`` in absolute value packs to 0 only when it is zero.
     Every vector a congruence test packs has entries of at most
     ``2M(M+1) < 2^s``: the difference of two residues in
-    :func:`_residue_key`, and the remainder ``w(a) − w(b) − q·w(e)`` with
-    ``|q| ≤ 2M`` in ``invariant_function``.  So each test is exact
-    arithmetic on one integer per dart.  A dart without a weight of length
-    ``torus_rank`` raises :class:`AxialError`.
+    :func:`_residue_key` (inference), and the remainder
+    ``w(a) − w(b) − q·w(e)`` with ``|q| ≤ 2M`` in axiom 3 and
+    ``invariant_function``.  So each test is exact arithmetic on one integer
+    per dart.  A dart without a weight of length ``torus_rank`` raises
+    :class:`AxialError`.
     """
     darts = tuple(darts)
     _check_weights(axial, darts)
@@ -166,7 +168,7 @@ def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int],
 
 
 def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> Callable[[str], int]:
-    """Key of a dart's weight modulo ``Z·w(e)``.
+    """Key of a dart's weight modulo ``Z·w(e)``, for :func:`infer_connection`.
 
     Two darts get equal keys exactly when their weights differ by an integer
     multiple of ``w(e)``.  With ``p`` the first nonzero coordinate of
@@ -228,12 +230,12 @@ def validate_axial(
     if connection is not None:
         failures.extend(_check_connection(graph, axial, connection))
 
-    from .intlinalg import IntegerMatrix, invariant_factors
+    from .intlinalg import lattice_basis
 
+    n = axial.torus_rank  # the weights at a vertex span Z^n exactly when their row HNF is I_n
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for p in graph.vertices:
-        mat = IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], axial.torus_rank)
-        facs = invariant_factors(mat)
-        if len(facs) != axial.torus_rank or any(f != 1 for f in facs):
+        if lattice_basis([w[d] for d in graph.out_darts(p)], n) != unit:
             failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
 
     return ValidationReport(checked=checked, failures=tuple(failures))
@@ -242,7 +244,9 @@ def validate_axial(
 def _check_connection(
     graph: OrientedGraph, axial: AxialFunction, connection: Connection
 ) -> list[AxiomFailure]:
-    w, packed = axial.weights, _packed(axial, graph.darts)[0]
+    packed, big = _packed(axial, graph.darts)
+    bound = 2 * big
+    outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     failures: list[AxiomFailure] = []
     maps = connection.maps
     for e in graph.darts:
@@ -250,8 +254,7 @@ def _check_connection(
         if nabla is None:
             failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
             continue
-        p, q = graph.source(e), graph.target(e)
-        if set(nabla) != set(graph.out_darts(p)) or set(nabla.values()) != set(graph.out_darts(q)):
+        if nabla.keys() != outs[graph.source(e)] or set(nabla.values()) != outs[graph.target(e)]:
             failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
             continue
         eb = graph.reverse(e)
@@ -260,9 +263,11 @@ def _check_connection(
         back = maps.get(eb)
         if back is not None and any(back.get(img) != src for src, img in nabla.items()):
             failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
-        key = _residue_key(packed, w, e)
+        base = packed[e]
         for e2, img in nabla.items():
-            if key(img) != key(e2):
+            change = packed[img] - packed[e2]  # q·w(e) iff exact with |q| ≤ 2M (congruence._coefficients)
+            q, r = divmod(change, base) if base else (0, change)
+            if r or not -bound <= q <= bound:
                 failures.append(
                     AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
                 )

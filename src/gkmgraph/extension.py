@@ -12,10 +12,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axgroup import axial_group_basis
 from .axial import GkmGraph, ValidationReport, validate_gkm
 from .errors import GkmError
-from .intlinalg import IntegerMatrix, complete_inside_lattice, invariant_factors, solve_left
+from .intlinalg import (
+    IntegerMatrix,
+    _back_substitute,
+    complete_inside_lattice,
+    hermite_normal_form,
+    invariant_factors,
+)
 
 
 class RankExceededError(GkmError):
@@ -53,16 +58,19 @@ class ExtensionCheck(NamedTuple):
 def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     """Extend the weights to rank ``target_rank``; the first ``n`` coordinates are the old weights.
 
-    The canonical elements are the weights read in coordinate order (vertex,
-    then out-dart), and the new coordinates of each dart are the entries at
-    its coordinate of the first ``target_rank - n`` vectors of their
-    completion inside the solution lattice
-    (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  On valid input
-    the canonical elements span a primitive sublattice, so the chosen
-    elements are part of a basis of the lattice, and projecting by
-    ``[I_n | 0]`` recovers ``gkm``.  The result is validated once, and
-    failing any axiom raises :class:`AxiomViolationError`.
+    An element is determined by its value at the base vertex, so the
+    canonical elements (the weight coordinates) are completed in ``Z^m``,
+    restricted there, inside the restrictions of the basis elements in their
+    order (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  The first
+    ``target_rank - n`` vectors of the completion alone are spread to every
+    vertex, and give each dart its new coordinates.  On valid input the
+    canonical elements span a primitive sublattice, so the chosen elements
+    are part of a basis of the lattice, and projecting by ``[I_n | 0]``
+    recovers ``gkm``.  The result is validated once, and failing any axiom
+    raises :class:`AxiomViolationError`.
     """
+    from .axgroup import axial_group_basis
+
     n = gkm.axial.torus_rank
     if target_rank < n:
         raise ValueError(f"target rank {target_rank} is below the current rank {n}")
@@ -71,11 +79,14 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
         raise RankExceededError(
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
-    g, w = gkm.graph, gkm.axial.weights
+    g, w, base = gkm.graph, gkm.axial.weights, basis.base_vertex
+    restricted = IntegerMatrix.from_rows([el.values[base] for el in basis.elements], g.valence)
+    canon = [tuple(w[d][i] for d in g.out_darts(base)) for i in range(n)]
+    completion, _ = complete_inside_lattice(canon, restricted.data)
+    h, u = hermite_normal_form(restricted)
+    coords = [_back_substitute(h, u, r) for r in completion[: target_rank - n]]
+    new = (IntegerMatrix.from_rows(coords, basis.rank) @ basis.coordinate_matrix).data
     darts = [d for v in g.vertices for d in g.out_darts(v)]
-    canon = [tuple(w[d][i] for d in darts) for i in range(n)]
-    completion, _ = complete_inside_lattice(canon, basis.coordinate_matrix.data)
-    new = completion[: target_rank - n]
     out = gkm.with_weights({d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}, target_rank)
     report = validate_gkm(out)
     if not report.ok:
@@ -111,7 +122,8 @@ def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
     Both labelings must live on the same graph with the same orderings, and
     the candidate must satisfy the axioms.  The projection is solved from the
     weights at one vertex (the candidate's span, so it is unique if it
-    exists) and then verified on every dart.
+    exists), one coordinate at a time against one HNF, and then verified on
+    every dart.
     """
     if base.graph != candidate.graph:
         raise GraphMismatchError("the two labelings live on different graphs")
@@ -124,11 +136,10 @@ def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
     p = g.vertices[0]
     out = g.out_darts(p)
     big = IntegerMatrix.from_rows([candidate.weight(d) for d in out], candidate.n)
-    big_t = big.transpose()
+    h, u = hermite_normal_form(big.transpose())
     rows = []
     for i in range(base.n):
-        col = [base.weight(d)[i] for d in out]
-        y = solve_left(big_t, col)
+        y = _back_substitute(h, u, [base.weight(d)[i] for d in out])
         if y is None:
             return ExtensionCheck(
                 False, None, f"no integer projection matches weight coordinate {i + 1}"

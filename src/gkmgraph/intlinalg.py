@@ -11,6 +11,7 @@ their basis matrices.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import Frozen, GkmError
@@ -92,7 +93,7 @@ class IntegerMatrix(Frozen):
     def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -226,9 +227,13 @@ def solve_left(m: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | Non
 
     Decides membership of ``target`` in the row lattice of ``m``.
     """
-    if len(target) != m.ncols:
+    return _back_substitute(*hermite_normal_form(m), target)
+
+
+def _back_substitute(h: IntegerMatrix, u: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
+    """:func:`solve_left` against the matrix whose HNF is ``(h, u)``, so many targets share one HNF."""
+    if len(target) != h.ncols:
         raise ValueError("target length does not match column count")
-    h, u = hermite_normal_form(m)
     residual = list(target)
     coeffs = [0] * h.nrows
     for i in range(h.nrows):
@@ -261,11 +266,15 @@ def complete_inside_lattice(
     the completion span a sublattice of index ``index``, the index of the span
     of ``chosen`` inside its saturation (1 exactly when primitive).
 
-    Column operations reduce the echelon form of the coordinates of
-    ``chosen`` until row ``i`` vanishes outside the first ``i + 1`` pivot
-    columns; the completion is read from the inverse operations at the
-    non-pivot columns.  When every pivot is 1 it is the lattice basis vectors
-    at the non-pivot columns, in order.
+    The coordinates of ``chosen`` in the lattice basis come from one HNF of
+    that basis, and the rest works on coordinates alone.  Column operations
+    reduce their echelon form until row ``i`` vanishes outside the first
+    ``i + 1`` pivot columns; the completion is read from the inverse
+    operations at the non-pivot columns.  When every pivot is 1 it is the
+    lattice basis vectors at the non-pivot columns, in order.  So the images
+    of ``chosen`` and ``lattice`` under an injective linear map complete to
+    the images of the completion, with the same index, which is how
+    :func:`~gkmgraph.extension.extend_axial` completes in ``Z^m``.
     """
     basis = [tuple(v) for v in lattice]
     if not basis:
@@ -273,9 +282,10 @@ def complete_inside_lattice(
             raise NotInLatticeError("the lattice is trivial but chosen vectors were given")
         return [], 1
     b = IntegerMatrix.from_rows(basis)
+    h, u = hermite_normal_form(b)
     rows = []  # coordinates of the chosen vectors in the lattice basis
     for v in chosen:
-        x = solve_left(b, v)
+        x = _back_substitute(h, u, v)
         if x is None:
             raise NotInLatticeError(
                 f"vector {tuple(v)} is not an integer combination of the lattice basis"

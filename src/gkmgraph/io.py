@@ -274,12 +274,13 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     if doc.connection is None:
         return GkmGraph(graph, axial, infer_connection(graph, axial))
     maps: dict[str, dict[str, str]] = {}
+    outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     for entry in doc.connection:
         if entry.dart not in graph.sources:
             raise SchemaError(f"connection: unknown dart {entry.dart}")
         nabla = entry.images
         source, target = graph.source(entry.dart), graph.target(entry.dart)
-        if set(nabla) != set(graph.out_darts(source)) or set(nabla.values()) != set(graph.out_darts(target)):
+        if nabla.keys() != outs[source] or set(nabla.values()) != outs[target]:
             raise SchemaError(
                 f"connection: map for dart {entry.dart} is not a bijection from the out-darts "
                 f"of {source} onto those of {target}"

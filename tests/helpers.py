@@ -10,7 +10,10 @@ reference for the packed residues and primitive directions of
 ``gkmgraph.axial``, the propagation that checks every edge
 (``propagation_checking_every_edge``) is the reference for the solver that
 stops at rank ``n``, and Smith invariant factors are read off the gcds of
-minors (``smith_by_minors``).  ``transport_matrix`` (``propagate`` on the
+minors (``smith_by_minors``).  ``validation_by_residues`` decides axiom 3 by
+comparing residues modulo ``Z·w(e)`` and axiom 4 by Smith invariant factors,
+the reference for the packed division and the HNF test of
+``validate_axial``.  ``transport_matrix`` (``propagate`` on the
 unit vectors) and ``with_orderings`` (``build_graph`` with other orderings)
 rebuild from the public API what only tests need.  Nothing private is
 imported from the package.
@@ -25,10 +28,12 @@ from itertools import combinations, product
 from math import gcd
 
 from gkmgraph import (
+    AxiomFailure,
     EdgeRecord,
     GkmDocument,
     GkmGraph,
     IntegerMatrix,
+    ValidationReport,
     build_graph,
     document_from_gkm,
     gen_grassmannian,
@@ -36,10 +41,12 @@ from gkmgraph import (
     gen_s6,
     gkm_from_document,
     integer_kernel_basis,
+    invariant_factors,
     invariant_function,
     lattice_basis,
     permutation,
     propagate,
+    validate_axial,
 )
 from gkmgraph.axial import (
     AmbiguousConnectionError,
@@ -122,6 +129,55 @@ def congruence_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     """Congruence coefficients of all out-darts at the source of ``e``, in order."""
     p = gkm.graph.source(e)
     return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.out_darts(p))
+
+
+def residue(w, base):
+    """``w`` modulo ``Z·base``: ``w − (w[p] // base[p])·base`` at the first nonzero ``p``, or ``w`` for a zero ``base``."""
+    p = next((i for i, x in enumerate(base) if x), None)
+    if p is None:
+        return tuple(w)
+    q = w[p] // base[p]
+    return tuple(x - q * b for x, b in zip(w, base))
+
+
+def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connection=None) -> ValidationReport:
+    """``validate_axial`` with axiom 3 decided by residues and axiom 4 by Smith invariant factors.
+
+    Axioms 1 and 2 are taken from ``validate_axial`` itself.  A map passes
+    the congruence test at ``e'`` when ``w(∇e')`` and ``w(e')`` have equal
+    :func:`residue` modulo ``Z·w(e)``, and a vertex passes axiom 4 when its
+    weights have ``n`` invariant factors, all 1.  Failures come in the order
+    ``validate_axial`` reports them.
+    """
+    w = axial.weights
+    report = validate_axial(graph, axial)
+    failures = [f for f in report.failures if f.axiom in (1, 2)]
+    for e in graph.darts if connection is not None else ():
+        nabla = connection.maps.get(e)
+        if nabla is None:
+            failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
+            continue
+        outs, ins = set(graph.out_darts(graph.source(e))), set(graph.out_darts(graph.target(e)))
+        if set(nabla) != outs or set(nabla.values()) != ins:
+            failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
+            continue
+        eb = graph.reverse(e)
+        if nabla[e] != eb:
+            failures.append(AxiomFailure(3, f"dart {e}", f"map must send {e} to {eb}"))
+        back = connection.maps.get(eb)
+        if back is not None and any(back.get(img) != src for src, img in nabla.items()):
+            failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
+        for e2, img in nabla.items():
+            if residue(w[img], w[e]) != residue(w[e2], w[e]):
+                failures.append(
+                    AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
+                )
+    n = axial.torus_rank
+    for p in graph.vertices:
+        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], n))
+        if len(factors) != n or any(f != 1 for f in factors):
+            failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
+    return ValidationReport((1, 2, 3, 4) if connection is not None else (1, 2, 4), tuple(failures))
 
 
 def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Connection:

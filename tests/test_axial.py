@@ -2,25 +2,31 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmgraph import (
     AmbiguousConnectionError,
     AxialFunction,
+    AxiomFailure,
     Connection,
     ConnectionNotFoundError,
     GkmGraph,
     build_graph,
+    document_from_gkm,
     gen_grassmannian,
     gen_projective,
     gen_s6,
+    gkm_from_document,
     infer_connection,
     invariant_function,
     validate_axial,
     validate_gkm,
 )
 from gkmgraph.axial import AxialError, NotProportionalError, _packed, _residue_key
-from gkmgraph.io import labels_from_document
+from gkmgraph.io import labels_from_document, parse_gkm
 from helpers import (
+    TWISTED_S6,
     bent_documents,
     core_fixtures,
     infer_connection_by_scan,
@@ -28,6 +34,7 @@ from helpers import (
     rational_rank,
     ratio,
     shuffled_orderings,
+    validation_by_residues,
     weight_ratio,
     with_orderings,
 )
@@ -66,6 +73,92 @@ def test_axiom4_distinguishes_integer_and_rational_span():
     # the doubled weights still span over the rationals, so only the integer span fails
     g = base.graph
     assert all(rational_rank([weights[d] for d in g.out_darts(p)]) == 2 for p in g.vertices)
+
+
+VALIDATION_DOCUMENTS = {
+    **{name: document_from_gkm(gkm) for name, gkm in core_fixtures().items()},
+    "grassmannian4": document_from_gkm(gen_grassmannian(4)),
+    "twisted_s6": parse_gkm(TWISTED_S6),
+}
+
+
+def _mutated(doc, mutations):
+    """``doc`` after each mutation in turn, assembled with its pinned connection.
+
+    ``("bend", i, k, delta)`` adds ``delta`` to entry ``k`` of edge ``i``'s
+    weight; ``("swap", i, a, b)`` swaps the images of out-darts ``a`` and
+    ``b`` in the map of connection entry ``i``; ``("scale", v, factor)``
+    multiplies the weights of the edges at vertex ``v``, so that its weights
+    span ``factor·Z^n`` at most.
+    """
+    edges, entries = list(doc.edges), [c._replace(images=dict(c.images)) for c in doc.connection]
+    for kind, *args in mutations:
+        if kind == "bend":
+            i, k, delta = args
+            w = list(edges[i].weight)
+            w[k] += delta
+            edges[i] = edges[i]._replace(weight=tuple(w))
+        elif kind == "swap":
+            i, a, b = args
+            images = entries[i].images
+            images[a], images[b] = images[b], images[a]
+        else:
+            v, factor = args
+            edges = [e._replace(weight=tuple(factor * x for x in e.weight)) if v in (e.source, e.target) else e
+                     for e in edges]
+    return gkm_from_document(doc._replace(edges=tuple(edges), connection=tuple(entries)))
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(sorted(VALIDATION_DOCUMENTS)))
+    doc = VALIDATION_DOCUMENTS[name]
+    mutations = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["bend", "swap", "scale"]))
+        if kind == "bend":
+            i = draw(st.integers(0, len(doc.edges) - 1))
+            mutations.append(("bend", i, draw(st.integers(0, doc.torus_rank - 1)), draw(st.sampled_from((-2, -1, 1, 2)))))
+        elif kind == "swap" and len(doc.connection[0].images) > 1:
+            i = draw(st.integers(0, len(doc.connection) - 1))
+            a, b = draw(st.lists(st.sampled_from(sorted(doc.connection[i].images)), min_size=2, max_size=2, unique=True))
+            mutations.append(("swap", i, a, b))
+        elif kind == "scale":
+            mutations.append(("scale", draw(st.sampled_from(doc.vertices)), draw(st.sampled_from((2, 3, -2)))))
+    return name, mutations
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_mutations())
+def test_validation_matches_the_residue_and_smith_oracle(case):
+    # axiom 3 divides packed weights and axiom 4 reads one HNF per vertex; the
+    # report, every failure in the same order, is the one residues and Smith
+    # invariant factors give, with and without the connection
+    name, mutations = case
+    gkm = _mutated(VALIDATION_DOCUMENTS[name], mutations)
+    for connection in (gkm.connection, None):
+        assert validate_axial(gkm.graph, gkm.axial, connection) == validation_by_residues(
+            gkm.graph, gkm.axial, connection
+        )
+
+
+def test_each_mutation_reaches_the_axiom_it_breaks():
+    # the mutations of the oracle test fail the axioms they aim at: a bent
+    # weight and swapped images the congruence, a scaled vertex the integer
+    # span, and the twisted s6 the rule e -> ē
+    doc = VALIDATION_DOCUMENTS["projective3"]
+    a, b = sorted(doc.connection[0].images)[:2]
+    cases = [
+        ("twisted_s6", [], AxiomFailure(3, "dart e2", "map must send e2 to e2~")),
+        ("projective3", [("bend", 0, 1, 1)], AxiomFailure(3, "dart 0-1", "weight change of 0-2 is not a multiple of the base weight")),
+        ("projective3", [("swap", 0, a, b)], AxiomFailure(3, f"dart {a}", f"map must send {a} to {a}~")),
+        ("projective3", [("scale", doc.vertices[0], 2)], AxiomFailure(4, f"vertex {doc.vertices[0]}", "weights do not span the integer lattice")),
+    ]
+    for name, mutations, failure in cases:
+        gkm = _mutated(VALIDATION_DOCUMENTS[name], mutations)
+        report = validate_gkm(gkm)
+        assert failure in report.failures, (name, mutations, report.summary())
+        assert report == validation_by_residues(gkm.graph, gkm.axial, gkm.connection)
 
 
 def test_inferred_connection_passes_axiom3():

@@ -229,6 +229,71 @@ def test_extend_and_check_extension(tmp_path, capsys):
     assert main(["check-extension", str(extended), str(projected)]) == 1
 
 
+# the round trip of the extend-roundtrip benchmark on fixture F, folded by
+# [I | v]: sha256 of the document `extend --target n` writes, and of the
+# stdout of `check-extension projected extended` ([I | 0]) and of
+# `check-extension projected original` ([I | v]); every command exits 0
+ROUND_TRIPS = {
+    ("projective", 8, (1, 1, -1, 1, 2, -2, 1)): (
+        "7ef7ece28f156fae367b5f7e719c7639e0eed97a1874e6e66e9543fff965854b",
+        "bbce122082150171385e5d14a66ac4fc6d1e26b3cbb14a684ccd53c44f5a4f28",
+        "7dc913f87aece838264b738193cf2d3e0558ce5bcb43cc42af0e8b12a304bd09",
+    ),
+    ("projective", 8, (-2, 3, -1, 1, -2, -1, -2)): (
+        "cb5548feadace14b1ef0ecb783b37b281dc19ae79e31b830f1d8b395d8ce2053",
+        "bbce122082150171385e5d14a66ac4fc6d1e26b3cbb14a684ccd53c44f5a4f28",
+        "5a981df490243392ad1249b8c6c60f12585faff4f22efc39117299f4002e780a",
+    ),
+    ("projective", 12, (3, -2, 3, 2, 3, -2, 3, 2, 1, -2, 2)): (
+        "9d4214950f1068678c5f7346927670df5cc774e25d7b0bf0cb322cbe6034d694",
+        "23143159090031632771000cd09713103111c40f1cf78dae10d7be9f811d949b",
+        "0a08025223bd4bd07d0da58206548322c2444436bd3cadb22e12702e0c4cd32a",
+    ),
+    ("projective", 12, (2, 2, -1, 3, -1, 2, -2, -2, 1, 3, -2)): (
+        "ff6a5ba0209f6910b732b4daa16d36dc312f0b1fa278b9ed9315d2d4fc432359",
+        "23143159090031632771000cd09713103111c40f1cf78dae10d7be9f811d949b",
+        "7f89110d5bbd2c17aeef1665524ddb9028bde349cef2700bde1e5e34a72a7014",
+    ),
+    ("projective", 16, (3, -2, -2, 2, -1, 1, 2, 3, 2, 1, 1, 1, -1, -2, 1)): (
+        "fb3447b1b9a1e434ca57d2f9a3a0f0207261234efb929a8e4ec8da83280c9750",
+        "af43cfb0093e53818a2f426dc55dd394abcca71c34e2dc16d2d0ad6d36290a98",
+        "926fb771589a2d47a7920b5dc844d0cf68e442cab5264b492bea453b60413f30",
+    ),
+    ("projective", 16, (-2, -2, 3, 3, 2, -1, 2, 3, -1, -2, -1, 3, -1, 2, 2)): (
+        "52ddf1cd5adf0406637d6d2d5723341bb405706bc7d873b80acdc423cda4d960",
+        "af43cfb0093e53818a2f426dc55dd394abcca71c34e2dc16d2d0ad6d36290a98",
+        "017ee6ca26f2a8efe8a39cdd15487f1396c64456c7059bb9b2f2202448e3dbe2",
+    ),
+    ("grassmannian", 4, (1, 2, 1, 1)): (
+        "9a0f69fd64aa04009fe27c1759a23705415521e13b9896aa86084a2e1fa8b7e6",
+        "8cda39d57bc7ef497b8a5f89c71dcd590310a3a4aae96dc7f910f36c6201dd77",
+        "86b788e2b280d8e89f053b83d88e829fa4a98d26600473ae45d4231965702fc4",
+    ),
+    ("grassmannian", 4, (1, 2, -1, 2)): (
+        "9f8f2928c2ae3ed1c3400a48336d52eb837e0ed497f83c2f7d9b82ebd2c22365",
+        "8cda39d57bc7ef497b8a5f89c71dcd590310a3a4aae96dc7f910f36c6201dd77",
+        "8e9f141634732681f29cca005dd1786773b676648e5e23f4b7e1ee0e08da7b95",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS, ids=lambda c: f"{c[0]}{c[1]}-{c[2][0]}{c[2][1]}")
+def test_round_trip_writes_and_prints_the_pinned_output(case, tmp_path, capsys):
+    family, size, v = case
+    original, projected, extended = (tmp_path / f"{name}.json" for name in ("original", "projected", "extended"))
+    assert main(["gen", family, "--m" if family == "projective" else "--n", str(size), "-o", str(original)]) == 0
+    n = len(v) + 1
+    matrix = "; ".join(" ".join(str(int(c == i)) for c in range(n - 1)) + f" {x}" for i, x in enumerate(v))
+    assert main(["project", str(original), "--matrix", matrix, "-o", str(projected)]) == 0
+    assert main(["extend", str(projected), "--target", str(n), "-o", str(extended)]) == 0
+    capsys.readouterr()
+    outs = []
+    for candidate in (extended, original):
+        assert main(["check-extension", str(projected), str(candidate)]) == 0
+        outs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert (hashlib.sha256(extended.read_bytes()).hexdigest(), *outs) == ROUND_TRIPS[case]
+
+
 def test_check_extension_rejects_a_candidate_failing_the_axioms(tmp_path, capsys):
     base = gen_projective(3)
     padded = base.with_weights({d: w + (0,) for d, w in base.axial.weights.items()}, 4)

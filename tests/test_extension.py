@@ -7,6 +7,7 @@ from gkmgraph import (
     IntegerMatrix,
     axial_group_basis,
     canonical_elements,
+    complete_inside_lattice,
     document_from_gkm,
     emit_gkm,
     extend_axial,
@@ -168,6 +169,57 @@ def test_extend_writes_the_pinned_document(case):
     result = extend_axial(project_axial(original, _fold(v)), original.n)
     text = emit_gkm(document_from_gkm(result))
     assert hashlib.sha256(text.encode()).hexdigest() == EXTEND_DOCUMENTS[case]
+
+
+def _projections():
+    """``(projected, original)`` pairs: fixtures folded by ``[I | v]`` onto rank ``n − 1``."""
+    out = []
+    for gen, size, v in [(gen_projective, 6, (1, 2, 3, 4, 5)), (gen_grassmannian, 3, (1, 2, 3))]:
+        original = gen(size)
+        out.append((project_axial(original, _fold([(x,) for x in v])), original))
+    return out
+
+
+def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
+    # an element is determined by its value at the base vertex, so completing
+    # the canonical restrictions there gives the full-coordinate completion,
+    # restricted, with the same index
+    for gkm in [p for p, _ in _projections()] + list(core_fixtures().values()):
+        basis = axial_group_basis(gkm)
+        g, base, m = gkm.graph, basis.base_vertex, gkm.m
+        darts = [d for v in g.vertices for d in g.out_darts(v)]
+        full = [tuple(gkm.weight(d)[i] for d in darts) for i in range(gkm.n)]
+        k = g.vertices.index(base) * m
+        restricted = [c[k : k + m] for c in full]
+        completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
+        at_base = complete_inside_lattice(restricted, [el.values[base] for el in basis.elements])
+        assert at_base == ([c[k : k + m] for c in completion], index)
+
+
+def test_completion_and_verification_take_one_hnf_per_matrix(monkeypatch):
+    # every target is back-substituted through the one HNF of its matrix
+    import gkmgraph.extension
+    import gkmgraph.intlinalg
+
+    hnf, shapes = gkmgraph.intlinalg.hermite_normal_form, []
+
+    def counted(m):
+        shapes.append(m.shape)
+        return hnf(m)
+
+    for projected, original in _projections():
+        basis = axial_group_basis(projected)
+        base, m = basis.base_vertex, projected.m
+        canon = [el.values[base] for el in canonical_elements(projected)]
+        with monkeypatch.context() as patch:
+            for module in (gkmgraph.intlinalg, gkmgraph.extension):
+                patch.setattr(module, "hermite_normal_form", counted)
+            complete_inside_lattice(canon, [el.values[base] for el in basis.elements])
+            assert shapes == [(basis.rank, m)]
+            del shapes[:]
+            assert verify_extension(projected, original).ok
+            assert shapes == [(original.n, m)]
+            del shapes[:]
 
 
 def test_project_identity_is_identity():
