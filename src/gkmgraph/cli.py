@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 when validation or a requested construction
 fails, 2 on usage errors (argparse's default).  All numeric output is exact
 integers.  The solver, extension and family modules are imported by the
 commands that run them, and the integer linear algebra by the code that calls
-it, so each command starts by loading only what it uses.
+it, so each command starts by loading only what it uses; the parser likewise
+holds only the sub-parser of the command it parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -187,73 +189,95 @@ def cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _file_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+
+
+def _rank_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--method", choices=["propagate", "full"], default="propagate")
+    p.add_argument("--basis", action="store_true")
+
+
+def _extend_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--target", type=int, required=True, help="rank of the extended weights")
+    p.add_argument("-o", "--output", required=True)
+
+
+def _project_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--matrix", required=True, help='rows separated by ";", e.g. "1 0 1; 0 1 1"')
+    p.add_argument("-o", "--output", required=True)
+
+
+def _check_extension_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("base")
+    p.add_argument("candidate")
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    families = p.add_subparsers(dest="family", required=True)
+    q = families.add_parser("projective")
+    q.add_argument("--m", type=int, required=True)
+    q.add_argument("-o", "--output")
+    q = families.add_parser("s6")
+    q.add_argument("-o", "--output")
+    q = families.add_parser("grassmannian")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("-o", "--output")
+
+
+def _dot_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    p.add_argument("--annotate", choices=["none", "weights", "congruence"], default="none")
+    p.add_argument("-o", "--output")
+
+
+# name -> (help, handler, arguments), in the order the usage and help list them
+_COMMANDS = {
+    "validate": ("check the axioms and report per-axiom results", cmd_validate, _file_arguments),
+    "connection": ("infer and print the connection", cmd_connection, _file_arguments),
+    "invariant": ("print the congruence vector of every dart", cmd_invariant, _file_arguments),
+    "rank": ("rank of the solution lattice, optionally with a basis", cmd_rank, _rank_arguments),
+    "extend": ("write a maximal-style extension document", cmd_extend, _extend_arguments),
+    "project": ("compose the weights with an integer surjection", cmd_project, _project_arguments),
+    "check-extension": (
+        "decide whether one document extends another", cmd_check_extension, _check_extension_arguments
+    ),
+    "gen": ("emit a builtin fixture document", cmd_gen, _gen_arguments),
+    "dot": ("Graphviz export", cmd_dot, _dot_arguments),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with the sub-parser of ``command`` only, or with all of them when ``command`` names none.
+
+    For an argv that starts with ``command`` it prints what the full parser prints: such an
+    argv fails, if at all, in that sub-parser or with the top-level usage line, which still
+    lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="gkmgraph",
         description="Exact computations on weighted m-valent graphs with connections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the axioms and report per-axiom results")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("connection", help="infer and print the connection")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_connection)
-
-    p = sub.add_parser("invariant", help="print the congruence vector of every dart")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("rank", help="rank of the solution lattice, optionally with a basis")
-    p.add_argument("file")
-    p.add_argument("--method", choices=["propagate", "full"], default="propagate")
-    p.add_argument("--basis", action="store_true")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("extend", help="write a maximal-style extension document")
-    p.add_argument("file")
-    p.add_argument("--target", type=int, required=True, help="rank of the extended weights")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("project", help="compose the weights with an integer surjection")
-    p.add_argument("file")
-    p.add_argument("--matrix", required=True, help='rows separated by ";", e.g. "1 0 1; 0 1 1"')
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("check-extension", help="decide whether one document extends another")
-    p.add_argument("base")
-    p.add_argument("candidate")
-    p.set_defaults(func=cmd_check_extension)
-
-    p = sub.add_parser("gen", help="emit a builtin fixture document")
-    gen_sub = p.add_subparsers(dest="family", required=True)
-    q = gen_sub.add_parser("projective")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_gen)
-    q = gen_sub.add_parser("s6")
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_gen)
-    q = gen_sub.add_parser("grassmannian")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("-o", "--output")
-    q.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("dot", help="Graphviz export")
-    p.add_argument("file")
-    p.add_argument("--annotate", choices=["none", "weights", "congruence"], default="none")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_dot)
-
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        sub.metavar = "{" + ",".join(names) + "}"
+        names = [command]
+    for name in names:
+        help_text, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -264,5 +288,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of the ``gkmgraph`` script and of ``python -m gkmgraph.cli``: one command, then exit.
+
+    The collector is off while the command runs, and what is left is frozen before exit, so
+    that interpreter shutdown does not traverse it.  The package leaves no cyclic garbage;
+    argparse's parser tree is the only cycle a command leaves.  Freezing, unlike ``os._exit``,
+    keeps the flushing of the streams and the ``atexit`` hooks.  ``main`` leaves the
+    collector as it finds it.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

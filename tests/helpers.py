@@ -15,12 +15,15 @@ comparing residues modulo ``Z·w(e)`` and axiom 4 by Smith invariant factors,
 the reference for the packed division and the HNF test of
 ``validate_axial``.  ``transport_matrix`` (``propagate`` on the
 unit vectors) and ``with_orderings`` (``build_graph`` with other orderings)
-rebuild from the public API what only tests need.  Nothing private is
+rebuild from the public API what only tests need, and ``main_outcome`` runs
+one command line in process.  Nothing private is
 imported from the package.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from collections import deque
 from fractions import Fraction
@@ -56,6 +59,7 @@ from gkmgraph.axial import (
     NotProportionalError,
     check_labels,
 )
+from gkmgraph.cli import main
 from gkmgraph.extension import AxiomViolationError, project_axial
 from gkmgraph.graph import OrientedGraph
 
@@ -543,3 +547,14 @@ def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMa
     coords = lattice_basis([tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))], width)
     restricted = lattice_basis([c[g.vertices.index(base) * m :][:m] for c in coords], m)
     return IntegerMatrix.from_rows(coords, width), IntegerMatrix.from_rows(restricted, m)
+
+
+def main_outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``gkmgraph.cli.main(argv)``, a usage error's ``SystemExit`` included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()

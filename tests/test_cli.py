@@ -1,7 +1,6 @@
-import contextlib
+import argparse
 import copy
 import hashlib
-import io
 import json
 import random
 import tempfile
@@ -24,10 +23,11 @@ from gkmgraph import (
     validate_axial,
     validate_gkm,
 )
+from gkmgraph import cli
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
-from helpers import TWISTED_S6, bent_documents
+from helpers import TWISTED_S6, bent_documents, main_outcome
 
 
 @pytest.fixture
@@ -351,6 +351,65 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+# argvs over every way main can end; S6 stands for a pinned s6 document
+PARSER_CORPUS = [
+    ["validate", "S6"],
+    ["connection", "S6"],
+    ["invariant", "S6"],
+    ["rank", "S6", "--basis"],
+    ["rank", "S6", "--method", "full"],
+    ["extend", "S6", "--target", "2", "-o", "-"],
+    ["project", "S6", "--matrix", "1 0; 0 1", "-o", "-"],
+    ["check-extension", "S6", "S6"],
+    ["gen", "s6"],
+    ["gen", "projective", "--m", "2"],
+    ["gen", "grassmannian", "--n", "2"],
+    ["dot", "S6", "--annotate", "weights"],
+    ["validate", "/nonexistent/file.json"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["rank", "-h"],
+    ["gen", "-h"],
+    ["gen", "s6", "-h"],
+    ["frobnicate", "S6"],
+    ["--verbose", "rank", "S6"],
+    ["rank"],
+    ["extend", "S6"],
+    ["check-extension", "S6"],
+    ["gen"],
+    ["gen", "projective"],
+    ["gen", "cube"],
+    ["rank", "S6", "--method", "fast"],
+    ["dot", "S6", "--annotate", "all"],
+    ["extend", "S6", "--target", "two", "-o", "-"],
+    ["gen", "projective", "--m", "2.5"],
+    ["rank", "S6", "extra"],
+    ["gen", "s6", "extra"],
+]
+
+
+@pytest.mark.parametrize("columns", ["80", "30"])
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, columns, s6_file, monkeypatch):
+    # main builds the sub-parser of argv[0] alone; usage lines wrap at COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = [s6_file if a == "S6" else a for a in argv]
+    one = main_outcome(argv)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: build(None))
+    assert main_outcome(argv) == one
+
+
+def test_a_command_builds_its_own_sub_parser_only():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert commands(cli._build_parser("rank")) == ["rank"]
+    assert commands(cli._build_parser("-h")) == commands(cli._build_parser(None)) == list(cli._COMMANDS)
+
+
 def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
     doc = json.loads(open(s6_file).read())
     entry = doc["connection"][0]
@@ -493,15 +552,10 @@ def test_mutated_documents_end_in_an_exit_code_and_at_most_one_error_line(mutate
         text = json.dumps(doc)
         paths["doc"].write_text(text, encoding="utf-8")
         paths["base"].write_text(json.dumps(FUZZ_DOCUMENTS[name]), encoding="utf-8")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main([arg.format(**paths) for arg in command])
-            except SystemExit as exc:
-                code = exc.code
+        code, _, err = main_outcome([arg.format(**paths) for arg in command])
     assert code in (0, 1, 2)
     if code == 1 and command[0] not in ("validate", "check-extension"):
-        lines = stderr.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), stderr.getvalue()
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
     if code == 0 and command[0] == "validate":
         assert validate_gkm(load_gkm(text)).ok

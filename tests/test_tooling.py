@@ -217,3 +217,42 @@ def test_records_with_equal_fields_compare_equal():
 def test_integer_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError, match="ragged"):
         IntegerMatrix(((1, 2), (3,)), 2)
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # cli.run turns the collector off and freezes what is left; main, which
+    # tests and the benchmark's tracer call in process, and the library
+    # leave it alone
+    src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
+    imports, calls = [], []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                imports.extend((path.stem, alias.name) for alias in child.names if alias.name == "gc")
+            elif isinstance(child, ast.ImportFrom) and child.module == "gc":
+                imports.append((path.stem, "from gc"))
+            elif isinstance(child, ast.Attribute) and getattr(child.value, "id", None) == "gc":
+                calls.append((path.stem, function, child.attr))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert imports == [("cli", "gc")]
+    assert calls == [("cli", "run", "disable"), ("cli", "run", "freeze")]
+
+
+def test_script_entry_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, function = scripts["gkmgraph"].partition(":")
+    assert module == "gkmgraph.cli"
+    tree = ast.parse((root / "src" / "gkmgraph" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
+    assert callable(getattr(importlib.import_module(module), function))
