@@ -22,7 +22,7 @@ print(validate_gkm(gkm).summary())
 print()
 
 print("connection along e1 (the other parallel pair swaps):")
-for src, img in gkm.connection.maps["e1"].items():
+for src, img in gkm.connection["e1"].items():
     print(f"  {src} -> {img}")
 print()
 

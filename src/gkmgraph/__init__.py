@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _MODULES = {
     name: module
     for module, names in {
-        "axgroup": "AxialElement AxialGroupBasis axial_group_basis canonical_elements propagate",
-        "axial": "AmbiguousConnectionError AxialError AxialFunction AxiomFailure Connection"
+        "axgroup": "AxialGroupBasis axial_group_basis canonical_elements propagate",
+        "axial": "AmbiguousConnectionError AxialError AxialFunction AxiomFailure"
         " ConnectionNotFoundError GkmGraph NotProportionalError ValidationReport"
         " infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation permutation_matrix",

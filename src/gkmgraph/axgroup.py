@@ -20,53 +20,26 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axial import AxialError, GkmGraph
 from .congruence import _dart_vector, invariant_function, permutation
-from .errors import Frozen
 from .graph import OrientedGraph, reverse_name
 from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
-
-
-class AxialElement(Frozen):
-    """A vertex-indexed family of integer vectors in out-dart order."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Mapping[str, tuple[int, ...]]):
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self):
-        return f"AxialElement(values={self.values!r})"
-
-    def __getitem__(self, vertex: str) -> tuple[int, ...]:
-        return self.values[vertex]
-
-    @classmethod
-    def from_coordinates(cls, graph: OrientedGraph, coord: Sequence[int]) -> "AxialElement":
-        """The element whose values, concatenated in vertex order, are ``coord``."""
-        m = graph.valence
-        values = {
-            v: tuple(coord[i * m : (i + 1) * m]) for i, v in enumerate(graph.vertices)
-        }
-        return cls(values)
 
 
 class AxialGroupBasis(NamedTuple):
     """Canonical basis of the solution lattice.
 
-    ``coordinate_matrix`` is the Hermite normal form of the stacked
-    coordinates over all vertices, so equal lattices compare equal;
+    Each of ``elements`` is a read-only map from every vertex to its integer
+    vector in out-dart order, the rows of ``coordinate_matrix`` cut into
+    vertex blocks.  ``coordinate_matrix`` is the Hermite normal form of the
+    stacked coordinates over all vertices, so equal lattices compare equal;
     ``canonical_matrix`` is the HNF of the restrictions to the base vertex.
     """
 
-    elements: tuple[AxialElement, ...]
+    elements: tuple[Mapping[str, tuple[int, ...]], ...]
     rank: int
     base_vertex: str
     canonical_matrix: IntegerMatrix
@@ -178,7 +151,7 @@ def _solve_by_propagation(
     The final kernel is spread over the tree once.
     """
     g, m = gkm.graph, gkm.graph.valence
-    for d, nabla in gkm.connection.maps.items():
+    for d, nabla in gkm.connection.items():
         if nabla[d] != reverse_name(d):
             raise AxialError(f"connection sends dart {d} to {nabla[d]}, not to its reverse {reverse_name(d)}")
     tree, used = _spanning_tree(g, base)
@@ -260,26 +233,30 @@ def axial_group_basis(
         coords = _solve_full_system(gkm, inv)
     else:
         raise ValueError(f"unknown method {method!r}")
-    width = g.valence * len(g.vertices)
+    m = g.valence
+    width = m * len(g.vertices)
     coords = lattice_basis(coords, width)
-    elements = tuple(AxialElement.from_coordinates(g, c) for c in coords)
-    restricted = lattice_basis([el.values[base] for el in elements], g.valence)
+    elements = tuple(
+        MappingProxyType({v: c[i * m : (i + 1) * m] for i, v in enumerate(g.vertices)}) for c in coords
+    )
+    restricted = lattice_basis([el[base] for el in elements], m)
     return AxialGroupBasis(
         elements=elements,
         rank=len(coords),
         base_vertex=base,
-        canonical_matrix=IntegerMatrix.from_rows(restricted, g.valence),
+        canonical_matrix=IntegerMatrix.from_rows(restricted, m),
         coordinate_matrix=IntegerMatrix.from_rows(coords, width),
     )
 
 
-def canonical_elements(gkm: GkmGraph) -> tuple[AxialElement, ...]:
+def canonical_elements(gkm: GkmGraph) -> tuple[Mapping[str, tuple[int, ...]], ...]:
     """The n solutions read off the weights themselves.
 
-    The i-th element collects, at every vertex, the i-th coordinates of the
-    out-dart weights.  Summing them back against the lattice basis vectors of
-    ``Z^n`` reproduces the axial function, which is why these elements always
-    satisfy the defining relations and restrict to rank ``n`` at any vertex.
+    The i-th element is the read-only map collecting, at every vertex, the
+    i-th coordinates of the out-dart weights.  Summing them back against the
+    lattice basis vectors of ``Z^n`` reproduces the axial function, which is
+    why these elements always satisfy the defining relations and restrict to
+    rank ``n`` at any vertex.
     """
     g = gkm.graph
     out = []
@@ -288,5 +265,5 @@ def canonical_elements(gkm: GkmGraph) -> tuple[AxialElement, ...]:
             p: tuple(gkm.axial.weights[d][i] for d in g.out_darts(p))
             for p in g.vertices
         }
-        out.append(AxialElement(values))
+        out.append(MappingProxyType(values))
     return tuple(out)

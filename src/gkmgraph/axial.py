@@ -52,18 +52,16 @@ class AxialFunction(NamedTuple):
     weights: Mapping[str, Weight]
 
 
-class Connection(NamedTuple):
-    """Per-dart bijections between the out-dart sets of the dart's endpoints."""
-
-    maps: Mapping[str, Mapping[str, str]]
-
-
 class GkmGraph(NamedTuple):
-    """A graph, an axial function, and a connection, used as one unit."""
+    """A graph, an axial function, and a connection, used as one unit.
+
+    ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
+    of its source onto those of its target.
+    """
 
     graph: OrientedGraph
     axial: AxialFunction
-    connection: Connection
+    connection: dict[str, dict[str, str]]
 
     @property
     def m(self) -> int:
@@ -185,12 +183,8 @@ def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> 
     return packed.__getitem__
 
 
-def check_labels(graph: OrientedGraph, axial: AxialFunction) -> None:
-    """Raise :class:`AxialError` unless every dart carries a weight of length ``torus_rank``."""
-    _check_weights(axial, graph.darts)
-
-
 def _check_weights(axial: AxialFunction, darts: Iterable[str]) -> None:
+    """Raise :class:`AxialError` unless each of ``darts`` carries a weight of length ``torus_rank``."""
     for d in darts:
         w = axial.weights.get(d)
         if w is None:
@@ -204,10 +198,10 @@ def _check_weights(axial: AxialFunction, darts: Iterable[str]) -> None:
 def validate_axial(
     graph: OrientedGraph,
     axial: AxialFunction,
-    connection: Connection | None = None,
+    connection: Mapping[str, Mapping[str, str]] | None = None,
 ) -> ValidationReport:
-    """Check the four axioms; axiom 3 only when a connection is supplied."""
-    check_labels(graph, axial)
+    """Check the four axioms; axiom 3 only when a connection (a map per dart) is supplied."""
+    _check_weights(axial, graph.darts)
     w = axial.weights
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
@@ -242,13 +236,12 @@ def validate_axial(
 
 
 def _check_connection(
-    graph: OrientedGraph, axial: AxialFunction, connection: Connection
+    graph: OrientedGraph, axial: AxialFunction, maps: Mapping[str, Mapping[str, str]]
 ) -> list[AxiomFailure]:
     packed, big = _packed(axial, graph.darts)
     bound = 2 * big
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     failures: list[AxiomFailure] = []
-    maps = connection.maps
     for e in graph.darts:
         nabla = maps.get(e)
         if nabla is None:
@@ -278,7 +271,7 @@ def validate_gkm(gkm: GkmGraph) -> ValidationReport:
     return validate_axial(gkm.graph, gkm.axial, gkm.connection)
 
 
-def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
+def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, dict[str, str]]:
     """Recover the unique connection compatible with the weights.
 
     For each dart ``e`` and out-dart ``e'`` at its source, the partner is the
@@ -286,23 +279,22 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
     integer multiple of the weight of ``e``: one dict probe on the
     :func:`_residue_key` of the target's out-darts.  One search per edge: when
     ``w(ē) = −w(e)`` the same residue classes pair the same darts, so ``∇_ē``
-    is the inverse of ``∇_e``.  Requires axioms 1 and 2; a missing partner
-    raises :class:`ConnectionNotFoundError`, several partners (possible when
-    some weight triple is dependent) raise :class:`AmbiguousConnectionError`.
+    is the inverse of ``∇_e``; otherwise ``∇_ē`` is searched too and must be
+    that inverse.  Requires axioms 1 and 2; a missing partner or two searches
+    that are not mutually inverse raise :class:`ConnectionNotFoundError`,
+    several partners (possible when some weight triple is dependent) raise
+    :class:`AmbiguousConnectionError`.
     """
     w, packed = axial.weights, _packed(axial, graph.darts)[0]
     maps: dict[str, dict[str, str]] = {}
-    searched_twice = set()
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
         eb = graph.reverse(e)
         back = maps.get(eb)
-        if back is not None:
-            if packed[e] + packed[eb] == 0:  # packing is linear and exact: w(e) = −w(ē)
-                inverse = {img: src for src, img in back.items()}
-                maps[e] = {e: eb, **{d: inverse[d] for d in graph.out_darts(p)}}
-                continue
-            searched_twice.add(eb)
+        if back is not None and packed[e] + packed[eb] == 0:  # packing is linear and exact: w(e) = −w(ē)
+            inverse = {img: src for src, img in back.items()}
+            maps[e] = {e: eb, **{d: inverse[d] for d in graph.out_darts(p)}}
+            continue
         key = _residue_key(packed, w, e)
         partners: dict[int, list[str]] = {}
         for d in graph.out_darts(q):
@@ -327,11 +319,9 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> Connection:
             raise ConnectionNotFoundError(
                 f"the forced partners across dart {e} do not form a bijection"
             )
-        maps[e] = nabla
-    # only a pair searched on both sides can fail; its maps are bijections, so it fails at its first dart
-    for e in graph.darts:
-        if e in searched_twice and any(maps[graph.reverse(e)][img] != src for src, img in maps[e].items()):
+        if back is not None and any(back[img] != src for src, img in nabla.items()):
             raise ConnectionNotFoundError(
-                f"forced partners across {e} and its reverse are not mutually inverse"
+                f"forced partners across {eb} and its reverse are not mutually inverse"
             )
-    return Connection(maps)
+        maps[e] = nabla
+    return maps

@@ -109,7 +109,7 @@ def cmd_connection(args: argparse.Namespace) -> int:
     conn = gkm.connection if doc.connection is None else infer_connection(gkm.graph, gkm.axial)
     g = gkm.graph
     for e in g.darts:
-        pairs = ", ".join(f"{d}->{conn.maps[e][d]}" for d in g.out_darts(g.source(e)))
+        pairs = ", ".join(f"{d}->{conn[e][d]}" for d in g.out_darts(g.source(e)))
         print(f"{e}: {pairs}")
     return 0
 
@@ -131,7 +131,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     print(f"no effective torus of dimension > {basis.rank} acts on this structure")
     if args.basis:
         for k, el in enumerate(basis.elements, start=1):
-            parts = " ".join(f"{v}:{format_vector(el.values[v])}" for v in gkm.graph.vertices)
+            parts = " ".join(f"{v}:{format_vector(el[v])}" for v in gkm.graph.vertices)
             print(f"f{k}: {parts}")
     return 0
 

@@ -27,7 +27,7 @@ def permutation(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     the position at the source of the out-dart carried onto position ``j``.
     """
     g = gkm.graph
-    back = gkm.connection.maps[g.reverse(e)]
+    back = gkm.connection[g.reverse(e)]
     return tuple(g.dart_index(back[d]) for d in g.out_darts(g.target(e)))
 
 
@@ -61,7 +61,7 @@ def invariant_function(gkm: GkmGraph) -> dict[str, tuple[int, ...]]:
 
 def _dart_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     """``invariant_function(gkm)[e]`` alone, packing only the weights it compares."""
-    g, nabla = gkm.graph, gkm.connection.maps[e]
+    g, nabla = gkm.graph, gkm.connection[e]
     out = g.out_darts(g.source(e))
     packed, big = _packed(gkm.axial, (e, *out, *(nabla[d] for d in out)))
     return _coefficients(gkm, e, packed, 2 * big)
@@ -77,7 +77,7 @@ def _coefficients(gkm: GkmGraph, e: str, packed: dict[str, int], bound: int) -> 
     ``w(∇d) − w(d) − q·w(e)``, with entries below ``2M(M+1)``, packed to 0,
     so it is zero.  A zero ``w(e)`` packs to 0 and admits only a zero change.
     """
-    g, nabla, base = gkm.graph, gkm.connection.maps[e], packed[e]
+    g, nabla, base = gkm.graph, gkm.connection[e], packed[e]
     vector = []
     for d in g.out_darts(g.source(e)):
         change = packed[nabla[d]] - packed[d]

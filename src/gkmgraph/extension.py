@@ -80,7 +80,7 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
     g, w, base = gkm.graph, gkm.axial.weights, basis.base_vertex
-    restricted = IntegerMatrix.from_rows([el.values[base] for el in basis.elements], g.valence)
+    restricted = IntegerMatrix.from_rows([el[base] for el in basis.elements], g.valence)
     canon = [tuple(w[d][i] for d in g.out_darts(base)) for i in range(n)]
     completion, _ = complete_inside_lattice(canon, restricted.data)
     h, u = hermite_normal_form(restricted)

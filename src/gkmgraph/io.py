@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
-from .axial import AxialFunction, Connection, GkmGraph, infer_connection
+from .axial import AxialFunction, GkmGraph, infer_connection
 from .congruence import invariant_function
 from .errors import GkmError
 from .graph import REVERSE_SUFFIX, OrientedGraph, build_graph, reverse_name
@@ -240,7 +240,7 @@ def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     edges = tuple(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)) for e in g.edge_representatives())
     entries = []
     for d in g.darts:
-        nabla = gkm.connection.maps[d]
+        nabla = gkm.connection[d]
         entries.append(ConnectionEntry(d, {e2: nabla[e2] for e2 in g.out_darts(g.source(d))}))
     return GkmDocument(
         torus_rank=gkm.axial.torus_rank,
@@ -293,7 +293,7 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
         if back is None:
             raise SchemaError(f"connection: no map for dart {d} or its reverse")
         maps[d] = {img: src for src, img in back.items()}
-    return GkmGraph(graph, axial, Connection(maps))
+    return GkmGraph(graph, axial, maps)
 
 
 def load_gkm(text: str) -> GkmGraph:

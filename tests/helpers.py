@@ -53,11 +53,10 @@ from gkmgraph import (
 )
 from gkmgraph.axial import (
     AmbiguousConnectionError,
+    AxialError,
     AxialFunction,
-    Connection,
     ConnectionNotFoundError,
     NotProportionalError,
-    check_labels,
 )
 from gkmgraph.cli import main
 from gkmgraph.extension import AxiomViolationError, project_axial
@@ -120,7 +119,7 @@ def pairwise_dependent(a, b) -> bool:
 
 def congruence_coefficient(gkm: GkmGraph, e: str, e_prime: str) -> int:
     """The integer ``c`` with ``weight(image of e') - weight(e') == c * weight(e)``."""
-    img = gkm.connection.maps[e][e_prime]
+    img = gkm.connection[e][e_prime]
     c = ratio(sub(gkm.weight(img), gkm.weight(e_prime)), gkm.weight(e))
     if c is None:
         raise NotProportionalError(
@@ -157,7 +156,7 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
     report = validate_axial(graph, axial)
     failures = [f for f in report.failures if f.axiom in (1, 2)]
     for e in graph.darts if connection is not None else ():
-        nabla = connection.maps.get(e)
+        nabla = connection.get(e)
         if nabla is None:
             failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
             continue
@@ -168,7 +167,7 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
         eb = graph.reverse(e)
         if nabla[e] != eb:
             failures.append(AxiomFailure(3, f"dart {e}", f"map must send {e} to {eb}"))
-        back = connection.maps.get(eb)
+        back = connection.get(eb)
         if back is not None and any(back.get(img) != src for src, img in nabla.items()):
             failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
         for e2, img in nabla.items():
@@ -184,15 +183,19 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
     return ValidationReport((1, 2, 3, 4) if connection is not None else (1, 2, 4), tuple(failures))
 
 
-def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Connection:
+def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> dict[str, dict[str, str]]:
     """Reference for ``infer_connection``: test every (source, target) out-dart pair.
 
     For each dart ``e`` and out-dart ``e'`` at its source, scan the target's
     out-darts with the pairwise ratio test.  O(darts·m²·n), with the same
     errors, messages and order as the residue-keyed inference.
     """
-    check_labels(graph, axial)
-    w = axial.weights
+    w, n = axial.weights, axial.torus_rank
+    for d in graph.darts:
+        if d not in w:
+            raise AxialError(f"dart {d} carries no weight")
+        if len(w[d]) != n:
+            raise AxialError(f"weight of dart {d} has length {len(w[d])}, expected {n}")
     maps: dict[str, dict[str, str]] = {}
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
@@ -217,14 +220,13 @@ def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> Conn
             raise ConnectionNotFoundError(
                 f"the forced partners across dart {e} do not form a bijection"
             )
-        maps[e] = nabla
-    for e in graph.darts:
-        back = maps[graph.reverse(e)]
-        if any(back[img] != src for src, img in maps[e].items()):
+        back = maps.get(eb)
+        if back is not None and any(back[img] != src for src, img in nabla.items()):
             raise ConnectionNotFoundError(
-                f"forced partners across {e} and its reverse are not mutually inverse"
+                f"forced partners across {eb} and its reverse are not mutually inverse"
             )
-    return Connection(maps)
+        maps[e] = nabla
+    return maps
 
 
 def relation_holds(gkm: GkmGraph, values, e: str) -> bool:
@@ -239,11 +241,11 @@ def relation_holds(gkm: GkmGraph, values, e: str) -> bool:
     out_p, out_q = g.out_darts(p), g.out_darts(q)
     fp, fq = values[p], values[q]
     pos_q = {d: i for i, d in enumerate(out_q)}
-    nabla = gkm.connection.maps[e]
+    nabla = gkm.connection[e]
     permuted = [0] * len(out_q)
     for i, d in enumerate(out_p):
         permuted[pos_q[nabla[d]]] = fp[i]
-    nabla_back = gkm.connection.maps[eb]
+    nabla_back = gkm.connection[eb]
     web = gkm.weight(eb)
     cbar = []
     for d in out_q:
@@ -258,7 +260,7 @@ def relation_holds(gkm: GkmGraph, values, e: str) -> bool:
 
 
 def element_in_lattice(gkm: GkmGraph, element) -> bool:
-    return all(relation_holds(gkm, element.values, e) for e in gkm.graph.darts)
+    return all(relation_holds(gkm, element, e) for e in gkm.graph.darts)
 
 
 def brute_force_solutions(gkm: GkmGraph, bound: int = 2) -> list[tuple[int, ...]]:

@@ -9,7 +9,6 @@ from gkmgraph import (
     AmbiguousConnectionError,
     AxialFunction,
     AxiomFailure,
-    Connection,
     ConnectionNotFoundError,
     GkmGraph,
     build_graph,
@@ -216,8 +215,8 @@ def test_infer_connection_brute_force_oracle():
                 if ok:
                     valid.append(pairs)
             assert len(valid) == 1
-            assert valid[0] == dict(gkm.connection.maps[e])
-            assert valid[0] == inferred.maps[e]
+            assert valid[0] == gkm.connection[e]
+            assert valid[0] == inferred[e]
 
 
 def test_ambiguous_connection_is_an_error():
@@ -272,7 +271,7 @@ def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
 
     def outcome(infer, graph, axial):
         try:
-            maps = infer(graph, axial).maps
+            maps = infer(graph, axial)
         except AxialError as exc:
             return type(exc), str(exc)
         return [(e, list(nabla.items())) for e, nabla in maps.items()]
@@ -294,6 +293,13 @@ def test_infer_connection_matches_the_pairwise_scan_off_the_axioms():
                     weights[d] = (0,) * gkm.n if u < bend / 4 else tuple(x + (u < bend) * rng.choice((-1, 1)) for x in w)
             check(gkm.graph, AxialFunction(gkm.n, weights), seen, (name, trial))
     assert all(seen.values()), seen
+
+    # off axiom 1 both darts of edge a are searched: b pairs with c~ across a, but b~ with b across a~
+    three = build_graph(["p", "q"], [("a", "p", "q"), ("b", "p", "q"), ("c", "p", "q")])
+    crossed = AxialFunction(1, {"a": (5,), "a~": (7,), "b": (1,), "b~": (22,), "c": (2,), "c~": (16,)})
+    message = "forced partners across a and its reverse are not mutually inverse"
+    assert outcome(infer_connection, three, crossed) == (ConnectionNotFoundError, message)
+    check(three, crossed, seen, "crossed")
 
     fixtures = {**core_fixtures(), "grassmannian4": gen_grassmannian(4), "projective6": gen_projective(6)}
     for name, gkm in fixtures.items():
@@ -328,7 +334,7 @@ def test_infer_connection_searches_each_edge_once(monkeypatch):
         labels = AxialFunction(torus_rank, weights)
         conn = infer_connection(graph, labels)
         assert conn == infer_connection_by_scan(graph, labels)
-        assert _in_search_order(graph, conn.maps)
+        assert _in_search_order(graph, conn)
         return keyed
 
     rng = random.Random(41)
@@ -406,11 +412,11 @@ def test_congruence_coefficient_examples():
 
 def test_congruence_coefficient_rejects_inconsistent_connection():
     s6 = gen_s6()
-    maps = {e: dict(m) for e, m in s6.connection.maps.items()}
+    maps = {e: dict(m) for e, m in s6.connection.items()}
     # break one image: e2 now maps to ē2 across e1, whose weight change is -2b
     maps["e1"]["e2"] = "e2~"
     maps["e1"]["e3"] = "e3~"
-    broken = GkmGraph(s6.graph, s6.axial, Connection(maps))
+    broken = GkmGraph(s6.graph, s6.axial, maps)
     with pytest.raises(NotProportionalError, match="weight change of e2 across e1"):
         invariant_function(broken)
 

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
+    ConnectionEntry,
     EdgeRecord,
     GkmDocument,
+    IntegerMatrix,
     document_from_gkm,
     emit_gkm,
     gen_grassmannian,
@@ -20,6 +22,7 @@ from gkmgraph import (
     gen_s6,
     infer_connection,
     load_gkm,
+    project_axial,
     validate_axial,
     validate_gkm,
 )
@@ -62,16 +65,31 @@ def test_gen_writes_the_pinned_document(spec, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DOCUMENTS[spec]
 
 
-def shuffled_free_document(gkm, seed: int) -> GkmDocument:
-    """``gkm`` with no connection or orderings, its vertex and edge ids renamed and shuffled by ``seed``."""
+def shuffled_document(gkm, seed: int) -> GkmDocument:
+    """``gkm`` pinned, its vertex and edge ids renamed and its lists shuffled by ``seed``."""
     rng = random.Random(seed)
     doc = document_from_gkm(gkm)
     names = rng.sample(range(len(doc.vertices)), len(doc.vertices))
     vertices = {v: f"v{k:03d}" for v, k in zip(doc.vertices, names)}
     ids = rng.sample(range(len(doc.edges)), len(doc.edges))
-    edges = [EdgeRecord(f"e{i:03d}", vertices[e.source], vertices[e.target], e.weight) for i, e in zip(ids, doc.edges)]
+    edge_ids = {e.id: f"e{i:03d}" for i, e in zip(ids, doc.edges)}
+    edges = [EdgeRecord(edge_ids[e.id], vertices[e.source], vertices[e.target], e.weight) for e in doc.edges]
     new_vertices = rng.sample(sorted(vertices.values()), len(vertices))
-    return GkmDocument(doc.torus_rank, tuple(new_vertices), tuple(rng.sample(edges, len(edges))))
+    edges = rng.sample(edges, len(edges))
+
+    def dart(d):
+        return edge_ids[d[:-1]] + "~" if d.endswith("~") else edge_ids[d]
+
+    connection = [ConnectionEntry(dart(c.dart), {dart(a): dart(b) for a, b in c.images.items()}) for c in doc.connection]
+    orderings = {vertices[v]: tuple(map(dart, order)) for v, order in doc.orderings.items()}
+    return GkmDocument(
+        doc.torus_rank, tuple(new_vertices), tuple(edges), tuple(rng.sample(connection, len(connection))), orderings
+    )
+
+
+def shuffled_free_document(gkm, seed: int) -> GkmDocument:
+    """``gkm`` with no connection or orderings, its vertex and edge ids renamed and shuffled by ``seed``."""
+    return shuffled_document(gkm, seed)._replace(connection=None, orderings=None)
 
 
 def axiom_2_corrupted(doc: GkmDocument, seed: int) -> GkmDocument:
@@ -190,6 +208,47 @@ def test_rank_output(s6_file, capsys):
     assert "f1:" in out
     assert main(["rank", s6_file, "--method", "full"]) == 0
     assert "rank: 2" in capsys.readouterr().out
+
+
+def _folded(gkm, v):
+    """``gkm`` projected by ``[I | v]``, which keeps the solution lattice and lowers ``n`` by one."""
+    rows = [[int(c == i) for c in range(len(v))] + [x] for i, x in enumerate(v)]
+    return project_axial(gkm, IntegerMatrix.from_rows(rows, len(v) + 1))
+
+
+RANK_DOCUMENTS = {
+    "s6": lambda: shuffled_document(gen_s6(), 11),
+    "projective5": lambda: shuffled_document(gen_projective(5), 12),
+    "grassmannian3": lambda: shuffled_document(gen_grassmannian(3), 13),
+    "projective5-folded": lambda: shuffled_document(_folded(gen_projective(5), (1, 2, -1, 1)), 14),
+    "grassmannian3-folded": lambda: shuffled_document(_folded(gen_grassmannian(3), (1, 2, -1)), 15),
+}
+
+# sha256 and exit code of the stdout of `rank --basis` under each method, on
+# pinned documents with shuffled ids; the folded ones print more elements
+# than they have weight coordinates
+RANK_OUTPUTS = {
+    ("s6", "propagate"): ("857bc326babb58ad653adf7272a2c6f834b0939dea51697f0879ffcadbe61efb", 0),
+    ("s6", "full"): ("857bc326babb58ad653adf7272a2c6f834b0939dea51697f0879ffcadbe61efb", 0),
+    ("projective5", "propagate"): ("2466dd307c46b353e1b838b9f1929ef3a8e6df276829c5a1eae639bf040893d3", 0),
+    ("projective5", "full"): ("2466dd307c46b353e1b838b9f1929ef3a8e6df276829c5a1eae639bf040893d3", 0),
+    ("grassmannian3", "propagate"): ("1037e8986207a55802c824ebabf4124ce67521ae6ede7ed959876ca2bc16af31", 0),
+    ("grassmannian3", "full"): ("1037e8986207a55802c824ebabf4124ce67521ae6ede7ed959876ca2bc16af31", 0),
+    ("projective5-folded", "propagate"): ("45c677b52ec33edd430c8eb222ae473b16459be442ce325ee7505c1b1f3ceb1a", 0),
+    ("projective5-folded", "full"): ("45c677b52ec33edd430c8eb222ae473b16459be442ce325ee7505c1b1f3ceb1a", 0),
+    ("grassmannian3-folded", "propagate"): ("1af0d931b02946ccbac90d865e169b8492c9307cf3bc45656aa580c43a37d704", 0),
+    ("grassmannian3-folded", "full"): ("1af0d931b02946ccbac90d865e169b8492c9307cf3bc45656aa580c43a37d704", 0),
+}
+
+
+@pytest.mark.parametrize("case", RANK_OUTPUTS, ids="-".join)
+def test_rank_basis_prints_the_pinned_output(case, tmp_path, capsys):
+    document, method = case
+    path = tmp_path / "doc.json"
+    path.write_text(emit_gkm(RANK_DOCUMENTS[document]()))
+    code = main(["rank", str(path), "--basis", "--method", method])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == RANK_OUTPUTS[case]
 
 
 def test_rank_refuses_a_connection_not_sending_each_dart_to_its_reverse(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_packing_leaves_room_for_the_largest_quotient():
     d = g.out_darts(g.source(e))[1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[g.reverse(e)] = (1, 3, 0), (-1, -3, 0)
-    weights[d], weights[gkm.connection.maps[e][d]] = (0, 0, 0), (3, 1, 1)
+    weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (3, 1, 1)
     bent = gkm.with_weights(weights, gkm.n)
     with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
         congruence_vector(bent, e)
@@ -161,7 +161,7 @@ def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
     d = g.out_darts(g.source(e))[1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[g.reverse(e)] = (1, 0, 0), (-1, 0, 0)
-    weights[d], weights[gkm.connection.maps[e][d]] = (0, 0, 0), (0, 1, 0)
+    weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (0, 1, 0)
     bent = gkm.with_weights(weights, gkm.n)
 
     def first_failure(compute):
@@ -181,7 +181,7 @@ def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
     weights = dict(gkm.axial.weights)
     weights[e] = weights[g.reverse(e)] = (0,) * gkm.n
     for d in g.out_darts(g.source(e))[1:]:
-        weights[gkm.connection.maps[e][d]] = weights[d]
+        weights[gkm.connection[e][d]] = weights[d]
     bent = gkm.with_weights(weights, gkm.n)
     assert congruence_vector(bent, e) == (0, 0, 0)
 

@@ -192,7 +192,7 @@ def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
         k = g.vertices.index(base) * m
         restricted = [c[k : k + m] for c in full]
         completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
-        at_base = complete_inside_lattice(restricted, [el.values[base] for el in basis.elements])
+        at_base = complete_inside_lattice(restricted, [el[base] for el in basis.elements])
         assert at_base == ([c[k : k + m] for c in completion], index)
 
 
@@ -210,11 +210,11 @@ def test_completion_and_verification_take_one_hnf_per_matrix(monkeypatch):
     for projected, original in _projections():
         basis = axial_group_basis(projected)
         base, m = basis.base_vertex, projected.m
-        canon = [el.values[base] for el in canonical_elements(projected)]
+        canon = [el[base] for el in canonical_elements(projected)]
         with monkeypatch.context() as patch:
             for module in (gkmgraph.intlinalg, gkmgraph.extension):
                 patch.setattr(module, "hermite_normal_form", counted)
-            complete_inside_lattice(canon, [el.values[base] for el in basis.elements])
+            complete_inside_lattice(canon, [el[base] for el in basis.elements])
             assert shapes == [(basis.rank, m)]
             del shapes[:]
             assert verify_extension(projected, original).ok
@@ -286,12 +286,12 @@ def test_verify_extension_needs_the_same_graph():
 
 def test_verify_extension_rejects_different_connections():
     gkm = gen_s6()
-    maps = {e: dict(m) for e, m in gkm.connection.maps.items()}
+    maps = {e: dict(m) for e, m in gkm.connection.items()}
     maps["e1"]["e2"], maps["e1"]["e3"] = maps["e1"]["e3"], maps["e1"]["e2"]
     maps["e1~"] = {img: src for src, img in maps["e1"].items()}
-    from gkmgraph import Connection, GkmGraph
+    from gkmgraph import GkmGraph
 
-    other = GkmGraph(gkm.graph, gkm.axial, Connection(maps))
+    other = GkmGraph(gkm.graph, gkm.axial, maps)
     check = verify_extension(gkm, other)
     assert not check.ok
     assert "connection" in check.detail

@@ -46,8 +46,8 @@ def test_s6_shape_and_weights():
 
 def test_s6_connection_swaps_the_other_pair():
     gkm = gen_s6()
-    assert gkm.connection.maps["e1"] == {"e1": "e1~", "e2": "e3~", "e3": "e2~"}
-    assert gkm.connection.maps["e3~"] == {"e3~": "e3", "e1~": "e2", "e2~": "e1"}
+    assert gkm.connection["e1"] == {"e1": "e1~", "e2": "e3~", "e3": "e2~"}
+    assert gkm.connection["e3~"] == {"e3~": "e3", "e1~": "e2", "e2~": "e1"}
     assert infer_connection(gkm.graph, gkm.axial) == gkm.connection
 
 

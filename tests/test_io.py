@@ -294,7 +294,7 @@ def test_loaded_maps_share_one_string_per_dart():
         json.dumps({**_s6_json(), "connection": [c for c in _s6_json()["connection"] if c["dart"][-1] != "~"]}),
     ):
         gkm = load_gkm(text)
-        ids = {id(x) for nabla in gkm.connection.maps.values() for x in (*nabla, *nabla.values())}
+        ids = {id(x) for nabla in gkm.connection.values() for x in (*nabla, *nabla.values())}
         assert len(ids) == len(gkm.graph.darts)
 
 

@@ -11,6 +11,7 @@ from gkmgraph import (
     IntegerMatrix,
     OrientedGraph,
     axial_group_basis,
+    canonical_elements,
     document_from_gkm,
     gen_s6,
     validate_gkm,
@@ -178,7 +179,6 @@ def _records():
         (gkm, "graph"),
         (gkm.graph, "valence"),
         (gkm.axial, "weights"),
-        (gkm.connection, "maps"),
         (doc, "vertices"),
         (doc.edges[0], "weight"),
         (doc.connection[0], "images"),
@@ -208,10 +208,27 @@ def test_records_with_equal_fields_compare_equal():
     assert OrientedGraph(graph.vertices, graph.sources, graph.targets, graph.orderings, graph.valence) == graph
     basis = axial_group_basis(gen_s6())
     element = basis.elements[0]
-    assert type(element)(dict(element.values)) == element
+    assert type(element)(dict(element)) == element
     a, b = IntegerMatrix(((1, 2), (3, 4)), 2), IntegerMatrix.from_rows([[1, 2], [3, 4]])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != IntegerMatrix(((1, 2),), 2) and a != a.data
+
+
+@pytest.mark.parametrize("element", [axial_group_basis(gen_s6()).elements[0], canonical_elements(gen_s6())[0]])
+def test_elements_refuse_item_assignment(element):
+    with pytest.raises(TypeError):
+        element["p"] = (0, 0, 0)
+
+
+def test_public_named_tuples_have_two_fields_at_least():
+    # a one-field record is a wrapper its callers reach through; they use the field itself
+    import gkmgraph
+
+    records = [getattr(gkmgraph, name) for name in gkmgraph.__all__]
+    records = [r for r in records if isinstance(r, type) and issubclass(r, tuple) and hasattr(r, "_fields")]
+    assert records
+    for record in records:
+        assert len(record._fields) >= 2, record.__name__
 
 
 def test_integer_matrix_rejects_ragged_rows():
