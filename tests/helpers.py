@@ -16,7 +16,10 @@ the reference for the packed division and the HNF test of
 ``validate_axial``.  ``transport_matrix`` (``propagate`` on the
 unit vectors) and ``with_orderings`` (``build_graph`` with other orderings)
 rebuild from the public API what only tests need, and ``main_outcome`` runs
-one command line in process.  Nothing private is
+one command line in process.  ``grassmannian_by_subsets`` builds the
+Grassmannian family from frozensets, swapping the replaced and the new
+element inside each target subset, the reference for the index tables of
+``gen_grassmannian``.  Nothing private is
 imported from the package.
 """
 
@@ -32,6 +35,7 @@ from math import gcd
 
 from gkmgraph import (
     AxiomFailure,
+    ConnectionEntry,
     EdgeRecord,
     GkmDocument,
     GkmGraph,
@@ -49,6 +53,7 @@ from gkmgraph import (
     lattice_basis,
     permutation,
     propagate,
+    reverse_name,
     validate_axial,
 )
 from gkmgraph.axial import (
@@ -77,6 +82,47 @@ def method_fixtures() -> dict[str, GkmGraph]:
     out = core_fixtures()
     out["grassmannian4"] = gen_grassmannian(4)
     return out
+
+
+def grassmannian_by_subsets(n: int) -> GkmGraph:
+    """``J(n+2, 2)`` with the Grassmannian weights, built pair by pair from frozensets.
+
+    Each connection image swaps the replaced and the new element inside the
+    target subset; each dart id is formatted from the two subset names.
+    """
+    ground = range(1, n + 3)
+    name = {frozenset((i, j)): f"{i:02d}.{j:02d}" for i, j in combinations(ground, 2)}
+    pairs = list(name)
+    neighbours = {u: [t for t in pairs if t != u and t & u] for u in pairs}
+
+    def unit(i: int) -> tuple[int, ...]:
+        return tuple(1 if t == i else 0 for t in range(1, n + 2))
+
+    def dart_id(u, w) -> str:
+        a, b = name[u], name[w]
+        return f"{a}|{b}" if a < b else reverse_name(f"{b}|{a}")
+
+    edges = []
+    connection = []
+    for u, w in combinations(pairs, 2):
+        if not (u & w):
+            continue
+        src, dst = (u, w) if name[u] < name[w] else (w, u)
+        a, b = name[src], name[dst]
+        (old,) = src - dst
+        (new,) = dst - src
+        edges.append(EdgeRecord(f"{a}|{b}", a, b, tuple(x - y for x, y in zip(unit(new), unit(old)))))
+        swap = {old: new, new: old}
+        images = {dart_id(src, t): dart_id(dst, frozenset(swap.get(x, x) for x in t)) for t in neighbours[src]}
+        connection.append(ConnectionEntry(f"{a}|{b}", images))
+    orderings = {}
+    for u in pairs:
+        i, j = sorted(u)
+        others = sorted(set(ground) - u)
+        orderings[name[u]] = tuple(
+            [dart_id(u, frozenset({i, k})) for k in others] + [dart_id(u, frozenset({j, k})) for k in others]
+        )
+    return gkm_from_document(GkmDocument(n + 1, tuple(name.values()), tuple(edges), tuple(connection), orderings))
 
 
 def weight_ratio(diff, base):

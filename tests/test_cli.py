@@ -54,7 +54,13 @@ def test_gen_writes_a_parseable_document(s6_file, capsys):
 GEN_DOCUMENTS = {
     ("s6",): "d5157740a354e443e05943828e9e5112fa3d1a8cdfa88da9a3ddea361b8488bb",
     ("projective", "--m", "5"): "0c435105fc45051ececac664c1ce4d29cf767ce2f60cbda4527c433b90514557",
+    ("grassmannian", "--n", "1"): "cd009a83887a3be93627f9d7eae5c6704525b25ee45ca3c6bbae0cf809d44752",
+    ("grassmannian", "--n", "2"): "b05e2c1db108aa7b88bc1ebcab362212e769aca3add0ac233e5992a65e3a3aff",
+    ("grassmannian", "--n", "3"): "71c7d29dc5675a9e3138738b9b87d68a67d723da316e70eb5ecc3f467749d4f1",
     ("grassmannian", "--n", "4"): "efe9d4ea36433f20c6034a635561b6784d0420a4d57074bd82ad162f51e82a0e",
+    ("grassmannian", "--n", "6"): "9f88e69b2ecd1fb0d9a91f0eefed48de1f464d02bf72cf7585efb14f68f412e6",
+    ("grassmannian", "--n", "9"): "21866f44c72f6dfff8d83866b2803595b21a81ec090e8e0c32af7f4bc57bb7e9",
+    ("grassmannian", "--n", "12"): "ada28fc49314ddce6aa7c486f656ea15cea0602ae13cf93061ecab5a2fdd7e20",
 }
 
 

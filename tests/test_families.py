@@ -7,6 +7,7 @@ from gkmgraph import (
     infer_connection,
     validate_gkm,
 )
+from helpers import grassmannian_by_subsets
 
 
 def test_projective_shapes():
@@ -85,8 +86,48 @@ def test_grassmannian_ordering_lists_kept_smaller_element_first():
     assert targets == ["01.02", "01.04", "02.03", "03.04"]
 
 
+def subset(vertex: str) -> set[int]:
+    """The 2-subset a Grassmannian vertex name ``ii.jj`` stands for."""
+    return set(map(int, vertex.split(".")))
+
+
+def test_grassmannian_ordering_follows_the_rule_at_every_vertex():
+    n = 4
+    g = gen_grassmannian(n).graph
+    for v in g.vertices:
+        i, j = sorted(subset(v))
+        others = [k for k in range(1, n + 3) if k not in (i, j)]
+        expected = [{i, k} for k in others] + [{j, k} for k in others]
+        assert [g.source(d) for d in g.out_darts(v)] == [v] * len(expected)
+        assert [subset(g.target(d)) for d in g.out_darts(v)] == expected
+
+
+def test_grassmannian_weight_is_new_minus_old_on_every_dart():
+    n = 4
+
+    def a(k: int) -> list[int]:
+        # a_{n+2} is the zero vector
+        return [1 if t == k else 0 for t in range(1, n + 2)]
+
+    gkm = gen_grassmannian(n)
+    assert len(gkm.axial.weights) == len(gkm.graph.darts)
+    for d in gkm.graph.darts:
+        source, target = subset(gkm.graph.source(d)), subset(gkm.graph.target(d))
+        (old,) = source - target
+        (new,) = target - source
+        assert gkm.weight(d) == tuple(x - y for x, y in zip(a(new), a(old)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_grassmannian_matches_the_subset_construction(n):
+    gkm, oracle = gen_grassmannian(n), grassmannian_by_subsets(n)
+    assert gkm == oracle
+    assert list(gkm.graph.sources) == list(oracle.graph.sources)
+    assert list(gkm.axial.weights) == list(oracle.axial.weights)
+
+
 def test_grassmannian_validates_and_matches_inference():
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         gkm = gen_grassmannian(n)
         assert validate_gkm(gkm).ok
         assert infer_connection(gkm.graph, gkm.axial) == gkm.connection
