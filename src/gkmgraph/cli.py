@@ -22,7 +22,6 @@ from .axial import (
     infer_connection,
     validate_axial,
 )
-from .congruence import invariant_function
 from .errors import GkmError
 from .io import (
     document_from_gkm,
@@ -115,6 +114,8 @@ def cmd_connection(args: argparse.Namespace) -> int:
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
+    from .congruence import invariant_function
+
     gkm = load_gkm(_read(args.file))
     inv = invariant_function(gkm)
     for e in gkm.graph.darts:

@@ -62,47 +62,55 @@ def gen_grassmannian(n: int) -> GkmGraph:
     element are joined by an edge.  The dart replacing ``j`` by ``k`` (keeping
     the shared element) carries weight ``a_k - a_j`` with ``a_{n+2} = 0``.
     The ordering at ``{i, j}`` (i < j) lists the darts keeping ``i`` first,
-    by new element ascending, then those keeping ``j``; the connection along
-    a dart swaps the replaced and the new element inside each target subset.
+    by new element ascending, then those keeping ``j``.  The connection along
+    a dart is the transposition of the replaced and the new element (the
+    reflection along the edge), acting on the neighbouring subsets.
+
+    Built from index tables: ``label[i][j]`` names ``{i, j}`` once, and
+    ``dart[v][u]``, the dart from ``v`` to its neighbour ``u``, is formatted
+    once per dart.  Along ``{s, old} -> {s, new}`` the map sends the dart to
+    ``{s, k}`` onto the one to ``{s, k}`` and the dart to ``{old, k}`` onto the
+    one to ``{new, k}`` for every other ``k``, the dart itself onto its
+    reverse, and the dart to ``{old, new}`` onto the one to ``{old, new}``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ground = range(1, n + 3)
-    name = {frozenset((i, j)): f"{i:02d}.{j:02d}" for i, j in combinations(ground, 2)}
-    pairs = list(name)
-    neighbours = {u: [t for t in pairs if t != u and t & u] for u in pairs}
+    top = n + 2
+    ground = range(1, top + 1)
+    label = [[""] * (top + 1) for _ in range(top + 1)]
+    for i, j in combinations(ground, 2):
+        label[i][j] = label[j][i] = f"{i:02d}.{j:02d}"
+    vertices = tuple(label[i][j] for i, j in combinations(ground, 2))
+    # weight[old][new] is a_new - a_old, with a_{n+2} the zero vector
+    span = range(top + 1)
+    weight = [[tuple((t == new) - (t == old) for t in range(1, top)) for new in span] for old in span]
+    dart: dict[str, dict[str, str]] = {v: {} for v in vertices}
+    edges, moves = [], []
+    for u, (i, j) in zip(vertices, combinations(ground, 2)):
+        # the subsets after {i, j} that share an element with it, in order
+        later = [(i, j, k) for k in range(j + 1, top + 1)]
+        later += [(j, i, k) for k in range(i + 1, top + 1) if k != j]
+        for s, x, y in later:
+            w = label[s][y]
+            src, dst, old, new = (u, w, x, y) if u < w else (w, u, y, x)
+            eid = f"{src}|{dst}"
+            dart[src][dst], dart[dst][src] = eid, reverse_name(eid)
+            edges.append(EdgeRecord(eid, src, dst, weight[old][new]))
+            moves.append((eid, src, dst, s, old, new))
 
-    def unit(i: int) -> tuple[int, ...]:
-        # a_{n+2} is the zero vector by convention
-        return tuple(1 if t == i else 0 for t in range(1, n + 2))
-
-    def dart_id(u: frozenset[int], w: frozenset[int]) -> str:
-        a, b = name[u], name[w]
-        return f"{a}|{b}" if a < b else reverse_name(f"{b}|{a}")
-
-    edges = []
     connection = []
-    for u, w in combinations(pairs, 2):
-        if not (u & w):
-            continue
-        src, dst = (u, w) if name[u] < name[w] else (w, u)
-        a, b = name[src], name[dst]
-        eid = f"{a}|{b}"
-        (old,) = src - dst
-        (new,) = dst - src
-        edges.append(EdgeRecord(eid, a, b, tuple(x - y for x, y in zip(unit(new), unit(old)))))
-        swap = {old: new, new: old}
-        # t == dst lands on swap(dst) == src, the reversed dart
-        images = {dart_id(src, t): dart_id(dst, frozenset(swap.get(x, x) for x in t)) for t in neighbours[src]}
+    for eid, src, dst, s, old, new in moves:
+        here, there = dart[src], dart[dst]
+        images = {eid: there[src], here[label[old][new]]: there[label[old][new]]}
+        for k in ground:
+            if k != s and k != old and k != new:
+                images[here[label[s][k]]] = there[label[s][k]]
+                images[here[label[old][k]]] = there[label[new][k]]
         connection.append(ConnectionEntry(eid, images))
 
     orderings = {}
-    for u in pairs:
-        i, j = sorted(u)
-        others = sorted(set(ground) - u)
-        order = [dart_id(u, frozenset({i, k})) for k in others]
-        order += [dart_id(u, frozenset({j, k})) for k in others]
-        orderings[name[u]] = tuple(order)
+    for v, (i, j) in zip(vertices, combinations(ground, 2)):
+        others = [k for k in ground if k != i and k != j]
+        orderings[v] = tuple([dart[v][label[i][k]] for k in others] + [dart[v][label[j][k]] for k in others])
 
-    doc = GkmDocument(n + 1, tuple(name.values()), tuple(edges), tuple(connection), orderings)
-    return gkm_from_document(doc)
+    return gkm_from_document(GkmDocument(n + 1, vertices, tuple(edges), tuple(connection), orderings))

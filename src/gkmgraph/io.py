@@ -19,7 +19,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
 from .axial import AxialFunction, GkmGraph, infer_connection
-from .congruence import invariant_function
 from .errors import GkmError
 from .graph import REVERSE_SUFFIX, OrientedGraph, build_graph, reverse_name
 
@@ -325,6 +324,8 @@ def emit_dot(gkm: GkmGraph, annotate: str = "none") -> str:
     for v in g.vertices:
         lines.append(f"  {_dot_string(v)};")
     if annotate == "congruence":
+        from .congruence import invariant_function
+
         vectors = invariant_function(gkm)
     for e in g.edge_representatives():
         ends = f"{_dot_string(g.source(e))} -- {_dot_string(g.target(e))}"

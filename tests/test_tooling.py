@@ -139,19 +139,22 @@ def test_cli_start_loads_only_what_it_runs():
     # a command's start-up cost is the modules it imports and compiles; the
     # solver, the extensions and the families load only in the commands that
     # run them (the extensions load the solver only to extend), the integer
-    # linear algebra only where it is called, and no record is built by
-    # dataclasses (which imports inspect)
+    # linear algebra and the congruence invariant only where they are called,
+    # and no record is built by dataclasses (which imports inspect)
     src = Path(__file__).resolve().parents[1] / "src"
     child = f"""
 import sys
 sys.path.insert(0, {str(src)!r})
 import gkmgraph.cli
 loaded = {{
-    "dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.extension", "gkmgraph.families", "gkmgraph.intlinalg"
+    "dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.congruence", "gkmgraph.extension",
+    "gkmgraph.families", "gkmgraph.intlinalg"
 }} & set(sys.modules)
 assert not loaded, sorted(loaded)
 import gkmgraph.extension
-assert "gkmgraph.axgroup" not in sys.modules
+import gkmgraph.families
+loaded = {{"gkmgraph.axgroup", "gkmgraph.congruence"}} & set(sys.modules)
+assert not loaded, sorted(loaded)
 import gkmgraph
 assert callable(gkmgraph.extend_axial)
 namespace = {{}}
