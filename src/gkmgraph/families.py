@@ -87,7 +87,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
     dart: dict[str, dict[str, str]] = {v: {} for v in vertices}
     edges, moves = [], []
     for u, (i, j) in zip(vertices, combinations(ground, 2)):
-        # the subsets after {i, j} that share an element with it, in order
+        # the subsets after {i, j} sharing an element with it; each edge leaves the smaller name
         later = [(i, j, k) for k in range(j + 1, top + 1)]
         later += [(j, i, k) for k in range(i + 1, top + 1) if k != j]
         for s, x, y in later:
