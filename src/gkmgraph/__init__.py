@@ -19,20 +19,19 @@ _MODULES = {
     name: module
     for module, names in {
         "axgroup": "AxialGroupBasis axial_group_basis canonical_elements propagate",
-        "axial": "AmbiguousConnectionError AxialError AxialFunction AxiomFailure"
-        " ConnectionNotFoundError GkmGraph NotProportionalError ValidationReport"
+        "axial": "AmbiguousConnectionError AxiomFailure ConnectionNotFoundError ValidationReport"
         " infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation permutation_matrix",
         "errors": "GkmError",
         "extension": "AxiomViolationError ExtensionCheck GraphMismatchError"
         " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
-        "graph": "DisconnectedError GraphError LoopEdgeError NonRegularError OrientedGraph"
-        " build_graph reverse_name",
-        "intlinalg": "IntegerMatrix NotInLatticeError complete_inside_lattice hermite_normal_form"
-        " integer_kernel_basis invariant_factors lattice_basis matrix_rank saturation solve_left",
-        "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError document_from_gkm"
-        " emit_dot emit_gkm gkm_from_document load_gkm parse_gkm",
+        "graph": "AxialError AxialFunction DisconnectedError GkmGraph GraphError LoopEdgeError"
+        " NonRegularError NotProportionalError OrientedGraph build_graph reverse_name",
+        "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis matrix_rank solve_left",
+        "intlinalg": "NotInLatticeError complete_inside_lattice invariant_factors saturation",
+        "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",
+        "writer": "document_from_gkm emit_dot emit_gkm",
     }.items()
     for name in names.split()
 }

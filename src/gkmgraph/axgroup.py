@@ -23,10 +23,9 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .axial import AxialError, GkmGraph
 from .congruence import _dart_vector, invariant_function, permutation
-from .graph import OrientedGraph, reverse_name
-from .intlinalg import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
+from .graph import AxialError, GkmGraph, OrientedGraph, reverse_name
+from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
 
 
 class AxialGroupBasis(NamedTuple):

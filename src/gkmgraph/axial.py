@@ -1,4 +1,10 @@
-"""Axial weight labelings, the four axioms, and connection inference.
+"""The four axioms and connection inference: the validation layer.
+
+``validate`` and ``connection`` load this module, as do ``extend``,
+``project`` and ``check-extension``, which validate what they build or
+compare; other commands load it only to infer the connection of a document
+that has none.  ``rank`` on a pinned document never loads it.  The labeled
+graph it checks, :class:`~gkmgraph.graph.GkmGraph`, is in :mod:`gkmgraph.graph`.
 
 A GKM graph bundles an m-valent graph with a weight vector in ``Z^n`` per dart
 and a connection: for each dart ``e`` a bijection between the out-darts of its
@@ -7,7 +13,7 @@ multiple of the weight of ``e`` (the congruence relation).  When every triple
 of weights at a vertex is linearly independent the connection is forced and
 can be inferred from the weights alone.
 
-Weights are packed into one integer each (:func:`_packed`), and every
+Weights are packed into one integer each (:func:`~gkmgraph.graph._packed`), and every
 congruence test reads that packing, in one of two ways.  Inference alone
 compares residues: a weight's class modulo ``Z·w(e)`` is the integer
 :func:`_residue_key`, and inference runs one residue search per edge: under
@@ -21,16 +27,9 @@ at most ``2M`` in absolute value.  Axiom 2 compares directions
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-from .errors import GkmError
-from .graph import OrientedGraph
-
-Weight = tuple[int, ...]
-
-
-class AxialError(GkmError):
-    """Inconsistent axial data."""
+from .graph import AxialError, AxialFunction, GkmGraph, OrientedGraph, Weight, _check_weights, _packed
 
 
 class ConnectionNotFoundError(AxialError):
@@ -39,44 +38,6 @@ class ConnectionNotFoundError(AxialError):
 
 class AmbiguousConnectionError(AxialError):
     """Several partners satisfy the congruence relation; supply the connection explicitly."""
-
-
-class NotProportionalError(AxialError):
-    """A weight difference is not an integer multiple of the base weight."""
-
-
-class AxialFunction(NamedTuple):
-    """Dart labeling by integer weight vectors of a fixed length."""
-
-    torus_rank: int
-    weights: Mapping[str, Weight]
-
-
-class GkmGraph(NamedTuple):
-    """A graph, an axial function, and a connection, used as one unit.
-
-    ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
-    of its source onto those of its target.
-    """
-
-    graph: OrientedGraph
-    axial: AxialFunction
-    connection: dict[str, dict[str, str]]
-
-    @property
-    def m(self) -> int:
-        return self.graph.valence
-
-    @property
-    def n(self) -> int:
-        return self.axial.torus_rank
-
-    def weight(self, dart: str) -> Weight:
-        return self.axial.weights[dart]
-
-    def with_weights(self, weights: Mapping[str, Weight], torus_rank: int) -> "GkmGraph":
-        """Same graph and connection with the weights replaced (not validated)."""
-        return GkmGraph(self.graph, AxialFunction(torus_rank, dict(weights)), self.connection)
 
 
 class AxiomFailure(NamedTuple):
@@ -137,34 +98,6 @@ def _direction(v: Weight) -> Weight | None:
     return tuple([x // g for x in v])
 
 
-def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int], int]:
-    """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``, ``s = 2·bitlen(M) + 2``.
-
-    Returns the packing and ``M``, the largest absolute entry among the
-    weights of ``darts``.  Packing is linear, and a vector whose entries are
-    all below ``2^s`` in absolute value packs to 0 only when it is zero.
-    Every vector a congruence test packs has entries of at most
-    ``2M(M+1) < 2^s``: the difference of two residues in
-    :func:`_residue_key` (inference), and the remainder
-    ``w(a) − w(b) − q·w(e)`` with ``|q| ≤ 2M`` in axiom 3 and
-    ``invariant_function``.  So each test is exact arithmetic on one integer
-    per dart.  A dart without a weight of length ``torus_rank`` raises
-    :class:`AxialError`.
-    """
-    darts = tuple(darts)
-    _check_weights(axial, darts)
-    weights = axial.weights
-    big = max((abs(x) for d in darts for x in weights[d]), default=0)
-    s = 2 * big.bit_length() + 2
-    packed = {}
-    for d in darts:
-        acc = 0
-        for x in reversed(weights[d]):
-            acc = (acc << s) + x
-        packed[d] = acc
-    return packed, big
-
-
 def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> Callable[[str], int]:
     """Key of a dart's weight modulo ``Z·w(e)``, for :func:`infer_connection`.
 
@@ -181,18 +114,6 @@ def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> 
             pe = packed[e]
             return lambda d: packed[d] - (w[d][p] // b) * pe
     return packed.__getitem__
-
-
-def _check_weights(axial: AxialFunction, darts: Iterable[str]) -> None:
-    """Raise :class:`AxialError` unless each of ``darts`` carries a weight of length ``torus_rank``."""
-    for d in darts:
-        w = axial.weights.get(d)
-        if w is None:
-            raise AxialError(f"dart {d} carries no weight")
-        if len(w) != axial.torus_rank:
-            raise AxialError(
-                f"weight of dart {d} has length {len(w)}, expected {axial.torus_rank}"
-            )
 
 
 def validate_axial(
@@ -224,7 +145,7 @@ def validate_axial(
     if connection is not None:
         failures.extend(_check_connection(graph, axial, connection))
 
-    from .intlinalg import lattice_basis
+    from .hermite import lattice_basis
 
     n = axial.torus_rank  # the weights at a vertex span Z^n exactly when their row HNF is I_n
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]

@@ -2,10 +2,13 @@
 
 Exit codes: 0 on success, 1 when validation or a requested construction
 fails, 2 on usage errors (argparse's default).  All numeric output is exact
-integers.  The solver, extension and family modules are imported by the
-commands that run them, and the integer linear algebra by the code that calls
-it, so each command starts by loading only what it uses; the parser likewise
-holds only the sub-parser of the command it parses.
+integers.  Each command loads only the layers it runs, and the parser holds
+only the sub-parser of the command it parses.  All load the read side (``io``,
+``graph``).  ``axial`` loads for ``validate``, ``connection``, the extension
+commands and the inference of a missing connection; the Hermite core
+(``hermite``) for ``rank``, ``validate`` and the extension commands; the Smith
+form and completion (``intlinalg``) for ``extend`` and ``project`` alone; the
+writer for ``gen``, ``extend``, ``project`` and ``dot``.
 """
 
 from __future__ import annotations
@@ -16,26 +19,12 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .axial import (
-    AmbiguousConnectionError,
-    ConnectionNotFoundError,
-    infer_connection,
-    validate_axial,
-)
 from .errors import GkmError
-from .io import (
-    document_from_gkm,
-    emit_dot,
-    emit_gkm,
-    format_vector,
-    gkm_from_document,
-    labels_from_document,
-    load_gkm,
-    parse_gkm,
-)
+from .io import format_vector, gkm_from_document, labels_from_document, load_gkm, parse_gkm
 
 if TYPE_CHECKING:
-    from .intlinalg import IntegerMatrix
+    from .graph import GkmGraph
+    from .hermite import IntegerMatrix
 
 
 def _read(path: str) -> str:
@@ -55,8 +44,14 @@ def _write_output(text: str, out: str | None) -> None:
             raise GkmError(f"cannot write {out}: {exc}") from exc
 
 
+def _write_gkm(gkm: GkmGraph, out: str | None) -> None:
+    from .writer import document_from_gkm, emit_gkm
+
+    _write_output(emit_gkm(document_from_gkm(gkm)), out)
+
+
 def _parse_matrix(text: str) -> IntegerMatrix:
-    from .intlinalg import IntegerMatrix
+    from .hermite import IntegerMatrix
 
     rows = []
     for chunk in text.split(";"):
@@ -76,6 +71,8 @@ def _parse_matrix(text: str) -> IntegerMatrix:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .axial import AmbiguousConnectionError, ConnectionNotFoundError, infer_connection, validate_axial
+
     doc = parse_gkm(_read(args.file))
     connection = None
     note = None
@@ -102,6 +99,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_connection(args: argparse.Namespace) -> int:
+    from .axial import infer_connection
+
     doc = parse_gkm(_read(args.file))
     gkm = gkm_from_document(doc)
     # without a pinned connection, assembly has already inferred it
@@ -141,8 +140,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     from .extension import extend_axial
 
     gkm = load_gkm(_read(args.file))
-    out = extend_axial(gkm, args.target)
-    _write_output(emit_gkm(document_from_gkm(out)), args.output)
+    _write_gkm(extend_axial(gkm, args.target), args.output)
     return 0
 
 
@@ -150,8 +148,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     from .extension import project_axial
 
     gkm = load_gkm(_read(args.file))
-    out = project_axial(gkm, _parse_matrix(args.matrix))
-    _write_output(emit_gkm(document_from_gkm(out)), args.output)
+    _write_gkm(project_axial(gkm, _parse_matrix(args.matrix)), args.output)
     return 0
 
 
@@ -180,11 +177,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         gkm = gen_s6()
     else:
         gkm = gen_grassmannian(args.n)
-    _write_output(emit_gkm(document_from_gkm(gkm)), args.output)
+    _write_gkm(gkm, args.output)
     return 0
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
+    from .writer import emit_dot
+
     gkm = load_gkm(_read(args.file))
     _write_output(emit_dot(gkm, annotate=args.annotate), args.output)
     return 0

@@ -3,7 +3,7 @@
 With an out-dart ordering fixed at every vertex, the connection along a dart
 ``e`` becomes a permutation matrix ``N_e``, and the congruence coefficients of
 all out-darts at the source collect into one integer vector per dart.  The
-coefficients are read off the packed weights of :mod:`gkmgraph.axial`, one
+coefficients are read off the packed weights of :mod:`gkmgraph.graph`, one
 exact division of packed integers per out-dart; a single dart's vector packs
 only the weights it compares.  Both orientations are computed
 independently; the identity ``N_e c(e) = c(ē)`` is a cheap cross-check on the
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .axial import GkmGraph, NotProportionalError, _packed
+from .graph import GkmGraph, NotProportionalError, _packed
 
 if TYPE_CHECKING:
-    from .intlinalg import IntegerMatrix
+    from .hermite import IntegerMatrix
 
 
 def permutation(gkm: GkmGraph, e: str) -> tuple[int, ...]:
@@ -33,7 +33,7 @@ def permutation(gkm: GkmGraph, e: str) -> tuple[int, ...]:
 
 def permutation_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """The m×m permutation matrix realizing the connection along ``e``."""
-    from .intlinalg import IntegerMatrix
+    from .hermite import IntegerMatrix
 
     sig = permutation(gkm, e)
     m = len(sig)

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axial import GkmGraph, ValidationReport, validate_gkm
+from .axial import ValidationReport, validate_gkm
 from .errors import GkmError
-from .intlinalg import (
-    IntegerMatrix,
-    _back_substitute,
-    complete_inside_lattice,
-    hermite_normal_form,
-    invariant_factors,
-)
+from .graph import GkmGraph
+from .hermite import IntegerMatrix, _back_substitute, hermite_normal_form
 
 
 class RankExceededError(GkmError):
@@ -70,6 +65,7 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     raises :class:`AxiomViolationError`.
     """
     from .axgroup import axial_group_basis
+    from .intlinalg import complete_inside_lattice
 
     n = gkm.axial.torus_rank
     if target_rank < n:
@@ -101,6 +97,8 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
     keeps the graph and connection and is fully validated, so a projection
     that collapses some vertex's weights raises :class:`AxiomViolationError`.
     """
+    from .intlinalg import invariant_factors
+
     if projection.ncols != gkm.axial.torus_rank:
         raise ValueError(
             f"projection has {projection.ncols} columns, expected {gkm.axial.torus_rank}"

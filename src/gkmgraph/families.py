@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .axial import GkmGraph
-from .graph import reverse_name
+from .graph import GkmGraph, reverse_name
 from .io import ConnectionEntry, EdgeRecord, GkmDocument, gkm_from_document
 
 

@@ -6,13 +6,17 @@ the dart pair ``X`` / ``X~``, so the reverse ``ē`` of a dart, a fixed-point-fre
 involution swapping endpoints, is read off its name.  Every vertex fixes an
 order on its outgoing darts (lexicographic by dart id unless pinned
 explicitly).
+
+Every command loads this module.  It also holds the labeled graph
+(:class:`GkmGraph`: a graph, its weights and its connection) and
+:func:`_packed`, the packing of weights every congruence test reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, GkmError
 
@@ -188,3 +192,88 @@ def build_graph(
         orderings=fixed,
         valence=valence,
     )
+
+
+Weight = tuple[int, ...]
+
+
+class AxialError(GkmError):
+    """Inconsistent axial data."""
+
+
+class NotProportionalError(AxialError):
+    """A weight difference is not an integer multiple of the base weight."""
+
+
+class AxialFunction(NamedTuple):
+    """Dart labeling by integer weight vectors of a fixed length."""
+
+    torus_rank: int
+    weights: Mapping[str, Weight]
+
+
+class GkmGraph(NamedTuple):
+    """A graph, an axial function, and a connection, used as one unit.
+
+    ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
+    of its source onto those of its target.
+    """
+
+    graph: OrientedGraph
+    axial: AxialFunction
+    connection: dict[str, dict[str, str]]
+
+    @property
+    def m(self) -> int:
+        return self.graph.valence
+
+    @property
+    def n(self) -> int:
+        return self.axial.torus_rank
+
+    def weight(self, dart: str) -> Weight:
+        return self.axial.weights[dart]
+
+    def with_weights(self, weights: Mapping[str, Weight], torus_rank: int) -> "GkmGraph":
+        """Same graph and connection with the weights replaced (not validated)."""
+        return GkmGraph(self.graph, AxialFunction(torus_rank, dict(weights)), self.connection)
+
+
+def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int], int]:
+    """Each dart's weight ``w`` as the single integer ``Σ_k w_k·2^(s·k)``, ``s = 2·bitlen(M) + 2``.
+
+    Returns the packing and ``M``, the largest absolute entry among the
+    weights of ``darts``.  Packing is linear, and a vector whose entries are
+    all below ``2^s`` in absolute value packs to 0 only when it is zero.
+    Every vector a congruence test packs has entries of at most
+    ``2M(M+1) < 2^s``: the difference of two residues in
+    :func:`~gkmgraph.axial._residue_key` (inference), and the remainder
+    ``w(a) − w(b) − q·w(e)`` with ``|q| ≤ 2M`` in axiom 3 and
+    ``invariant_function``.  So each test is exact arithmetic on one integer
+    per dart.  A dart without a weight of length ``torus_rank`` raises
+    :class:`AxialError`.
+    """
+    darts = tuple(darts)
+    _check_weights(axial, darts)
+    weights = axial.weights
+    big = max((abs(x) for d in darts for x in weights[d]), default=0)
+    s = 2 * big.bit_length() + 2
+    packed = {}
+    for d in darts:
+        acc = 0
+        for x in reversed(weights[d]):
+            acc = (acc << s) + x
+        packed[d] = acc
+    return packed, big
+
+
+def _check_weights(axial: AxialFunction, darts: Iterable[str]) -> None:
+    """Raise :class:`AxialError` unless each of ``darts`` carries a weight of length ``torus_rank``."""
+    for d in darts:
+        w = axial.weights.get(d)
+        if w is None:
+            raise AxialError(f"dart {d} carries no weight")
+        if len(w) != axial.torus_rank:
+            raise AxialError(
+                f"weight of dart {d} has length {len(w)}, expected {axial.torus_rank}"
+            )

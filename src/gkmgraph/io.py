@@ -1,4 +1,4 @@
-"""JSON interchange documents and Graphviz export.
+"""JSON interchange documents: the read side, which every command loads.
 
 A document stores one labeled graph: the weight-vector length, the vertices,
 one record per undirected edge (the forward dart's weight; the reverse dart
@@ -9,18 +9,20 @@ ordering sections.  Parsing is purely structural; the axioms are checked by
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
 that dict becomes the assembled graph's connection map.
+
+Assembly loads :mod:`gkmgraph.axial` only to infer a missing connection.
+Writing documents and DOT text is :mod:`gkmgraph.writer`, which only ``gen``,
+``extend``, ``project`` and ``dot`` load.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
-from .axial import AxialFunction, GkmGraph, infer_connection
 from .errors import GkmError
-from .graph import REVERSE_SUFFIX, OrientedGraph, build_graph, reverse_name
+from .graph import REVERSE_SUFFIX, AxialFunction, GkmGraph, OrientedGraph, build_graph, reverse_name
 
 
 class ParseError(GkmError):
@@ -185,71 +187,6 @@ def parse_gkm(text: str) -> GkmDocument:
     return GkmDocument(rank, tuple(vertices), tuple(edges), connection, orderings)
 
 
-class _Quoted(dict):
-    """JSON string literals by string, each quoted once by the C function ``json.dumps`` uses."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = literal = encode_basestring_ascii(text)
-        return literal
-
-
-def _block(brackets: str, items: list[str], pad: str) -> str:
-    """``items``, each laid out at indent ``pad + "  "``, as one array (``"[]"``) or object (``"{}"``)."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def emit_gkm(doc: GkmDocument) -> str:
-    """Serialize a document; ``parse_gkm(emit_gkm(doc)) == doc``.
-
-    The text is ``json.dumps(obj, indent=2) + "\\n"`` of the document as a JSON
-    object, byte for byte, laid out here because ``json.dumps`` runs its
-    pure-Python encoder whenever ``indent`` is set.  Each distinct string is
-    quoted once, by the C function ``json.dumps`` uses; integers by ``repr``.
-    """
-    q = _Quoted()
-    edges = []
-    for e in doc.edges:
-        ends = _block("[]", [q[e.source], q[e.target]], "      ")
-        weight = _block("[]", list(map(repr, e.weight)), "      ")
-        edges.append(_block("{}", [f'"id": {q[e.id]}', f'"endpoints": {ends}', f'"weight": {weight}'], "    "))
-    fields = [
-        f'"torus_rank": {doc.torus_rank!r}',
-        '"vertices": ' + _block("[]", [q[v] for v in doc.vertices], "  "),
-        '"edges": ' + _block("[]", edges, "  "),
-    ]
-    if doc.connection is not None:
-        entries = []
-        for c in doc.connection:
-            # one string per pair: a connection holds tens of thousands of them
-            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in c.images.items()]
-            maps = _block("[]", pairs, "      ")
-            entries.append(_block("{}", [f'"dart": {q[c.dart]}', f'"maps": {maps}'], "    "))
-        fields.append('"connection": ' + _block("[]", entries, "  "))
-    if doc.orderings is not None:
-        orderings = [f"{q[v]}: " + _block("[]", [q[d] for d in o], "    ") for v, o in doc.orderings.items()]
-        fields.append('"orderings": ' + _block("{}", orderings, "  "))
-    return _block("{}", fields, "") + "\n"
-
-
-def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
-    """Snapshot a labeled graph, pinning its connection and orderings."""
-    g = gkm.graph
-    edges = tuple(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)) for e in g.edge_representatives())
-    entries = []
-    for d in g.darts:
-        nabla = gkm.connection[d]
-        entries.append(ConnectionEntry(d, {e2: nabla[e2] for e2 in g.out_darts(g.source(d))}))
-    return GkmDocument(
-        torus_rank=gkm.axial.torus_rank,
-        vertices=g.vertices,
-        edges=edges,
-        connection=tuple(entries),
-        orderings={v: g.out_darts(v) for v in g.vertices},
-    )
-
-
 def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction]:
     """The graph and axial function of a document; each ``X~`` carries the negated weight of ``X``."""
     graph = build_graph(
@@ -271,6 +208,8 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     """
     graph, axial = labels_from_document(doc)
     if doc.connection is None:
+        from .axial import infer_connection
+
         return GkmGraph(graph, axial, infer_connection(graph, axial))
     maps: dict[str, dict[str, str]] = {}
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
@@ -305,37 +244,10 @@ def format_vector(v: tuple[int, ...]) -> str:
     return "(" + ", ".join(map(repr, v)) + ")"
 
 
-def _dot_string(text: str) -> str:
-    """``text`` as a double-quoted DOT string, with ``\\`` and ``"`` escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def __getattr__(name: str):
+    """The writer's names, as ``perfbench/tracer.py`` looks them up until it reads a recorder."""
+    if name in ("document_from_gkm", "emit_dot", "emit_gkm"):
+        from . import writer
 
-
-def emit_dot(gkm: GkmGraph, annotate: str = "none") -> str:
-    """Graphviz text with one undirected edge per dart pair.
-
-    ``annotate`` is ``"none"``, ``"weights"`` (forward-dart weight) or
-    ``"congruence"`` (the coefficient vectors of both darts).  Output order is
-    fixed, so equal graphs produce identical text.
-    """
-    if annotate not in ("none", "weights", "congruence"):
-        raise ValueError(f"unknown annotation mode {annotate!r}")
-    g = gkm.graph
-    lines = ["graph gkm {"]
-    for v in g.vertices:
-        lines.append(f"  {_dot_string(v)};")
-    if annotate == "congruence":
-        from .congruence import invariant_function
-
-        vectors = invariant_function(gkm)
-    for e in g.edge_representatives():
-        ends = f"{_dot_string(g.source(e))} -- {_dot_string(g.target(e))}"
-        if annotate == "weights":
-            label = f"{e}: {format_vector(gkm.weight(e))}"
-        elif annotate == "congruence":
-            label = f"{format_vector(vectors[e])} / {format_vector(vectors[g.reverse(e)])}"
-        else:
-            lines.append(f"  {ends};")
-            continue
-        lines.append(f"  {ends} [label={_dot_string(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        return getattr(writer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

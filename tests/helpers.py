@@ -56,16 +56,10 @@ from gkmgraph import (
     reverse_name,
     validate_axial,
 )
-from gkmgraph.axial import (
-    AmbiguousConnectionError,
-    AxialError,
-    AxialFunction,
-    ConnectionNotFoundError,
-    NotProportionalError,
-)
+from gkmgraph.axial import AmbiguousConnectionError, ConnectionNotFoundError
 from gkmgraph.cli import main
 from gkmgraph.extension import AxiomViolationError, project_axial
-from gkmgraph.graph import OrientedGraph
+from gkmgraph.graph import AxialError, AxialFunction, NotProportionalError, OrientedGraph
 
 
 def core_fixtures() -> dict[str, GkmGraph]:

@@ -22,7 +22,8 @@ from gkmgraph import (
     validate_axial,
     validate_gkm,
 )
-from gkmgraph.axial import AxialError, NotProportionalError, _packed, _residue_key
+from gkmgraph.axial import _residue_key
+from gkmgraph.graph import AxialError, NotProportionalError, _packed
 from gkmgraph.io import labels_from_document, parse_gkm
 from helpers import (
     TWISTED_S6,

@@ -5,18 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import extend_axial, project_axial
-from gkmgraph.intlinalg import (
+from gkmgraph.hermite import (
     IntegerMatrix,
-    NotInLatticeError,
-    complete_inside_lattice,
     hermite_normal_form,
     integer_kernel_basis,
-    invariant_factors,
     lattice_basis,
     matrix_rank,
-    saturation,
     solve_left,
 )
+from gkmgraph.intlinalg import NotInLatticeError, complete_inside_lattice, invariant_factors, saturation
 from helpers import core_fixtures, rational_rank, smith_by_minors
 
 

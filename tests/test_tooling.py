@@ -1,8 +1,10 @@
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -13,6 +15,8 @@ from gkmgraph import (
     axial_group_basis,
     canonical_elements,
     document_from_gkm,
+    emit_gkm,
+    gen_projective,
     gen_s6,
     validate_gkm,
     verify_extension,
@@ -32,12 +36,32 @@ def _span_names():
 
 
 def test_traced_functions_exist():
-    # the traced run wraps each of these by name, so a deleted or renamed
-    # function breaks it even where no test calls that function
+    # the traced run wraps each of these by name, so a deleted, renamed or
+    # moved function breaks it even where no test calls that function
     names = _span_names()
     assert names
     for module, attr in names:
-        assert callable(getattr(importlib.import_module(f"gkmgraph.{module}"), attr, None)), (module, attr)
+        assert isinstance(getattr(importlib.import_module(f"gkmgraph.{module}"), attr, None), FunctionType), (
+            module, attr
+        )
+
+
+@pytest.mark.parametrize("name", ["document_from_gkm", "emit_dot", "emit_gkm"])
+def test_io_resolves_the_writer_names_to_the_writer(name):
+    # the traced run still looks these up in gkmgraph.io
+    import gkmgraph
+    import gkmgraph.io
+    import gkmgraph.writer
+
+    assert getattr(gkmgraph.io, name) is getattr(gkmgraph.writer, name)
+    assert gkmgraph._MODULES[name] == "writer"
+
+
+def test_io_refuses_an_unknown_name():
+    import gkmgraph.io
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gkmgraph.io.no_such_name
 
 
 def test_src_imports_only_the_standard_library():
@@ -106,7 +130,7 @@ def test_xgcd_has_only_the_two_eliminations_as_callers():
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    assert sorted(callers) == [("intlinalg", "_echelon"), ("intlinalg", "complete_inside_lattice")]
+    assert sorted(callers) == [("hermite", "_echelon"), ("intlinalg", "complete_inside_lattice")]
 
 
 def test_helpers_import_nothing_private_from_the_package():
@@ -135,25 +159,46 @@ def test_public_names_resolve():
         assert hasattr(gkmgraph, name), name
 
 
-def test_cli_start_loads_only_what_it_runs():
+_RUN_ONE = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from gkmgraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gkmgraph."))]))
+"""
+
+
+def _loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of one command run in a fresh child, and the package modules it loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = _RUN_ONE.format(src=src, argv=argv)
+    done = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    return code, {name.removeprefix("gkmgraph.") for name in loaded}
+
+
+def test_cli_start_loads_only_what_it_runs(tmp_path):
     # a command's start-up cost is the modules it imports and compiles; the
     # solver, the extensions and the families load only in the commands that
-    # run them (the extensions load the solver only to extend), the integer
-    # linear algebra and the congruence invariant only where they are called,
-    # and no record is built by dataclasses (which imports inspect)
+    # run them (the extensions load the solver only to extend), the axioms,
+    # the writer, the integer linear algebra and the congruence invariant only
+    # where they are called, and no record is built by dataclasses (which
+    # imports inspect)
     src = Path(__file__).resolve().parents[1] / "src"
     child = f"""
 import sys
 sys.path.insert(0, {str(src)!r})
 import gkmgraph.cli
 loaded = {{
-    "dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.congruence", "gkmgraph.extension",
-    "gkmgraph.families", "gkmgraph.intlinalg"
+    "dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.axial", "gkmgraph.congruence", "gkmgraph.extension",
+    "gkmgraph.families", "gkmgraph.hermite", "gkmgraph.intlinalg", "gkmgraph.writer"
 }} & set(sys.modules)
 assert not loaded, sorted(loaded)
 import gkmgraph.extension
 import gkmgraph.families
-loaded = {{"gkmgraph.axgroup", "gkmgraph.congruence"}} & set(sys.modules)
+loaded = {{"gkmgraph.axgroup", "gkmgraph.congruence", "gkmgraph.intlinalg", "gkmgraph.writer"}} & set(sys.modules)
 assert not loaded, sorted(loaded)
 import gkmgraph
 assert callable(gkmgraph.extend_axial)
@@ -171,6 +216,24 @@ print("ok")
     done = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+    pinned, free, out = tmp_path / "s6.json", tmp_path / "projective3.json", str(tmp_path / "out.json")
+    pinned.write_text(emit_gkm(document_from_gkm(gen_s6())), encoding="utf-8")
+    free.write_text(emit_gkm(document_from_gkm(gen_projective(3))._replace(connection=None)), encoding="utf-8")
+    # argv, modules the command loads, modules it must not load
+    cases = [
+        (["rank", pinned], {"axgroup", "hermite"}, {"axial", "intlinalg", "writer"}),
+        (["validate", free], {"axial", "hermite"}, {"intlinalg", "writer"}),
+        (["connection", free], {"axial"}, {"hermite", "intlinalg", "writer"}),
+        (["invariant", free], {"axial", "congruence"}, {"hermite", "intlinalg", "writer"}),
+        (["check-extension", pinned, pinned], {"axial", "extension", "hermite"}, {"intlinalg", "writer"}),
+        (["dot", pinned], {"writer"}, {"axial", "hermite", "intlinalg"}),
+        (["extend", pinned, "--target", "2", "-o", out], {"axgroup", "intlinalg", "writer"}, set()),
+    ]
+    for argv, loads, skips in cases:
+        code, loaded = _loaded_by([str(a) for a in argv])
+        assert code == 0, argv
+        assert loads <= loaded and not skips & loaded, (argv, sorted(loaded))
 
 
 def _records():
