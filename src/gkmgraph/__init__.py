@@ -19,11 +19,11 @@ _MODULES = {
     name: module
     for module, names in {
         "axgroup": "AxialGroupBasis axial_group_basis canonical_elements propagate",
-        "axial": "AmbiguousConnectionError AxiomFailure ConnectionNotFoundError ValidationReport"
-        " infer_connection validate_axial validate_gkm",
+        "axial": "AmbiguousConnectionError AxiomFailure AxiomViolationError ConnectionNotFoundError"
+        " ValidationReport infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation permutation_matrix",
         "errors": "GkmError",
-        "extension": "AxiomViolationError ExtensionCheck GraphMismatchError"
+        "extension": "ExtensionCheck GraphMismatchError"
         " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
         "graph": "AxialError AxialFunction DisconnectedError GkmGraph GraphError LoopEdgeError"

@@ -7,13 +7,13 @@ must reproduce the vector at the far end.  The solutions form a lattice whose
 rank is squeezed between the weight rank ``n`` and the valence ``m``, and the
 value at a single vertex already determines the whole element.
 
-Two independent solvers are provided, and they must agree wherever the
-connection takes each dart to its reverse, as axiom 3 requires.
+Both solvers run on a GKM graph only, refusing any other input with
+:class:`~gkmgraph.axial.AxiomViolationError`, and read the congruence vectors
+its validation proved.  They are independent and agree bit for bit.
 ``propagate`` carries the unit vectors at a base vertex along a spanning tree
 in O(m) steps and refines a base-vertex kernel on the remaining edges,
-stopping once the kernel is down to rank ``n`` when the weights certify that
-``n`` is the least rank possible; ``full`` solves for all vertex vectors at
-once and checks every edge.
+stopping once the kernel is down to rank ``n``, the least rank possible;
+``full`` solves for all vertex vectors at once and checks every edge.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .congruence import _dart_vector, invariant_function, permutation
-from .graph import AxialError, GkmGraph, OrientedGraph, reverse_name
-from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis, matrix_rank
+from .axial import validated
+from .congruence import permutation
+from .graph import GkmGraph, OrientedGraph
+from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis
 
 
 class AxialGroupBasis(NamedTuple):
@@ -46,23 +47,15 @@ class AxialGroupBasis(NamedTuple):
 
 
 def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Transport across ``e`` in O(m): ``y_j = x[σ(j)] − k·x[p_e]·c(ē)_j``, with ``cbar = c(ē)``.
+    """Transport across ``e`` in O(m): ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``, with ``cbar = c(ē)``.
 
-    Exact when the connection takes ``e`` to ``ē`` and ``ē`` to ``e``;
-    axiom 3 guarantees ``∇_d(d) = d̄`` for every dart.  Then the ē row of the
-    relation at ``e`` reads ``k·f(q)_ē = f(p)_e`` with ``k = 1 + c(ē)_ē``.
-    Once :func:`invariant_function` has returned, ``k`` is 1 or −1: the
-    congruence across ``ē`` gives ``w(e) = k·w(ē)`` and the one across ``e``
-    gives ``w(ē) = k'·w(e)``, so ``w(e) = ±w(ē)``.  Hence
-    ``f(q)_ē = k·f(p)_e``, and the other rows follow.  Under axiom 1
-    ``k = −1``, and the step is ``y_j = x[σ(j)] + x[p_e]·c(ē)_j``.  Where
-    ``∇_ē(ē) ≠ e`` the ē row reads another coordinate of ``f(p)``, so
-    :func:`_solve_by_propagation` refuses such a connection.
+    Axiom 3 makes the connection take ``e`` to ``ē`` and ``ē`` to ``e``, so
+    the ē row of the relation at ``e`` reads ``(1 + c(ē)_ē)·f(q)_ē = f(p)_e``;
+    axiom 1 makes ``c(ē)_ē = −2``, so ``f(q)_ē = −f(p)_e``, and the other
+    rows follow.
     """
     g = gkm.graph
     sig, pe = permutation(gkm, e), g.dart_index(e)
-    k = 1 + cbar[g.dart_index(g.reverse(e))]
-    cbar = [-k * c for c in cbar]
     pick = itemgetter(*sig) if len(sig) > 1 else lambda x: (x[sig[0]],)
 
     def step(x: Sequence[int]) -> tuple[int, ...]:
@@ -75,13 +68,12 @@ def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]
 def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, ...]:
     """Transport a vector across dart ``e``: the unique far-end value.
 
-    Implements ``f(q) = N_e f(p) − k·f(p)_e·c(ē)`` for ``e`` from ``p`` to
-    ``q``, with ``c(ē)`` the entry of :func:`invariant_function` at ``ē``,
-    computed for that dart alone, and ``k = 1 + c(ē)_ē`` (−1 under axiom 1;
-    see :func:`_step`); for members of the solution lattice this is the value
-    forced by the defining relation at ``e``.
+    Implements ``f(q) = N_e f(p) + f(p)_e·c(ē)`` for ``e`` from ``p`` to
+    ``q`` (see :func:`_step`), with ``c(ē)`` the congruence vector of ``ē``
+    that validating ``gkm`` proved; for members of the solution lattice this
+    is the value forced by the defining relation at ``e``.
     """
-    return _step(gkm, e, _dart_vector(gkm, gkm.graph.reverse(e)))(f_at_source)
+    return _step(gkm, e, validated(gkm).validation.coefficients[gkm.graph.reverse(e)])(f_at_source)
 
 
 def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]]:
@@ -111,25 +103,6 @@ def _combine(terms, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rank_n_is_the_floor(gkm: GkmGraph, base: str) -> bool:
-    """Whether the canonical elements put ``n`` independent solutions in the lattice.
-
-    Call only after :func:`invariant_function` has returned, so the
-    congruence across every dart holds with coefficients ``c``.  The relation
-    at ``e`` from ``p`` to ``q``, at out-dart ``d`` of ``q``, asks
-    ``f(p)_{∇_ē d} − f(q)_d = f(q)_ē·c(ē)_d``; for the i-th canonical
-    element, whose value at ``d`` is ``w(d)_i``, this is the i-th coordinate
-    of the congruence across ``ē``.  So the canonical elements are solutions
-    with no further condition, and their restrictions to ``base`` are the
-    columns of the weights there: the lattice has rank at least ``n`` when
-    those have rational rank ``n``.  The exit at rank ``n`` also needs the
-    kernel to contain the lattice, which holds when :func:`_step` is exact:
-    the connection takes every dart to its reverse, as the solver checks.
-    """
-    g, w = gkm.graph, gkm.axial.weights
-    return matrix_rank(IntegerMatrix.from_rows([w[d] for d in g.out_darts(base)], gkm.n)) == gkm.n
-
-
 def _solve_by_propagation(
     gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]], base: str
 ) -> list[tuple[int, ...]]:
@@ -142,17 +115,13 @@ def _solve_by_propagation(
     fails it exactly when ``K·D_e`` is nonzero.  The saturated integer kernel
     of that block gives the combinations of kernel rows spanning the new one.
 
-    A connection with ``∇_d(d) ≠ d̄`` is an :class:`AxialError` naming the
-    first such dart of its maps; otherwise :func:`_step` is exact, the
-    solution lattice lies in ``kernel``, and both are saturated.  When
-    :func:`_rank_n_is_the_floor` holds, a kernel of rank ``n`` already is the
-    lattice and the remaining edges are not checked; otherwise every edge is.
-    The final kernel is spread over the tree once.
+    The solution lattice lies in ``kernel``, and both are saturated.  The
+    ``n`` canonical elements (the weight coordinates) are solutions whose
+    restrictions to ``base`` are independent, so a kernel of rank ``n``
+    already is the lattice and the remaining edges are not checked.  The
+    final kernel is spread over the tree once.
     """
     g, m = gkm.graph, gkm.graph.valence
-    for d, nabla in gkm.connection.items():
-        if nabla[d] != reverse_name(d):
-            raise AxialError(f"connection sends dart {d} to {nabla[d]}, not to its reverse {reverse_name(d)}")
     tree, used = _spanning_tree(g, base)
     tree_steps = [(g.source(e), g.target(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree]
 
@@ -164,9 +133,8 @@ def _solve_by_propagation(
 
     kernel = list(IntegerMatrix.identity(m).data)
     units = spread(kernel)
-    floor = gkm.n if _rank_n_is_the_floor(gkm, base) else None
     for e in g.edge_representatives():
-        if len(kernel) == floor:
+        if len(kernel) == gkm.n:
             break
         if e in used:
             continue
@@ -219,13 +187,14 @@ def axial_group_basis(
     ``method`` is ``"propagate"`` or ``"full"``; both canonicalize to the
     same basis.  ``base_vertex`` defaults to the smallest vertex id and only
     affects the propagation start and the restriction used for
-    ``canonical_matrix``, never the lattice itself.
+    ``canonical_matrix``, never the lattice itself.  Input that fails an
+    axiom raises :class:`~gkmgraph.axial.AxiomViolationError`.
     """
     g = gkm.graph
     base = g.vertices[0] if base_vertex is None else base_vertex
     if base not in g.orderings:
         raise ValueError(f"unknown base vertex {base!r}")
-    inv = invariant_function(gkm)
+    inv = validated(gkm).validation.coefficients
     if method == "propagate":
         coords = _solve_by_propagation(gkm, inv, base)
     elif method == "full":

@@ -1,10 +1,9 @@
 """The four axioms and connection inference: the validation layer.
 
-``validate`` and ``connection`` load this module, as do ``extend``,
-``project`` and ``check-extension``, which validate what they build or
-compare; other commands load it only to infer the connection of a document
-that has none.  ``rank`` on a pinned document never loads it.  The labeled
-graph it checks, :class:`~gkmgraph.graph.GkmGraph`, is in :mod:`gkmgraph.graph`.
+Every command that reads a document loads this module: ``validate`` reports
+the axioms, and every other command reads a graph that passed them
+(:func:`validated`).  The labeled graph it checks,
+:class:`~gkmgraph.graph.GkmGraph`, is in :mod:`gkmgraph.graph`.
 
 A GKM graph bundles an m-valent graph with a weight vector in ``Z^n`` per dart
 and a connection: for each dart ``e`` a bijection between the out-darts of its
@@ -18,10 +17,17 @@ congruence test reads that packing, in one of two ways.  Inference alone
 compares residues: a weight's class modulo ``Z·w(e)`` is the integer
 :func:`_residue_key`, and inference runs one residue search per edge: under
 ``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  Axiom 3
-and the congruence coefficients of :mod:`gkmgraph.congruence` divide: one
-``divmod`` of packed integers per out-dart, whose quotient must be exact and
-at most ``2M`` in absolute value.  Axiom 2 compares directions
-(:func:`_direction`), and axiom 4 reads one row HNF per vertex.
+divides: one ``divmod`` of packed integers per out-dart, whose quotient must
+be exact and at most ``2M`` in absolute value, and that quotient is the
+congruence coefficient, which validation hands on (:class:`Validation`, held
+once per graph as :attr:`~gkmgraph.graph.GkmGraph.validation`).  Axiom 2
+compares directions (:func:`_direction`), pair by pair only at a vertex where
+they are not all distinct and nonzero.  Axiom 4 reads one row HNF per vertex,
+or of one vertex once axiom 3 holds: then ``w(∇_e d) = w(d) + c·w(e)``, with
+``e`` an out-dart at its own source, puts the span of the weights at the
+target of ``e`` inside the span at its source, and ``∇_ē`` gives the converse,
+so on a connected graph every vertex passes or fails with the first.  Neither
+shortcut changes the report.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from __future__ import annotations
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
+from .errors import GkmError
 from .graph import AxialError, AxialFunction, GkmGraph, OrientedGraph, Weight, _check_weights, _packed
+
+
+Maps = Mapping[str, Mapping[str, str]]
 
 
 class ConnectionNotFoundError(AxialError):
@@ -80,6 +90,31 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _first_failure(report: ValidationReport) -> str:
+    """One line naming the first failed axiom of ``report`` and where it fails."""
+    f = report.failures[0]
+    return f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})"
+
+
+class AxiomViolationError(GkmError):
+    """A labeling fails the axioms; the message names the first failure."""
+
+    @classmethod
+    def from_report(cls, report: ValidationReport) -> "AxiomViolationError":
+        return cls(_first_failure(report))
+
+
+class Validation(NamedTuple):
+    """A report, and the congruence vector of every dart whose map is a bijection.
+
+    Entry ``j`` of the vector of ``e`` is the integer ``c`` with ``w(∇_e d) − w(d) = c·w(e)``
+    for the ``j``-th out-dart ``d`` at the source of ``e``, or ``None`` where there is none.
+    """
+
+    report: ValidationReport
+    coefficients: dict[str, tuple[int | None, ...]]
+
+
 def _neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
@@ -116,12 +151,25 @@ def _residue_key(packed: Mapping[str, int], w: Mapping[str, Weight], e: str) -> 
     return packed.__getitem__
 
 
-def validate_axial(
-    graph: OrientedGraph,
-    axial: AxialFunction,
-    connection: Mapping[str, Mapping[str, str]] | None = None,
-) -> ValidationReport:
+def validate_axial(graph: OrientedGraph, axial: AxialFunction, connection: Maps | None = None) -> ValidationReport:
     """Check the four axioms; axiom 3 only when a connection (a map per dart) is supplied."""
+    return _validate(graph, axial, connection).report
+
+
+def validate_gkm(gkm: GkmGraph) -> ValidationReport:
+    """The report of ``gkm``, computed once per graph (:attr:`~gkmgraph.graph.GkmGraph.validation`)."""
+    return gkm.validation.report
+
+
+def validated(gkm: GkmGraph) -> GkmGraph:
+    """``gkm`` itself when it passes the four axioms; otherwise :class:`AxiomViolationError`."""
+    report = validate_gkm(gkm)
+    if not report.ok:
+        raise AxiomViolationError.from_report(report)
+    return gkm
+
+
+def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | None) -> Validation:
     _check_weights(axial, graph.darts)
     w = axial.weights
     failures: list[AxiomFailure] = []
@@ -135,6 +183,8 @@ def validate_axial(
     for p in graph.vertices:
         out = graph.out_darts(p)
         dirs = [_direction(w[d]) for d in out]
+        if None not in dirs and len(set(dirs)) == len(dirs):
+            continue
         for i, a in enumerate(dirs):
             for j in range(i + 1, len(out)):
                 if a is None or a == dirs[j] or dirs[j] is None:
@@ -142,27 +192,29 @@ def validate_axial(
                         AxiomFailure(2, f"vertex {p}", f"darts {out[i]} and {out[j]} carry dependent weights")
                     )
 
-    if connection is not None:
-        failures.extend(_check_connection(graph, axial, connection))
+    coefficients = {} if connection is None else _check_connection(graph, axial, connection, failures)
 
     from .hermite import lattice_basis
 
     n = axial.torus_rank  # the weights at a vertex span Z^n exactly when their row HNF is I_n
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for p in graph.vertices:
-        if lattice_basis([w[d] for d in graph.out_darts(p)], n) != unit:
-            failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
+    spans_agree = connection is not None and all(f.axiom != 3 for f in failures)
+    tested = graph.vertices[:1] if spans_agree else graph.vertices
+    bad = [p for p in tested if lattice_basis([w[d] for d in graph.out_darts(p)], n) != unit]
+    if spans_agree and bad:
+        bad = graph.vertices
+    failures.extend(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice") for p in bad)
 
-    return ValidationReport(checked=checked, failures=tuple(failures))
+    return Validation(ValidationReport(checked=checked, failures=tuple(failures)), coefficients)
 
 
-def _check_connection(
-    graph: OrientedGraph, axial: AxialFunction, maps: Mapping[str, Mapping[str, str]]
-) -> list[AxiomFailure]:
+def _check_connection(graph: OrientedGraph, axial: AxialFunction, maps: Maps, failures: list[AxiomFailure]):
+    """Append the failures of axiom 3; return the congruence vector of each dart whose map is a bijection."""
     packed, big = _packed(axial, graph.darts)
-    bound = 2 * big
+    bound = 2 * big  # a weight change q·w(e) has |q| <= 2M
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
-    failures: list[AxiomFailure] = []
+    index = graph._positions
+    coefficients = {}
     for e in graph.darts:
         nabla = maps.get(e)
         if nabla is None:
@@ -175,21 +227,21 @@ def _check_connection(
         if nabla[e] != eb:
             failures.append(AxiomFailure(3, f"dart {e}", f"map must send {e} to {eb}"))
         back = maps.get(eb)
-        if back is not None and any(back.get(img) != src for src, img in nabla.items()):
+        if back is not None and list(map(back.get, nabla.values())) != list(nabla):
             failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
         base = packed[e]
+        vector: list[int | None] = [None] * graph.valence
         for e2, img in nabla.items():
-            change = packed[img] - packed[e2]  # q·w(e) iff exact with |q| ≤ 2M (congruence._coefficients)
+            change = packed[img] - packed[e2]
             q, r = divmod(change, base) if base else (0, change)
             if r or not -bound <= q <= bound:
                 failures.append(
                     AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
                 )
-    return failures
-
-
-def validate_gkm(gkm: GkmGraph) -> ValidationReport:
-    return validate_axial(gkm.graph, gkm.axial, gkm.connection)
+            else:
+                vector[index[e2]] = q
+        coefficients[e] = tuple(vector)
+    return coefficients
 
 
 def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, dict[str, str]]:

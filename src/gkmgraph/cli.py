@@ -1,14 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 when validation or a requested construction
-fails, 2 on usage errors (argparse's default).  All numeric output is exact
-integers.  Each command loads only the layers it runs, and the parser holds
-only the sub-parser of the command it parses.  All load the read side (``io``,
-``graph``).  ``axial`` loads for ``validate``, ``connection``, the extension
-commands and the inference of a missing connection; the Hermite core
-(``hermite``) for ``rank``, ``validate`` and the extension commands; the Smith
-form and completion (``intlinalg``) for ``extend`` and ``project`` alone; the
-writer for ``gen``, ``extend``, ``project`` and ``dot``.
+Exit codes: 0 on success, 1 when the input fails validation (the axioms
+included) or a requested construction fails, 2 on usage errors (argparse's
+default).  ``validate`` reports the axioms; every other command that reads a
+document loads a validated graph, and an input failing an axiom ends it with
+one ``error:`` line, except a failing candidate of ``check-extension``, which
+is no extension.  All numeric output is exact integers.  Each command loads
+only the layers it runs, and the parser holds only the sub-parser of the
+command it parses.  All load the read side (``io``, ``graph``), and all but
+``gen`` the validation layer (``axial``) and the Hermite core (``hermite``)
+it checks axiom 4 with; the Smith form and completion (``intlinalg``) load for
+``extend`` and ``project`` alone, the writer for ``gen``, ``extend``,
+``project`` and ``dot``.
 """
 
 from __future__ import annotations
@@ -99,10 +102,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_connection(args: argparse.Namespace) -> int:
-    from .axial import infer_connection
+    from .axial import infer_connection, validated
 
     doc = parse_gkm(_read(args.file))
-    gkm = gkm_from_document(doc)
+    gkm = validated(gkm_from_document(doc))
     # without a pinned connection, assembly has already inferred it
     conn = gkm.connection if doc.connection is None else infer_connection(gkm.graph, gkm.axial)
     g = gkm.graph
@@ -156,7 +159,7 @@ def cmd_check_extension(args: argparse.Namespace) -> int:
     from .extension import verify_extension
 
     base = load_gkm(_read(args.base))
-    candidate = load_gkm(_read(args.candidate))
+    candidate = gkm_from_document(parse_gkm(_read(args.candidate)))  # failing the axioms, it is no extension
     check = verify_extension(base, candidate)
     if check.ok:
         print("extension: yes")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axial import ValidationReport, validate_gkm
+from .axial import _first_failure, validate_gkm, validated
 from .errors import GkmError
 from .graph import GkmGraph
 from .hermite import IntegerMatrix, _back_substitute, hermite_normal_form
@@ -24,20 +24,6 @@ class RankExceededError(GkmError):
 
 class NotSurjectiveError(GkmError):
     """The projection matrix is not onto the target lattice."""
-
-
-def _first_failure(report: ValidationReport) -> str:
-    """One line naming the first failed axiom of ``report`` and where it fails."""
-    f = report.failures[0]
-    return f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})"
-
-
-class AxiomViolationError(GkmError):
-    """A constructed labeling fails the axioms; the message names the first failure."""
-
-    @classmethod
-    def from_report(cls, report: ValidationReport) -> "AxiomViolationError":
-        return cls(_first_failure(report))
 
 
 class GraphMismatchError(GkmError):
@@ -61,8 +47,8 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     vertex, and give each dart its new coordinates.  On valid input the
     canonical elements span a primitive sublattice, so the chosen elements
     are part of a basis of the lattice, and projecting by ``[I_n | 0]``
-    recovers ``gkm``.  The result is validated once, and failing any axiom
-    raises :class:`AxiomViolationError`.
+    recovers ``gkm``.  ``gkm`` and the result must pass the axioms, or
+    :class:`~gkmgraph.axial.AxiomViolationError` names the first failure.
     """
     from .axgroup import axial_group_basis
     from .intlinalg import complete_inside_lattice
@@ -83,22 +69,21 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     coords = [_back_substitute(h, u, r) for r in completion[: target_rank - n]]
     new = (IntegerMatrix.from_rows(coords, basis.rank) @ basis.coordinate_matrix).data
     darts = [d for v in g.vertices for d in g.out_darts(v)]
-    out = gkm.with_weights({d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}, target_rank)
-    report = validate_gkm(out)
-    if not report.ok:
-        raise AxiomViolationError.from_report(report)
-    return out
+    weights = {d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}
+    return validated(gkm.with_weights(weights, target_rank))
 
 
 def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
     """Compose the weights with a surjection onto a smaller lattice.
 
-    The projection must be onto (all Smith invariant factors 1); the result
-    keeps the graph and connection and is fully validated, so a projection
-    that collapses some vertex's weights raises :class:`AxiomViolationError`.
+    ``gkm`` and the result must pass the axioms, or :class:`~gkmgraph.axial.AxiomViolationError`
+    names the first failure; so a projection that collapses some vertex's
+    weights is refused.  The projection must be onto (all Smith invariant
+    factors 1); the result keeps the graph and connection.
     """
     from .intlinalg import invariant_factors
 
+    validated(gkm)
     if projection.ncols != gkm.axial.torus_rank:
         raise ValueError(
             f"projection has {projection.ncols} columns, expected {gkm.axial.torus_rank}"
@@ -107,22 +92,20 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
     if len(facs) != projection.nrows or any(f != 1 for f in facs):
         raise NotSurjectiveError("the projection matrix is not onto the target lattice")
     weights = {d: projection.mul_vector(w) for d, w in gkm.axial.weights.items()}
-    out = gkm.with_weights(weights, projection.nrows)
-    report = validate_gkm(out)
-    if not report.ok:
-        raise AxiomViolationError.from_report(report)
-    return out
+    return validated(gkm.with_weights(weights, projection.nrows))
 
 
 def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
     """Decide whether ``candidate`` extends ``base`` and exhibit the projection.
 
-    Both labelings must live on the same graph with the same orderings, and
-    the candidate must satisfy the axioms.  The projection is solved from the
+    Both labelings must live on the same graph with the same orderings.  A
+    base failing the axioms raises :class:`~gkmgraph.axial.AxiomViolationError`; a candidate
+    failing them is no extension.  The projection is solved from the
     weights at one vertex (the candidate's span, so it is unique if it
     exists), one coordinate at a time against one HNF, and then verified on
     every dart.
     """
+    validated(base)
     if base.graph != candidate.graph:
         raise GraphMismatchError("the two labelings live on different graphs")
     if base.connection != candidate.connection:

@@ -8,14 +8,16 @@ order on its outgoing darts (lexicographic by dart id unless pinned
 explicitly).
 
 Every command loads this module.  It also holds the labeled graph
-(:class:`GkmGraph`: a graph, its weights and its connection) and
-:func:`_packed`, the packing of weights every congruence test reads.
+(:class:`GkmGraph`: a graph, its weights and its connection, which holds its
+validation once computed) and :func:`_packed`, the packing of weights every
+congruence test reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, GkmError
@@ -212,16 +214,31 @@ class AxialFunction(NamedTuple):
     weights: Mapping[str, Weight]
 
 
-class GkmGraph(NamedTuple):
+class GkmGraph(Frozen):
     """A graph, an axial function, and a connection, used as one unit.
 
     ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
-    of its source onto those of its target.
+    of its source onto those of its target.  The fields are held as given and
+    must not change: :attr:`validation` reads them once.
     """
 
-    graph: OrientedGraph
-    axial: AxialFunction
-    connection: dict[str, dict[str, str]]
+    def __init__(self, graph: OrientedGraph, axial: AxialFunction, connection: dict[str, dict[str, str]]):
+        self.__dict__.update(graph=graph, axial=axial, connection=connection)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.axial, self.connection) == (other.graph, other.axial, other.connection)
+
+    def __repr__(self):
+        return f"GkmGraph(graph={self.graph!r}, axial={self.axial!r}, connection={self.connection!r})"
+
+    @cached_property
+    def validation(self):
+        """The axioms checked once: a :class:`~gkmgraph.axial.Validation`, the report and the congruence vectors."""
+        from .axial import _validate
+
+        return _validate(self.graph, self.axial, self.connection)
 
     @property
     def m(self) -> int:
@@ -248,15 +265,15 @@ def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int],
     Every vector a congruence test packs has entries of at most
     ``2M(M+1) < 2^s``: the difference of two residues in
     :func:`~gkmgraph.axial._residue_key` (inference), and the remainder
-    ``w(a) − w(b) − q·w(e)`` with ``|q| ≤ 2M`` in axiom 3 and
-    ``invariant_function``.  So each test is exact arithmetic on one integer
-    per dart.  A dart without a weight of length ``torus_rank`` raises
+    ``w(a) − w(b) − q·w(e)`` with ``|q| ≤ 2M`` in axiom 3, whose quotients
+    are the congruence coefficients.  So each test is exact arithmetic on one
+    integer per dart.  A dart without a weight of length ``torus_rank`` raises
     :class:`AxialError`.
     """
     darts = tuple(darts)
     _check_weights(axial, darts)
     weights = axial.weights
-    big = max((abs(x) for d in darts for x in weights[d]), default=0)
+    big = max(map(abs, chain.from_iterable(map(weights.__getitem__, darts))), default=0)
     s = 2 * big.bit_length() + 2
     packed = {}
     for d in darts:

@@ -3,16 +3,17 @@
 A document stores one labeled graph: the weight-vector length, the vertices,
 one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
-ordering sections.  Parsing is purely structural; the axioms are checked by
-:func:`gkmgraph.axial.validate_axial` once a graph is assembled.
+ordering sections.  Parsing is purely structural, and so is assembly
+(:func:`gkm_from_document`); :func:`load_gkm`, which every command but
+``validate`` reads through, also refuses a graph failing an axiom.
 
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
 that dict becomes the assembled graph's connection map.
 
-Assembly loads :mod:`gkmgraph.axial` only to infer a missing connection.
-Writing documents and DOT text is :mod:`gkmgraph.writer`, which only ``gen``,
-``extend``, ``project`` and ``dot`` load.
+Loading a document loads :mod:`gkmgraph.axial`, to validate it and to infer a
+missing connection.  Writing documents and DOT text is :mod:`gkmgraph.writer`,
+which only ``gen``, ``extend``, ``project`` and ``dot`` load.
 """
 
 from __future__ import annotations
@@ -202,9 +203,11 @@ def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction
 
 
 def gkm_from_document(doc: GkmDocument) -> GkmGraph:
-    """Assemble a labeled graph; the connection is inferred when absent.
+    """Assemble a labeled graph, not validated; the connection is inferred when absent.
 
-    Each entry's ``images`` becomes the graph's map for that dart as it is, not copied.
+    Each entry's ``images`` becomes the graph's map for that dart as it is, not copied, and a
+    dart with no entry gets the inverse of its reverse's map.  Whether each map is a bijection
+    between the out-darts is axiom 3's to check.
     """
     graph, axial = labels_from_document(doc)
     if doc.connection is None:
@@ -212,18 +215,10 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
 
         return GkmGraph(graph, axial, infer_connection(graph, axial))
     maps: dict[str, dict[str, str]] = {}
-    outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     for entry in doc.connection:
         if entry.dart not in graph.sources:
             raise SchemaError(f"connection: unknown dart {entry.dart}")
-        nabla = entry.images
-        source, target = graph.source(entry.dart), graph.target(entry.dart)
-        if nabla.keys() != outs[source] or set(nabla.values()) != outs[target]:
-            raise SchemaError(
-                f"connection: map for dart {entry.dart} is not a bijection from the out-darts "
-                f"of {source} onto those of {target}"
-            )
-        maps[entry.dart] = nabla
+        maps[entry.dart] = entry.images
     for d in graph.darts:
         if d in maps:
             continue
@@ -235,8 +230,10 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
 
 
 def load_gkm(text: str) -> GkmGraph:
-    """Parse and assemble a document."""
-    return gkm_from_document(parse_gkm(text))
+    """Parse, assemble and validate a document; failing an axiom raises ``AxiomViolationError``."""
+    from .axial import validated
+
+    return validated(gkm_from_document(parse_gkm(text)))
 
 
 def format_vector(v: tuple[int, ...]) -> str:

@@ -13,10 +13,12 @@ stops at rank ``n``, and Smith invariant factors are read off the gcds of
 minors (``smith_by_minors``).  ``validation_by_residues`` decides axiom 3 by
 comparing residues modulo ``Z·w(e)`` and axiom 4 by Smith invariant factors,
 the reference for the packed division and the HNF test of
-``validate_axial``.  ``transport_matrix`` (``propagate`` on the
-unit vectors) and ``with_orderings`` (``build_graph`` with other orderings)
-rebuild from the public API what only tests need, and ``main_outcome`` runs
-one command line in process.  ``grassmannian_by_subsets`` builds the
+``validate_axial``; ``validation_checking_every_vertex`` checks axiom 2 at
+every pair and axiom 4 at every vertex, the reference for its shortcuts.
+``transport_matrix`` (``propagate`` on the unit vectors) and
+``with_orderings`` (``build_graph`` with other orderings) rebuild from the
+public API what only tests need, and ``main_outcome`` runs one command line
+in process.  ``grassmannian_by_subsets`` builds the
 Grassmannian family from frozensets, swapping the replaced and the new
 element inside each target subset, the reference for the index tables of
 ``gen_grassmannian``.  Nothing private is
@@ -56,9 +58,9 @@ from gkmgraph import (
     reverse_name,
     validate_axial,
 )
-from gkmgraph.axial import AmbiguousConnectionError, ConnectionNotFoundError
+from gkmgraph.axial import AmbiguousConnectionError, AxiomViolationError, ConnectionNotFoundError
 from gkmgraph.cli import main
-from gkmgraph.extension import AxiomViolationError, project_axial
+from gkmgraph.extension import project_axial
 from gkmgraph.graph import AxialError, AxialFunction, NotProportionalError, OrientedGraph
 
 
@@ -221,6 +223,28 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
         if len(factors) != n or any(f != 1 for f in factors):
             failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
     return ValidationReport((1, 2, 3, 4) if connection is not None else (1, 2, 4), tuple(failures))
+
+
+def validation_checking_every_vertex(graph: OrientedGraph, axial: AxialFunction, connection=None) -> ValidationReport:
+    """``validate_axial`` with no shortcut: axiom 2 at every pair of out-darts, axiom 4 at every vertex.
+
+    Axioms 1 and 3 are taken from ``validate_axial`` itself.  A pair fails
+    axiom 2 when all its 2×2 minors vanish (:func:`pairwise_dependent`), and a
+    vertex fails axiom 4 unless its weights have ``n`` invariant factors, all 1.
+    """
+    w, n = axial.weights, axial.torus_rank
+    report = validate_axial(graph, axial, connection)
+    failures = list(report.failures_for(1))
+    for p in graph.vertices:
+        for a, b in combinations(graph.out_darts(p), 2):
+            if pairwise_dependent(w[a], w[b]):
+                failures.append(AxiomFailure(2, f"vertex {p}", f"darts {a} and {b} carry dependent weights"))
+    failures += report.failures_for(3)
+    for p in graph.vertices:
+        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], n))
+        if len(factors) != n or any(f != 1 for f in factors):
+            failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
+    return ValidationReport(report.checked, tuple(failures))
 
 
 def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> dict[str, dict[str, str]]:

@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
-    AxialError,
+    AxiomFailure,
+    AxiomViolationError,
     GkmGraph,
     IntegerMatrix,
     NotProportionalError,
@@ -14,13 +16,14 @@ from gkmgraph import (
     gen_grassmannian,
     gen_projective,
     gen_s6,
+    gkm_from_document,
     infer_connection,
     invariant_function,
     load_gkm,
+    parse_gkm,
     propagate,
     validate_gkm,
 )
-from gkmgraph.errors import GkmError
 from helpers import (
     TWISTED_S6,
     brute_force_solutions,
@@ -67,8 +70,9 @@ def test_propagate_round_trip_is_identity():
 
 
 def test_propagate_reads_only_the_congruence_of_its_own_dart():
-    # a weight change that breaks the congruence across an unrelated dart
-    # leaves the transport across e as it was
+    # propagate reads c(ē) from the validation of the whole graph, so a weight
+    # change that breaks the congruence across an unrelated dart makes it
+    # refuse, with the first failure of the report
     gkm = gen_projective(4)
     g = gkm.graph
     e = g.darts[0]
@@ -78,8 +82,10 @@ def test_propagate_reads_only_the_congruence_of_its_own_dart():
     with pytest.raises(NotProportionalError):
         invariant_function(bent)
     for f in [(1, 0, 0, 0), (2, -1, 3, 5)]:
-        assert propagate(bent, f, e) == propagate(gkm, f, e)
-        assert transport_matrix(bent, e).mul_vector(f) == propagate(gkm, f, e)
+        with pytest.raises(AxiomViolationError) as exc:
+            propagate(bent, f, e)
+        assert str(exc.value) == _refusal(bent)
+        assert transport_matrix(gkm, e).mul_vector(f) == propagate(gkm, f, e)
 
 
 def test_transport_matrix_matches_propagate():
@@ -162,9 +168,9 @@ RELABEL_FIXTURES = core_fixtures()
 @given(data=st.data())
 def test_methods_agree_off_the_axioms(name, data):
     # weights relabelled through a random small matrix, with w(X~) = w(X) on
-    # a drawn set of edges, and never validated, so axioms 1, 2 and 4 may
-    # fail; from every base vertex the propagation solver must still match
-    # the full system, lattice or error
+    # a drawn set of edges, so axioms 1, 2, 3 and 4 may fail: both methods
+    # refuse such a labeling with the same first failure from every base
+    # vertex, and on one that passes they give the same lattice
     gkm = RELABEL_FIXTURES[name]
     g = gkm.graph
     k = data.draw(st.integers(1, gkm.n + 1), label="rows")
@@ -179,46 +185,46 @@ def test_methods_agree_off_the_axioms(name, data):
     _agree_from_every_base(gkm.with_weights(weights, k))
 
 
+def _refusal(gkm) -> str:
+    """The message of the refusal of ``gkm``: the first failure of its report."""
+    return str(AxiomViolationError.from_report(validate_gkm(gkm)))
+
+
 def _agree_from_every_base(gkm):
+    """The lattice both methods give from every base vertex, or ``None`` when both refuse ``gkm`` alike."""
+
     def outcome(method, base=None):
         try:
             return axial_group_basis(gkm, method=method, base_vertex=base).coordinate_matrix
-        except GkmError as exc:
-            return type(exc)
+        except AxiomViolationError as exc:
+            return str(exc)
 
     expected = outcome("full")
     for v in gkm.graph.vertices:
-        assert outcome("propagate", v) == expected, v
-    return expected
+        assert outcome("full", v) == outcome("propagate", v) == expected, v
+    if validate_gkm(gkm).ok:
+        return expected
+    assert expected == _refusal(gkm)
+    return None
 
 
 def test_propagation_refuses_a_connection_not_sending_each_dart_to_its_reverse():
     # the step reads f(q)_ē from the ē row, which holds f(p) at ∇_ē(ē); off
-    # ∇_d(d) = d̄ it would give p:(4, 1, -2) where the lattice is p:(2, -1, -1)
-    gkm = load_gkm(TWISTED_S6)
+    # ∇_d(d) = d̄ it would give p:(4, 1, -2) where the lattice of the full
+    # system is p:(2, -1, -1).  Axiom 3 fails (so does axiom 2), and both
+    # methods refuse the labeling as loading does
+    gkm = gkm_from_document(parse_gkm(TWISTED_S6))
     assert invariant_function(gkm)  # the congruence holds; only the connection is off
-    with pytest.raises(AxialError, match=r"^connection sends dart e2 to e3~, not to its reverse e2~$"):
-        axial_group_basis(gkm)
-    full = axial_group_basis(gkm, method="full")
-    assert full.coordinate_matrix == IntegerMatrix.from_rows([[2, -1, -1, -2, 1, 1]])
-    assert all(element_in_lattice(gkm, el) for el in full.elements)
-
-
-def _gate(gkm):
-    """Which gate conditions hold: the congruence, rank n of the weights at every vertex."""
-    g, w = gkm.graph, gkm.axial.weights
-    try:
-        invariant_function(gkm)
-        congruence = True
-    except NotProportionalError:
-        congruence = False
-    return congruence, all(rational_rank([w[d] for d in g.out_darts(v)]) == gkm.n for v in g.vertices)
+    assert AxiomFailure(3, "dart e2", "map must send e2 to e2~") in validate_gkm(gkm).failures
+    assert _agree_from_every_base(gkm) is None
+    with pytest.raises(AxiomViolationError, match=f"^{re.escape(_refusal(gkm))}$"):
+        load_gkm(TWISTED_S6)
 
 
 def test_rank_n_exit_holds_off_axiom_1():
-    # the gate does not ask for axiom 1: once the congruence holds, the
-    # canonical elements are solutions, so the exit at rank n stays exact.
-    # s6 with w(X~) = w(X) on every edge fails only axiom 1, and the exit fires
+    # the rank-n exit relies on axioms 1, 3 and 4, and both methods refuse a
+    # labeling off axiom 1 before either solves.  s6 with w(X~) = w(X) on
+    # every edge fails only axiom 1
     s6 = gen_s6()
     weights = {}
     for e, w in zip(("e1", "e2", "e3"), [(1, 2), (0, 1), (-1, 0)]):
@@ -226,43 +232,46 @@ def test_rank_n_exit_holds_off_axiom_1():
     bent = s6.with_weights(weights, s6.n)
     gkm = GkmGraph(bent.graph, bent.axial, infer_connection(bent.graph, bent.axial))
     assert {f.axiom for f in validate_gkm(gkm).failures} == {1}
-    assert _gate(gkm) == (True, True)
-    _agree_from_every_base(gkm)
-    # projective(2) with w(X~) = w(X) on the two edges at vertex 0: across
-    # those edges k = 1 + c(ē)_ē is 1, not -1, and the transport must read
-    # the step from the ē row of the relation to agree with the full system
+    assert _agree_from_every_base(gkm) is None
+    # projective(2) with w(X~) = w(X) on the two edges at vertex 0, where
+    # c(ē)_ē would be 0 rather than -2: refused, by propagate too
     gkm = gen_projective(2)
     weights = dict(gkm.axial.weights, **{"0-1~": (1, 0), "0-2~": (0, 1)})
     bent = gkm.with_weights(weights, gkm.n)
     assert not validate_gkm(bent).passed(1)
-    assert _gate(bent) == (True, True)
-    assert _agree_from_every_base(bent).nrows == 2
-    for v in bent.graph.vertices:
-        basis = axial_group_basis(bent, base_vertex=v)
-        assert (basis.coordinate_matrix, basis.canonical_matrix) == propagation_checking_every_edge(bent, v)
+    assert _agree_from_every_base(bent) is None
+    with pytest.raises(AxiomViolationError, match="^axiom 1 fails at dart 0-1: "):
+        propagate(bent, (1, 0), "0-1")
 
 
 def test_rank_n_exit_is_gated_by_the_base_vertex_rank():
-    # weights in Z^4 of rank 3 everywhere: axiom 1 and the congruence hold,
-    # and the propagation starts at rank m = 4 = n, above the lattice's 3
+    # weights in Z^4 of rank 3 everywhere: axioms 1 and 3 hold, axiom 4 fails
+    # at every vertex, and both methods refuse the labeling
     gkm = gen_grassmannian(2)
     lift = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
     weights = {d: tuple(sum(a * b for a, b in zip(r, w)) for r in lift) for d, w in gkm.axial.weights.items()}
     lifted = gkm.with_weights(weights, 4)
-    assert _gate(lifted) == (True, False)
-    assert _agree_from_every_base(lifted).nrows == 3
+    report = validate_gkm(lifted)
+    assert report.failures == tuple(
+        AxiomFailure(4, f"vertex {v}", "weights do not span the integer lattice") for v in gkm.graph.vertices
+    )
+    assert _agree_from_every_base(lifted) is None
 
 
 def test_rank_n_exit_is_gated_by_the_congruence():
     # axiom 1 holds and the weights at each vertex keep rank n, but one
-    # weight change is not a multiple: both methods raise the same error
+    # weight change is not a multiple: invariant_function names it, and both
+    # methods refuse the labeling with the first failure of axiom 3
     gkm = gen_projective(3)
     e = gkm.graph.edge_representatives()[-1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[gkm.graph.reverse(e)] = (1, 2, 3), (-1, -2, -3)
     bent = gkm.with_weights(weights, gkm.n)
-    assert _gate(bent) == (False, True)
-    assert _agree_from_every_base(bent) is NotProportionalError
+    with pytest.raises(NotProportionalError):
+        invariant_function(bent)
+    assert validate_gkm(bent).passed(1) and not validate_gkm(bent).passed(3)
+    assert _agree_from_every_base(bent) is None
+    assert _refusal(bent).startswith("axiom 3 fails at dart ")
 
 
 def _oracle_cases():

@@ -35,6 +35,7 @@ from helpers import (
     ratio,
     shuffled_orderings,
     validation_by_residues,
+    validation_checking_every_vertex,
     weight_ratio,
     with_orderings,
 )
@@ -387,6 +388,28 @@ def test_axiom2_matches_the_pairwise_minors():
             assert [(f.where, f.detail) for f in report.failures_for(2)] == expected
             assert expected
     assert zeroed and flipped
+
+
+def test_validation_shortcuts_leave_the_report_unchanged():
+    # axiom 2 compares pairs only where directions repeat or vanish, and axiom
+    # 4 reads one vertex once axioms 1 and 3 hold: on the fixtures and on bent
+    # weights, with the fixture's full connection, the inferred one and none,
+    # the report is the one that checks every pair and every vertex
+    rng = random.Random(41)
+    one_vertex_failing = 0
+    for name, gkm in core_fixtures().items():
+        for doc in [document_from_gkm(gkm)] + bent_documents(rng, gkm, 40):
+            graph, axial = labels_from_document(doc)
+            connections = [gkm.connection, None]
+            try:
+                connections.append(infer_connection(graph, axial))
+            except (ConnectionNotFoundError, AmbiguousConnectionError):
+                pass
+            for connection in connections:
+                report = validate_axial(graph, axial, connection)
+                assert report == validation_checking_every_vertex(graph, axial, connection), (name, doc)
+                one_vertex_failing += report.passed(3) and not report.passed(4)
+    assert one_vertex_failing > 50, one_vertex_failing
 
 
 def test_congruence_coefficient_examples():

@@ -20,8 +20,10 @@ from gkmgraph import (
     gen_grassmannian,
     gen_projective,
     gen_s6,
+    gkm_from_document,
     infer_connection,
     load_gkm,
+    parse_gkm,
     project_axial,
     validate_axial,
     validate_gkm,
@@ -30,7 +32,7 @@ from gkmgraph import cli
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
-from helpers import TWISTED_S6, bent_documents, main_outcome
+from helpers import TWISTED_S6, bent_documents, main_outcome, validation_checking_every_vertex
 
 
 @pytest.fixture
@@ -258,14 +260,17 @@ def test_rank_basis_prints_the_pinned_output(case, tmp_path, capsys):
 
 
 def test_rank_refuses_a_connection_not_sending_each_dart_to_its_reverse(tmp_path, capsys):
+    # the twisted s6 fails axioms 2 and 3: both methods refuse it on load,
+    # with the first failure on one error: line
     path = tmp_path / "twisted.json"
     path.write_text(TWISTED_S6)
-    assert main(["rank", str(path), "--basis"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: connection sends dart e2 to e3~, not to its reverse e2~\n"
-    assert main(["rank", str(path), "--basis", "--method", "full"]) == 0
-    assert capsys.readouterr().out.endswith("f1: p:(2, -1, -1) q:(-2, 1, 1)\n")
+    for method in ("propagate", "full"):
+        assert main(["rank", str(path), "--basis", "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: axiom 2 fails at vertex p: darts e1 and e2 carry dependent weights (witness 1 of 8)\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["rank", "validate", "invariant"])
@@ -369,6 +374,18 @@ def test_check_extension_rejects_a_candidate_failing_the_axioms(tmp_path, capsys
     out = capsys.readouterr().out
     assert out.startswith("extension: no (axiom 4 fails at vertex ")
     assert len(out.splitlines()) == 1
+
+
+def test_check_extension_refuses_a_base_failing_the_axioms(tmp_path, capsys):
+    base = gen_projective(3)
+    doubled = base.with_weights({d: tuple(2 * x for x in w) for d, w in base.axial.weights.items()}, base.n)
+    base_path, doubled_path = tmp_path / "base.json", tmp_path / "doubled.json"
+    base_path.write_text(emit_gkm(document_from_gkm(base)))
+    doubled_path.write_text(emit_gkm(document_from_gkm(doubled)))
+    assert main(["check-extension", str(doubled_path), str(base_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: axiom 4 fails at vertex 0: weights do not span the integer lattice (witness 1 of 4)\n"
 
 
 def test_extend_beyond_rank_fails(s6_file, tmp_path, capsys):
@@ -486,7 +503,10 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: connection: map for dart " + entry["dart"] + " ")
+    assert lines[0] == (
+        f"error: axiom 3 fails at dart {entry['dart']}: map is not a bijection between the out-dart sets "
+        "(witness 1 of 2)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -624,3 +644,76 @@ def test_mutated_documents_end_in_an_exit_code_and_at_most_one_error_line(mutate
         assert len(lines) == 1 and lines[0].startswith("error:"), err
     if code == 0 and command[0] == "validate":
         assert validate_gkm(load_gkm(text)).ok
+
+
+def _axiom_failing_documents():
+    """``(name, text, base)``: documents failing the axioms, each with a valid base on its graph.
+
+    Bent connection-free copies of small fixtures (those that still pass are
+    left out), the twisted s6, and projective(3) with every weight doubled.
+    """
+    rng = random.Random(43)
+    out = []
+    for name, gkm in (("s6", gen_s6()), ("projective3", gen_projective(3)), ("grassmannian2", gen_grassmannian(2))):
+        base = emit_gkm(document_from_gkm(gkm))
+        for k, doc in enumerate(bent_documents(rng, gkm, 12)):
+            graph, axial = labels_from_document(doc)
+            try:
+                if validate_axial(graph, axial, infer_connection(graph, axial)).ok:
+                    continue
+            except GkmError:
+                pass
+            out.append((f"{name}-bent{k}", emit_gkm(doc), base))
+    out.append(("twisted-s6", TWISTED_S6, emit_gkm(document_from_gkm(gen_s6()))))
+    doc = json.loads(emit_gkm(document_from_gkm(gen_projective(3))))
+    for edge in doc["edges"]:
+        edge["weight"] = [2 * x for x in edge["weight"]]
+    out.append(("doubled-projective3", json.dumps(doc), emit_gkm(document_from_gkm(gen_projective(3)))))
+    return out
+
+
+AXIOM_FAILING_DOCUMENTS = _axiom_failing_documents()
+
+
+def _expected_validate_output(text: str) -> str:
+    """What ``validate`` prints for ``text``, from the reference that checks every pair and every vertex."""
+    doc = parse_gkm(text)
+    if doc.connection is not None:
+        gkm = gkm_from_document(doc)
+        return validation_checking_every_vertex(gkm.graph, gkm.axial, gkm.connection).summary() + "\n"
+    graph, axial = labels_from_document(doc)
+    try:
+        connection = infer_connection(graph, axial)
+    except GkmError as exc:
+        return f"connection: none ({exc})\n" + validation_checking_every_vertex(graph, axial).summary() + "\n"
+    return "connection: inferred from the weights\n" + validation_checking_every_vertex(graph, axial, connection).summary() + "\n"
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)
+def test_documents_failing_the_axioms_end_every_command_with_exit_1(command, tmp_path):
+    # validate prints its report, a failing check-extension candidate is no
+    # extension, and every other command says why in one error: line
+    assert len(AXIOM_FAILING_DOCUMENTS) > 20
+    paths = {"doc": tmp_path / "doc.json", "base": tmp_path / "base.json", "out": tmp_path / "out.json"}
+    no_extension = 0
+    for name, text, base in AXIOM_FAILING_DOCUMENTS:
+        paths["doc"].write_text(text, encoding="utf-8")
+        paths["base"].write_text(base, encoding="utf-8")
+        code, out, err = main_outcome([arg.format(**paths) for arg in command])
+        assert code == 1, name
+        if command[0] == "validate":
+            assert (out, err) == (_expected_validate_output(text), ""), name
+            continue
+        if command[0] == "check-extension" and command[2] == "{doc}":
+            try:
+                gkm_from_document(parse_gkm(text))
+            except GkmError:
+                pass  # the candidate's connection cannot be inferred: an error, not a check
+            else:
+                assert out.startswith("extension: no (") and len(out.splitlines()) == 1 and err == "", name
+                no_extension += 1
+                continue
+        assert out == "", name
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (name, err)
+        assert not paths["out"].exists(), name
+    assert no_extension > 5 or command[:3] != ["check-extension", "{base}", "{doc}"]

@@ -19,8 +19,9 @@ from gkmgraph import (
     validate_gkm,
     verify_extension,
 )
+from gkmgraph.axial import AxiomViolationError
 from gkmgraph.extension import (
-    AxiomViolationError,
+    ExtensionCheck,
     GraphMismatchError,
     NotSurjectiveError,
     RankExceededError,
@@ -265,7 +266,9 @@ def test_verify_extension_rejects_scaled_labels():
     weights["e1~"] = (-2, 0)
     scaled = gkm.with_weights(weights, 2)
     assert not verify_extension(gkm, scaled).ok
-    assert not verify_extension(scaled, gkm).ok
+    # as a base, the scaled labeling fails axiom 3 and is refused
+    with pytest.raises(AxiomViolationError, match="^axiom 3 fails at dart e1: "):
+        verify_extension(scaled, gkm)
 
 
 def test_verify_extension_rejects_a_candidate_failing_the_axioms():
@@ -277,6 +280,19 @@ def test_verify_extension_rejects_a_candidate_failing_the_axioms():
     assert not check.ok
     assert check.projection is None
     assert check.detail.startswith("axiom 4 fails at vertex ")
+
+
+def test_verify_extension_refuses_a_base_failing_the_axioms():
+    # doubled weights span 2·Z^3 only: the base is refused with its first
+    # failure, while as a candidate the same labeling is no extension
+    gkm = gen_projective(3)
+    doubled = gkm.with_weights({d: tuple(2 * x for x in w) for d, w in gkm.axial.weights.items()}, gkm.n)
+    first = str(AxiomViolationError.from_report(validate_gkm(doubled)))
+    assert first.startswith("axiom 4 fails at vertex 0: weights do not span the integer lattice")
+    with pytest.raises(AxiomViolationError) as exc:
+        verify_extension(doubled, gkm)
+    assert str(exc.value) == first
+    assert verify_extension(gkm, doubled) == ExtensionCheck(False, None, first)
 
 
 def test_verify_extension_needs_the_same_graph():

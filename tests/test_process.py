@@ -24,8 +24,10 @@ from gkmgraph import (
     gen_grassmannian,
     gen_projective,
     gen_s6,
+    gkm_from_document,
     invariant_function,
     load_gkm,
+    parse_gkm,
     project_axial,
     validate_gkm,
     verify_extension,
@@ -92,9 +94,10 @@ def _every_library_path() -> list:
     errors = [
         _error_name(lambda: load_gkm('{"torus_rank": 2, "vertices": ["p"]}')),
         _error_name(lambda: load_gkm("{ not json }")),
-        _error_name(lambda: invariant_function(load_gkm(NOT_PROPORTIONAL))),
+        _error_name(lambda: load_gkm(NOT_PROPORTIONAL)),
+        _error_name(lambda: invariant_function(gkm_from_document(parse_gkm(NOT_PROPORTIONAL)))),
     ]
-    assert errors == ["SchemaError", "ParseError", "NotProportionalError"]
+    assert errors == ["SchemaError", "ParseError", "AxiomViolationError", "NotProportionalError"]
     return kept
 
 

@@ -115,22 +115,34 @@ def test_src_decodes_json_only_in_parse_gkm_with_the_pairs_hook():
     assert calls == [("io", "parse_gkm", ["object_pairs_hook"])]
 
 
-def test_xgcd_has_only_the_two_eliminations_as_callers():
-    # integer elimination lives in _echelon, plus the column elimination that
-    # complete_inside_lattice needs for its completion; a third caller of the
-    # xgcd step would be a second elimination routine beside them
+def _callers(name: str) -> list[tuple[str, str | None]]:
+    """``(module, function)`` of every call of ``name`` in the package, sorted."""
     src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
     callers = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "_xgcd":
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
                 callers.append((path.stem, function))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    assert sorted(callers) == [("hermite", "_echelon"), ("intlinalg", "complete_inside_lattice")]
+    return sorted(callers)
+
+
+def test_xgcd_has_only_the_two_eliminations_as_callers():
+    # integer elimination lives in _echelon, plus the column elimination that
+    # complete_inside_lattice needs for its completion; a third caller of the
+    # xgcd step would be a second elimination routine beside them
+    assert _callers("_xgcd") == [("hermite", "_echelon"), ("intlinalg", "complete_inside_lattice")]
+
+
+def test_divmod_is_called_only_in_the_congruence_pass_and_the_back_substitution():
+    # the congruence coefficients are the quotients axiom 3 takes, once per
+    # out-dart, and validation hands them on; a second copy of that division
+    # would compute them twice
+    assert _callers("divmod") == [("axial", "_check_connection"), ("hermite", "_back_substitute")]
 
 
 def test_helpers_import_nothing_private_from_the_package():
@@ -182,10 +194,10 @@ def _loaded_by(argv: list[str]) -> tuple[int, set[str]]:
 def test_cli_start_loads_only_what_it_runs(tmp_path):
     # a command's start-up cost is the modules it imports and compiles; the
     # solver, the extensions and the families load only in the commands that
-    # run them (the extensions load the solver only to extend), the axioms,
-    # the writer, the integer linear algebra and the congruence invariant only
-    # where they are called, and no record is built by dataclasses (which
-    # imports inspect)
+    # run them (the extensions load the solver only to extend), the axioms
+    # only where a document is read, the writer, the integer linear algebra
+    # and the congruence invariant only where they are called, and no record
+    # is built by dataclasses (which imports inspect)
     src = Path(__file__).resolve().parents[1] / "src"
     child = f"""
 import sys
@@ -220,15 +232,17 @@ print("ok")
     pinned, free, out = tmp_path / "s6.json", tmp_path / "projective3.json", str(tmp_path / "out.json")
     pinned.write_text(emit_gkm(document_from_gkm(gen_s6())), encoding="utf-8")
     free.write_text(emit_gkm(document_from_gkm(gen_projective(3))._replace(connection=None)), encoding="utf-8")
-    # argv, modules the command loads, modules it must not load
+    # argv, modules the command loads, modules it must not load; every command
+    # that reads a document validates it (axial, with hermite for axiom 4)
     cases = [
-        (["rank", pinned], {"axgroup", "hermite"}, {"axial", "intlinalg", "writer"}),
-        (["validate", free], {"axial", "hermite"}, {"intlinalg", "writer"}),
-        (["connection", free], {"axial"}, {"hermite", "intlinalg", "writer"}),
-        (["invariant", free], {"axial", "congruence"}, {"hermite", "intlinalg", "writer"}),
+        (["rank", pinned], {"axgroup", "axial", "hermite"}, {"intlinalg", "writer"}),
+        (["validate", free], {"axial", "hermite"}, {"congruence", "intlinalg", "writer"}),
+        (["connection", free], {"axial", "hermite"}, {"congruence", "intlinalg", "writer"}),
+        (["invariant", free], {"axial", "congruence", "hermite"}, {"axgroup", "intlinalg", "writer"}),
         (["check-extension", pinned, pinned], {"axial", "extension", "hermite"}, {"intlinalg", "writer"}),
-        (["dot", pinned], {"writer"}, {"axial", "hermite", "intlinalg"}),
+        (["dot", pinned], {"axial", "hermite", "writer"}, {"axgroup", "congruence", "intlinalg"}),
         (["extend", pinned, "--target", "2", "-o", out], {"axgroup", "intlinalg", "writer"}, set()),
+        (["gen", "s6", "-o", out], {"families", "writer"}, {"axial", "hermite"}),
     ]
     for argv, loads, skips in cases:
         code, loaded = _loaded_by([str(a) for a in argv])
