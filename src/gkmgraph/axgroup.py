@@ -212,8 +212,8 @@ def axial_group_basis(
         elements=elements,
         rank=len(coords),
         base_vertex=base,
-        canonical_matrix=IntegerMatrix.from_rows(restricted, m),
-        coordinate_matrix=IntegerMatrix.from_rows(coords, width),
+        canonical_matrix=IntegerMatrix(tuple(restricted), m),
+        coordinate_matrix=IntegerMatrix(tuple(coords), width),
     )
 
 

@@ -17,17 +17,21 @@ congruence test reads that packing, in one of two ways.  Inference alone
 compares residues: a weight's class modulo ``Z·w(e)`` is the integer
 :func:`_residue_key`, and inference runs one residue search per edge: under
 ``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  Axiom 3
-divides: one ``divmod`` of packed integers per out-dart, whose quotient must
-be exact and at most ``2M`` in absolute value, and that quotient is the
-congruence coefficient, which validation hands on (:class:`Validation`, held
-once per graph as :attr:`~gkmgraph.graph.GkmGraph.validation`).  Axiom 2
-compares directions (:func:`_direction`), pair by pair only at a vertex where
-they are not all distinct and nonzero.  Axiom 4 reads one row HNF per vertex,
-or of one vertex once axiom 3 holds: then ``w(∇_e d) = w(d) + c·w(e)``, with
-``e`` an out-dart at its own source, puts the span of the weights at the
-target of ``e`` inside the span at its source, and ``∇_ē`` gives the converse,
-so on a connected graph every vertex passes or fails with the first.  Neither
-shortcut changes the report.
+divides, also once per edge: the first dart ``e`` of an edge takes one
+``divmod`` of packed integers per out-dart, whose quotient must be exact and
+at most ``2M`` in absolute value, and that quotient is the congruence
+coefficient, which validation hands on (:class:`Validation`, held once per
+graph as :attr:`~gkmgraph.graph.GkmGraph.validation`).  When ``e`` passes
+against a map of ``ē`` that it finds to be its inverse and ``w(ē) = −w(e)``,
+``ē`` passes too, and its coefficients are those of ``e`` permuted; otherwise
+``ē`` is checked on its own (:func:`_check_connection`).  Axiom 2 compares
+directions (:func:`_direction`), one per edge where axiom 1 holds on it, pair
+by pair only at a vertex where they are not all distinct and nonzero.  Axiom 4
+reads one row HNF per vertex, or of one vertex once axiom 3 holds: then
+``w(∇_e d) = w(d) + c·w(e)``, with ``e`` an out-dart at its own source, puts
+the span of the weights at the target of ``e`` inside the span at its source,
+and ``∇_ē`` gives the converse, so on a connected graph every vertex passes or
+fails with the first.  None of these shortcuts changes the report.
 """
 
 from __future__ import annotations
@@ -175,14 +179,25 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
 
+    bent: set[str] = set()  # both darts of each edge failing axiom 1
     for e in graph.darts:
         eb = graph.reverse(e)
         if e < eb and w[eb] != _neg(w[e]):
             failures.append(AxiomFailure(1, f"dart {e}", f"weight of {eb} is not the negative of {w[e]}"))
+            bent.update((e, eb))
 
+    # one direction per edge: w(ē) = −w(e) has the direction of w(e), held until ē is reached
+    pending: dict[str, Weight] = {}
     for p in graph.vertices:
         out = graph.out_darts(p)
-        dirs = [_direction(w[d]) for d in out]
+        dirs = []
+        for d in out:
+            a = pending.pop(d, None)
+            if a is None:
+                a = _direction(w[d])
+                if a is not None and d not in bent:
+                    pending[graph.reverse(d)] = a
+            dirs.append(a)
         if None not in dirs and len(set(dirs)) == len(dirs):
             continue
         for i, a in enumerate(dirs):
@@ -209,39 +224,79 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
 
 
 def _check_connection(graph: OrientedGraph, axial: AxialFunction, maps: Maps, failures: list[AxiomFailure]):
-    """Append the failures of axiom 3; return the congruence vector of each dart whose map is a bijection."""
+    """Append the failures of axiom 3; return the congruence vector of each dart whose map is a bijection.
+
+    The first dart of an edge gets the full check (:func:`_check_dart`).  When
+    it passes with no failure, its inverse check ran against a map of ``m``
+    entries, and ``w(ē) = −w(e)``, that map is a bijection sending ``ē`` to
+    ``e`` whose own inverse check passes, and the coefficients of ``ē`` are
+    those of ``e`` read through it: ``c(ē)`` at ``d`` is ``c(e)`` at ``∇_ē(d)``.
+    Any other second dart gets the full check too, so the failures and their
+    order are those of checking every dart.
+    """
     packed, big = _packed(axial, graph.darts)
-    bound = 2 * big  # a weight change q·w(e) has |q| <= 2M
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     index = graph._positions
     coefficients = {}
+    proved: set[str] = set()  # second darts whose vectors the first dart's check proved
     for e in graph.darts:
-        nabla = maps.get(e)
-        if nabla is None:
-            failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
-            continue
-        if nabla.keys() != outs[graph.source(e)] or set(nabla.values()) != outs[graph.target(e)]:
-            failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
-            continue
         eb = graph.reverse(e)
-        if nabla[e] != eb:
-            failures.append(AxiomFailure(3, f"dart {e}", f"map must send {e} to {eb}"))
+        if e in proved and packed[e] == -packed[eb]:
+            proved.discard(e)
+            images = map(maps[e].__getitem__, graph.out_darts(graph.source(e)))
+            coefficients[e] = tuple(map(coefficients[eb].__getitem__, map(index.__getitem__, images)))
+            continue
+        before = len(failures)
+        vector = _check_dart(graph, maps, e, packed, 2 * big, outs, failures)
+        if vector is None:
+            continue
+        coefficients[e] = vector
         back = maps.get(eb)
-        if back is not None and list(map(back.get, nabla.values())) != list(nabla):
-            failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
-        base = packed[e]
-        vector: list[int | None] = [None] * graph.valence
-        for e2, img in nabla.items():
-            change = packed[img] - packed[e2]
-            q, r = divmod(change, base) if base else (0, change)
-            if r or not -bound <= q <= bound:
-                failures.append(
-                    AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
-                )
-            else:
-                vector[index[e2]] = q
-        coefficients[e] = tuple(vector)
+        if len(failures) == before and back is not None and len(back) == graph.valence:
+            proved.add(eb)
     return coefficients
+
+
+def _check_dart(
+    graph: OrientedGraph,
+    maps: Maps,
+    e: str,
+    packed: Mapping[str, int],
+    bound: int,
+    outs: Mapping[str, set[str]],
+    failures: list[AxiomFailure],
+) -> tuple[int | None, ...] | None:
+    """Axiom 3 at dart ``e``: append its failures; return its congruence vector, ``None`` off a bijection.
+
+    A coefficient is one ``divmod`` of packed integers, whose quotient must be
+    exact and at most ``bound`` (``2M``: a weight change ``q·w(e)`` has ``|q| <= 2M``).
+    """
+    nabla = maps.get(e)
+    if nabla is None:
+        failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
+        return None
+    if nabla.keys() != outs[graph.source(e)] or set(nabla.values()) != outs[graph.target(e)]:
+        failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
+        return None
+    eb = graph.reverse(e)
+    if nabla[e] != eb:
+        failures.append(AxiomFailure(3, f"dart {e}", f"map must send {e} to {eb}"))
+    back = maps.get(eb)
+    if back is not None and list(map(back.get, nabla.values())) != list(nabla):
+        failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
+    base = packed[e]
+    index = graph._positions
+    vector: list[int | None] = [None] * graph.valence
+    for e2, img in nabla.items():
+        change = packed[img] - packed[e2]
+        q, r = divmod(change, base) if base else (0, change)
+        if r or not -bound <= q <= bound:
+            failures.append(
+                AxiomFailure(3, f"dart {e}", f"weight change of {e2} is not a multiple of the base weight")
+            )
+        else:
+            vector[index[e2]] = q
+    return tuple(vector)
 
 
 def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, dict[str, str]]:

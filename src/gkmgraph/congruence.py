@@ -4,10 +4,11 @@ With an out-dart ordering fixed at every vertex, the connection along a dart
 ``e`` becomes a permutation matrix ``N_e``, and the congruence coefficients of
 all out-darts at the source collect into one integer vector per dart.  The
 vectors are those the validation of axiom 3 proves (:mod:`gkmgraph.axial`),
-one exact division of packed integers per out-dart, held with the graph.
-Both orientations are computed independently; the identity
-``N_e c(e) = c(ē)`` is a cheap cross-check on the connection and is
-exercised by the test suite.
+held with the graph: one exact division of packed integers per out-dart of
+the first dart of each edge, and the reverse dart's vector read from it
+through the identity ``N_e c(e) = c(ē)`` where that dart passes and
+``w(ē) = −w(e)``.  The test suite checks every vector against a division
+dart by dart.
 """
 
 from __future__ import annotations

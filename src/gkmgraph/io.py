@@ -66,6 +66,22 @@ class _Images(dict):
 def _images(maps: list, path: str) -> _Images:
     """``[source, image]`` pairs as a map; a malformed or repeated source raises :class:`SchemaError`."""
     images = _Images()
+    for pair in maps:
+        if type(pair) is list and len(pair) == 2:
+            source, image = pair
+            if type(source) is str and type(image) is str:
+                images[sys.intern(source)] = sys.intern(image)
+                continue
+        break
+    else:
+        if len(images) == len(maps):  # every source is new
+            return images
+    return _images_by_index(maps, path)  # raises, naming the first bad pair
+
+
+def _images_by_index(maps: list, path: str) -> _Images:
+    """:func:`_images` on a fresh map, pair by pair, so that an error names the first bad pair."""
+    images = _Images()
     for kk, pair in enumerate(maps):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
@@ -142,7 +158,7 @@ def parse_gkm(text: str) -> GkmDocument:
         if not (ends[0] in vertex_ids and ends[1] in vertex_ids):
             raise SchemaError(f"edges[{k}].endpoints: unknown vertex")
         weight = e["weight"]
-        if not (isinstance(weight, list) and all(_is_int(x) for x in weight)):
+        if not (isinstance(weight, list) and set(map(type, weight)) <= {int}):  # bool is not int here
             raise SchemaError(f"edges[{k}].weight: expected a list of integers")
         if len(weight) != rank:
             raise SchemaError(f"edges[{k}].weight: expected {rank} integers, got {len(weight)}")

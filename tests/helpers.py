@@ -13,7 +13,9 @@ stops at rank ``n``, and Smith invariant factors are read off the gcds of
 minors (``smith_by_minors``).  ``validation_by_residues`` decides axiom 3 by
 comparing residues modulo ``Z·w(e)`` and axiom 4 by Smith invariant factors,
 the reference for the packed division and the HNF test of
-``validate_axial``; ``validation_checking_every_vertex`` checks axiom 2 at
+``validate_axial``, and ``coefficients_by_division`` divides every
+out-dart's weight change of every dart, the reference for the congruence
+vectors a validation hands on; ``validation_checking_every_vertex`` checks axiom 2 at
 every pair and axiom 4 at every vertex, the reference for its shortcuts.
 ``transport_matrix`` (``propagate`` on the unit vectors) and
 ``with_orderings`` (``build_graph`` with other orderings) rebuild from the
@@ -223,6 +225,25 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
         if len(factors) != n or any(f != 1 for f in factors):
             failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
     return ValidationReport((1, 2, 3, 4) if connection is not None else (1, 2, 4), tuple(failures))
+
+
+def coefficients_by_division(graph: OrientedGraph, axial: AxialFunction, connection) -> dict:
+    """The congruence vector of every dart whose map is a bijection, one ``divmod`` per out-dart.
+
+    Entry ``j`` of the vector of ``e`` is :func:`ratio` of the weight change
+    of the ``j``-th out-dart at the source of ``e``: the integer ``c`` with
+    ``w(∇e d) − w(d) = c·w(e)``, or ``None`` where there is none.  Each dart
+    is divided on its own, with no use of its reverse.
+    """
+    w = axial.weights
+    vectors = {}
+    for e in graph.darts:
+        nabla = connection.get(e)
+        outs, ins = graph.out_darts(graph.source(e)), graph.out_darts(graph.target(e))
+        if nabla is None or set(nabla) != set(outs) or set(nabla.values()) != set(ins):
+            continue
+        vectors[e] = tuple(ratio(sub(w[nabla[d]], w[d]), w[e]) for d in outs)
+    return vectors
 
 
 def validation_checking_every_vertex(graph: OrientedGraph, axial: AxialFunction, connection=None) -> ValidationReport:

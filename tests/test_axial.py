@@ -28,6 +28,7 @@ from gkmgraph.io import labels_from_document, parse_gkm
 from helpers import (
     TWISTED_S6,
     bent_documents,
+    coefficients_by_division,
     core_fixtures,
     infer_connection_by_scan,
     pairwise_dependent,
@@ -90,9 +91,15 @@ def _mutated(doc, mutations):
     weight; ``("swap", i, a, b)`` swaps the images of out-darts ``a`` and
     ``b`` in the map of connection entry ``i``; ``("scale", v, factor)``
     multiplies the weights of the edges at vertex ``v``, so that its weights
-    span ``factor·Z^n`` at most.
+    span ``factor·Z^n`` at most.  Three mutations reach the reverse dart ``ē``
+    of edge ``i`` alone, after assembly: ``("swap-reverse", i, j, k)`` swaps
+    the images of the ``j``-th and ``k``-th out-darts in the map of ``ē``,
+    ``("extend-reverse", i)`` adds a pair from a dart that does not exist to
+    that map, and ``("reverse-weight", i, factor, k, delta)`` gives ``ē`` the
+    weight ``factor·w(e)`` plus ``delta`` at entry ``k``, through ``AxialFunction``.
     """
     edges, entries = list(doc.edges), [c._replace(images=dict(c.images)) for c in doc.connection]
+    one_sided = []
     for kind, *args in mutations:
         if kind == "bend":
             i, k, delta = args
@@ -103,44 +110,113 @@ def _mutated(doc, mutations):
             i, a, b = args
             images = entries[i].images
             images[a], images[b] = images[b], images[a]
-        else:
+        elif kind == "scale":
             v, factor = args
             edges = [e._replace(weight=tuple(factor * x for x in e.weight)) if v in (e.source, e.target) else e
                      for e in edges]
-    return gkm_from_document(doc._replace(edges=tuple(edges), connection=tuple(entries)))
+        else:
+            one_sided.append((kind, *args))
+    gkm = gkm_from_document(doc._replace(edges=tuple(edges), connection=tuple(entries)))
+    weights, maps = dict(gkm.axial.weights), dict(gkm.connection)
+    for kind, i, *args in one_sided:
+        e = doc.edges[i].id
+        eb = gkm.graph.reverse(e)
+        if kind == "swap-reverse":
+            j, k = args
+            a, b = (gkm.graph.out_darts(gkm.graph.source(eb))[x] for x in (j, k))
+            images = maps[eb] = dict(maps[eb])
+            images[a], images[b] = images[b], images[a]
+        elif kind == "extend-reverse":
+            maps[eb] = {**maps[eb], "nonexistent": e}
+        else:
+            factor, k, delta = args
+            w = [factor * x for x in weights[e]]
+            w[k] += delta
+            weights[eb] = tuple(w)
+    return GkmGraph(gkm.graph, AxialFunction(gkm.n, weights), maps)
 
 
 @st.composite
 def _mutations(draw):
     name = draw(st.sampled_from(sorted(VALIDATION_DOCUMENTS)))
     doc = VALIDATION_DOCUMENTS[name]
+    m = len(doc.connection[0].images)
     mutations = []
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["bend", "swap", "scale"]))
+        kind = draw(st.sampled_from(["bend", "swap", "scale", "swap-reverse", "extend-reverse", "reverse-weight"]))
         if kind == "bend":
             i = draw(st.integers(0, len(doc.edges) - 1))
             mutations.append(("bend", i, draw(st.integers(0, doc.torus_rank - 1)), draw(st.sampled_from((-2, -1, 1, 2)))))
-        elif kind == "swap" and len(doc.connection[0].images) > 1:
+        elif kind == "swap" and m > 1:
             i = draw(st.integers(0, len(doc.connection) - 1))
             a, b = draw(st.lists(st.sampled_from(sorted(doc.connection[i].images)), min_size=2, max_size=2, unique=True))
             mutations.append(("swap", i, a, b))
         elif kind == "scale":
             mutations.append(("scale", draw(st.sampled_from(doc.vertices)), draw(st.sampled_from((2, 3, -2)))))
+        elif kind == "swap-reverse" and m > 1:
+            i = draw(st.integers(0, len(doc.edges) - 1))
+            j, k = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+            mutations.append(("swap-reverse", i, j, k))
+        elif kind == "extend-reverse":
+            mutations.append(("extend-reverse", draw(st.integers(0, len(doc.edges) - 1))))
+        elif kind == "reverse-weight":
+            i = draw(st.integers(0, len(doc.edges) - 1))
+            factor, delta = draw(st.sampled_from([(f, d) for f in (-1, 1, 2) for d in (-1, 0, 1) if (f, d) != (-1, 0)]))
+            mutations.append(("reverse-weight", i, factor, draw(st.integers(0, doc.torus_rank - 1)), delta))
     return name, mutations
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=_mutations())
 def test_validation_matches_the_residue_and_smith_oracle(case):
-    # axiom 3 divides packed weights and axiom 4 reads one HNF per vertex; the
-    # report, every failure in the same order, is the one residues and Smith
-    # invariant factors give, with and without the connection
+    # axiom 3 divides packed weights once per edge and axiom 4 reads one HNF
+    # per vertex; the report, every failure in the same order, is the one
+    # residues and Smith invariant factors give, with and without the
+    # connection, and the congruence vectors are those of dividing every dart
+    # on its own, also where a mutation reaches only the reverse of an edge
     name, mutations = case
     gkm = _mutated(VALIDATION_DOCUMENTS[name], mutations)
     for connection in (gkm.connection, None):
         assert validate_axial(gkm.graph, gkm.axial, connection) == validation_by_residues(
             gkm.graph, gkm.axial, connection
         )
+    assert validate_gkm(gkm) == validation_checking_every_vertex(gkm.graph, gkm.axial, gkm.connection)
+    assert gkm.validation.coefficients == coefficients_by_division(gkm.graph, gkm.axial, gkm.connection)
+
+
+def test_coefficients_match_the_division_oracle():
+    # on every fixture, with its pinned connection and with the inferred one,
+    # the vectors validation hands on are those of dividing every dart on its own
+    fixtures = {name: gkm_from_document(doc) for name, doc in VALIDATION_DOCUMENTS.items()}
+    inferred = {name: GkmGraph(g.graph, g.axial, infer_connection(g.graph, g.axial)) for name, g in core_fixtures().items()}
+    for name, gkm in [*fixtures.items(), *inferred.items()]:
+        coefficients = gkm.validation.coefficients
+        assert coefficients == coefficients_by_division(gkm.graph, gkm.axial, gkm.connection), name
+        assert len(coefficients) == len(gkm.graph.darts), name
+
+
+def test_one_sided_mutations_reach_both_checks_of_an_edge():
+    # a reverse dart takes its vector from its forward dart only when that
+    # dart passes against its map and w(ē) = −w(e); the one-sided mutations
+    # fail the forward dart's inverse check, or leave it passing while the
+    # reverse dart fails its own check or passes it with w(ē) = w(e)
+    doc = VALIDATION_DOCUMENTS["projective3"]
+    e = doc.edges[0].id
+    cases = [
+        ([("swap-reverse", 0, 0, 1)], {e, e + "~"}),
+        ([("extend-reverse", 0)], {e + "~"}),
+        ([("reverse-weight", 0, 2, 0, 0)], {e + "~"}),
+        ([("reverse-weight", 0, 1, 0, 0)], set()),
+    ]
+    for mutations, failing in cases:
+        gkm = _mutated(doc, mutations)
+        report = validate_gkm(gkm)
+        assert not report.passed(3)
+        assert {f.where for f in report.failures_for(3)} & {f"dart {e}", f"dart {e}~"} == {f"dart {d}" for d in failing}
+        assert report == validation_by_residues(gkm.graph, gkm.axial, gkm.connection)
+        coefficients = gkm.validation.coefficients
+        assert coefficients == coefficients_by_division(gkm.graph, gkm.axial, gkm.connection)
+        assert None not in coefficients[e]
 
 
 def test_each_mutation_reaches_the_axiom_it_breaks():
@@ -362,10 +438,12 @@ def test_infer_connection_searches_each_edge_once(monkeypatch):
 
 def test_axiom2_matches_the_pairwise_minors():
     # some out-darts forced to k times another out-dart's weight at the same
-    # vertex (k = 0 zeroes it, k < 0 flips its sign): the primitive
-    # directions find the witnesses the 2×2 minors find, in the same order
+    # vertex (k = 0 zeroes it, k < 0 flips its sign), some with their reverse
+    # left as it was, so that w(ē) ≠ −w(e) and the reverse dart's own
+    # direction decides at its vertex: the primitive directions find the
+    # witnesses the 2×2 minors find, in the same order
     rng = random.Random(17)
-    zeroed = flipped = 0
+    zeroed = flipped = one_sided = 0
     for gkm in (gen_projective(5), gen_grassmannian(4), gen_s6()):
         g = gkm.graph
         for _ in range(30):
@@ -374,7 +452,10 @@ def test_axiom2_matches_the_pairwise_minors():
                 a, b = rng.sample(g.out_darts(rng.choice(g.vertices)), 2)
                 k = rng.randint(-3, 2)
                 weights[b] = tuple(k * x for x in weights[a])
-                weights[g.reverse(b)] = tuple(-x for x in weights[b])
+                if rng.random() < 0.3:
+                    one_sided += 1
+                else:
+                    weights[g.reverse(b)] = tuple(-x for x in weights[b])
                 zeroed += k == 0
                 flipped += k < 0
             expected = [
@@ -387,7 +468,7 @@ def test_axiom2_matches_the_pairwise_minors():
             report = validate_axial(g, AxialFunction(gkm.n, weights))
             assert [(f.where, f.detail) for f in report.failures_for(2)] == expected
             assert expected
-    assert zeroed and flipped
+    assert zeroed and flipped and one_sided
 
 
 def test_validation_shortcuts_leave_the_report_unchanged():

@@ -177,11 +177,24 @@ def test_unknown_vertex_is_a_schema_error():
         parse_gkm(bad)
 
 
-@pytest.mark.parametrize("pair", [["e2"], ["e2", 3], "e2", ["e2", "e3~", "e1"]])
+MALFORMED_PAIRS = [["e2"], ["e2", 3], "e2", ["e2", "e3~", "e1"]]
+
+
+@pytest.mark.parametrize("pair", MALFORMED_PAIRS)
 def test_malformed_connection_pair_is_a_schema_error(pair):
     obj = json.loads(emit_gkm(document_from_gkm(gen_s6())))
     obj["connection"][0]["maps"][1] = pair
     with pytest.raises(SchemaError, match=r"^connection\[0\]\.maps\[1\]: expected a pair of dart ids$"):
+        parse_gkm(json.dumps(obj))
+
+
+@pytest.mark.parametrize("pair", MALFORMED_PAIRS + [None])
+def test_a_malformed_pair_after_every_valid_pair_is_named(pair):
+    # the decoder reads a map in one pass and, only when a pair fails, reads
+    # it again from the start on a fresh map to name that pair
+    obj = json.loads(emit_gkm(document_from_gkm(gen_s6())))
+    obj["connection"][2]["maps"].append(pair)
+    with pytest.raises(SchemaError, match=r"^connection\[2\]\.maps\[3\]: expected a pair of dart ids$"):
         parse_gkm(json.dumps(obj))
 
 
@@ -199,6 +212,21 @@ def test_a_dart_mapped_twice_is_a_schema_error():
         parse_gkm(json.dumps(obj))
     with pytest.raises(SchemaError, match=message):
         load_gkm(json.dumps(obj, indent=2))
+    # a repeat of the first pair at the end is named there; a witness read
+    # from the half-filled map would name the first pair
+    obj = _s6_json()
+    maps = obj["connection"][3]["maps"]
+    maps.append(list(maps[0]))
+    with pytest.raises(SchemaError, match=rf"^connection\[3\]\.maps\[3\]: dart {maps[0][0]} is mapped twice$"):
+        parse_gkm(json.dumps(obj))
+
+
+@pytest.mark.parametrize("entry", [True, False, 0.5, 1.0, "1", None, [1]])
+def test_a_weight_entry_that_is_not_an_integer_is_named(entry):
+    obj = _s6_json()
+    obj["edges"][2]["weight"][-1] = entry
+    with pytest.raises(SchemaError, match=r"^edges\[2\]\.weight: expected a list of integers$"):
+        parse_gkm(json.dumps(obj))
 
 
 def test_connection_entry_with_its_keys_reversed_loads():

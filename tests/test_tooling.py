@@ -3,6 +3,7 @@ import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import FunctionType
 
@@ -10,6 +11,7 @@ import pytest
 
 from gkmgraph import (
     AxiomFailure,
+    GkmGraph,
     IntegerMatrix,
     OrientedGraph,
     axial_group_basis,
@@ -18,6 +20,7 @@ from gkmgraph import (
     emit_gkm,
     gen_projective,
     gen_s6,
+    infer_connection,
     validate_gkm,
     verify_extension,
 )
@@ -140,9 +143,47 @@ def test_xgcd_has_only_the_two_eliminations_as_callers():
 
 def test_divmod_is_called_only_in_the_congruence_pass_and_the_back_substitution():
     # the congruence coefficients are the quotients axiom 3 takes, once per
-    # out-dart, and validation hands them on; a second copy of that division
-    # would compute them twice
-    assert _callers("divmod") == [("axial", "_check_connection"), ("hermite", "_back_substitute")]
+    # out-dart of a dart it checks in full, and validation hands them on; a
+    # second copy of that division would compute them twice
+    assert _callers("divmod") == [("axial", "_check_dart"), ("hermite", "_back_substitute")]
+
+
+def _full_checks(monkeypatch, gkm) -> Counter:
+    """How many times validating ``gkm`` checks a dart of each edge in full, by edge."""
+    from gkmgraph import axial
+
+    checked = Counter()
+    check = axial._check_dart
+
+    def counting(graph, maps, e, *rest):
+        checked[min(e, graph.reverse(e))] += 1
+        return check(graph, maps, e, *rest)
+
+    monkeypatch.setattr(axial, "_check_dart", counting)
+    axial._validate(gkm.graph, gkm.axial, gkm.connection)
+    return checked
+
+
+def test_axiom3_checks_one_dart_of_each_edge_in_full(monkeypatch):
+    # the reverse dart of an edge takes its checks and coefficients from the
+    # forward dart, with the pinned connection and the inferred one; it is
+    # checked in full only when the forward dart fails, or when w(ē) is not −w(e)
+    from helpers import method_fixtures
+
+    for name, gkm in method_fixtures().items():
+        edges = gkm.graph.edge_representatives()
+        assert _full_checks(monkeypatch, gkm) == dict.fromkeys(edges, 1), name
+        inferred = GkmGraph(gkm.graph, gkm.axial, infer_connection(gkm.graph, gkm.axial))
+        assert _full_checks(monkeypatch, inferred) == dict.fromkeys(edges, 1), name
+    gkm = gen_projective(3)
+    e, f = gkm.graph.edge_representatives()[:2]
+    maps = dict(gkm.connection)
+    maps[e] = {**maps[e], e: maps[e][f], f: maps[e][e]}  # the forward dart fails, no other
+    swapped = GkmGraph(gkm.graph, gkm.axial, maps)
+    assert _full_checks(monkeypatch, swapped) == {**dict.fromkeys(gkm.graph.edge_representatives(), 1), e: 2}
+    assert {fail.where for fail in validate_gkm(swapped).failures} == {f"dart {e}", f"dart {e}~"}
+    weights = {**gkm.axial.weights, gkm.graph.reverse(f): gkm.weight(f)}  # the forward dart passes
+    assert _full_checks(monkeypatch, gkm.with_weights(weights, gkm.n))[f] == 2
 
 
 def test_helpers_import_nothing_private_from_the_package():
