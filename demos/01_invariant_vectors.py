@@ -2,15 +2,16 @@
 """Congruence vectors on the two-vertex triple edge.
 
 Builds the (3,2)-type fixture with weights a, b, -a-b, prints the connection,
-the permutation matrix of a dart, the congruence vector of every dart, and
-shows the transport identity N_e c(e) = c(ē).
+the permutation σ of a dart (its matrix N_e has (N_e x)_j = x[σ(j)]), the
+congruence vector of every dart, and shows the transport identity
+N_e c(e) = c(ē).
 """
 
 from gkmgraph import (
     emit_dot,
     gen_s6,
     invariant_function,
-    permutation_matrix,
+    permutation,
     validate_gkm,
 )
 
@@ -26,9 +27,9 @@ for src, img in gkm.connection["e1"].items():
     print(f"  {src} -> {img}")
 print()
 
-print("permutation matrix of e1 (orderings e1,e2,e3 / e1~,e2~,e3~):")
-for row in permutation_matrix(gkm, "e1").data:
-    print("  ", row)
+sigma = permutation(gkm, "e1")
+print("permutation of e1 (orderings e1,e2,e3 / e1~,e2~,e3~): (N_e1 x)_j = x[σ(j)] with")
+print("  σ =", sigma)
 print()
 
 inv = invariant_function(gkm)
@@ -38,8 +39,7 @@ for e in gkm.graph.darts:
 print()
 
 print("transport identity on e1:")
-ne = permutation_matrix(gkm, "e1")
-print("  N_e1 c(e1) =", ne.mul_vector(inv["e1"]), " c(e1~) =", inv["e1~"])
+print("  N_e1 c(e1) =", tuple(inv["e1"][s] for s in sigma), " c(e1~) =", inv["e1~"])
 print()
 
 print("Graphviz export with congruence labels:")

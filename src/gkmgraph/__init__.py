@@ -18,16 +18,16 @@ __version__ = "0.1.0"
 _MODULES = {
     name: module
     for module, names in {
-        "axgroup": "AxialGroupBasis axial_group_basis canonical_elements propagate",
+        "axgroup": "AxialGroupBasis axial_group_basis propagate",
         "axial": "AmbiguousConnectionError AxiomFailure AxiomViolationError ConnectionNotFoundError"
         " ValidationReport infer_connection validate_axial validate_gkm",
-        "congruence": "invariant_function permutation permutation_matrix",
+        "congruence": "invariant_function permutation",
         "errors": "GkmError",
         "extension": "ExtensionCheck GraphMismatchError"
         " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
         "graph": "AxialError AxialFunction DisconnectedError GkmGraph GraphError LoopEdgeError"
-        " NonRegularError NotProportionalError OrientedGraph build_graph reverse_name",
+        " NonRegularError OrientedGraph build_graph reverse_name",
         "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis matrix_rank solve_left",
         "intlinalg": "NotInLatticeError complete_inside_lattice invariant_factors saturation",
         "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",

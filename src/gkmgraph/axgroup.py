@@ -215,23 +215,3 @@ def axial_group_basis(
         canonical_matrix=IntegerMatrix(tuple(restricted), m),
         coordinate_matrix=IntegerMatrix(tuple(coords), width),
     )
-
-
-def canonical_elements(gkm: GkmGraph) -> tuple[Mapping[str, tuple[int, ...]], ...]:
-    """The n solutions read off the weights themselves.
-
-    The i-th element is the read-only map collecting, at every vertex, the
-    i-th coordinates of the out-dart weights.  Summing them back against the
-    lattice basis vectors of ``Z^n`` reproduces the axial function, which is
-    why these elements always satisfy the defining relations and restrict to
-    rank ``n`` at any vertex.
-    """
-    g = gkm.graph
-    out = []
-    for i in range(gkm.axial.torus_rank):
-        values = {
-            p: tuple(gkm.axial.weights[d][i] for d in g.out_darts(p))
-            for p in g.vertices
-        }
-        out.append(MappingProxyType(values))
-    return tuple(out)

@@ -203,10 +203,6 @@ class AxialError(GkmError):
     """Inconsistent axial data."""
 
 
-class NotProportionalError(AxialError):
-    """A weight difference is not an integer multiple of the base weight."""
-
-
 class AxialFunction(NamedTuple):
     """Dart labeling by integer weight vectors of a fixed length."""
 

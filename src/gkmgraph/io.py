@@ -4,8 +4,9 @@ A document stores one labeled graph: the weight-vector length, the vertices,
 one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
 ordering sections.  Parsing is purely structural, and so is assembly
-(:func:`gkm_from_document`); :func:`load_gkm`, which every command but
-``validate`` reads through, also refuses a graph failing an axiom.
+(:func:`gkm_from_document`), after which ``validate`` prints the assembled
+graph's validation; :func:`load_gkm`, which every other command reads
+through, also refuses a graph failing an axiom.
 
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
@@ -93,13 +94,14 @@ def _images_by_index(maps: list, path: str) -> _Images:
 
 
 def _decode_object(pairs: list) -> dict:
-    """A JSON object; in one shaped ``{"dart", "maps"}``, ``maps`` is decoded by :func:`_images`.
+    """A JSON object; in one shaped ``{"dart", "maps"}``, a nonempty ``maps`` is decoded by :func:`_images`.
 
     This runs as each object closes, so the pair lists are freed entry by
-    entry.  A map it cannot decode is left as it is for the schema walk.
+    entry.  A map it cannot decode is left as it is for the schema walk, and
+    so is an empty list, which may be the ordering at a vertex named ``maps``.
     """
     obj = dict(pairs)
-    if len(pairs) == 2 and obj.keys() == {"dart", "maps"} and isinstance(obj["maps"], list):
+    if len(pairs) == 2 and obj.keys() == {"dart", "maps"} and isinstance(obj["maps"], list) and obj["maps"]:
         try:
             obj["maps"] = _images(obj["maps"], "")
         except SchemaError:

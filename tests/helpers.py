@@ -17,7 +17,9 @@ the reference for the packed division and the HNF test of
 out-dart's weight change of every dart, the reference for the congruence
 vectors a validation hands on; ``validation_checking_every_vertex`` checks axiom 2 at
 every pair and axiom 4 at every vertex, the reference for its shortcuts.
-``transport_matrix`` (``propagate`` on the unit vectors) and
+``transport_matrix`` (``propagate`` on the unit vectors),
+``permutation_matrix`` (the matrix of ``permutation``),
+``canonical_elements`` (the coordinates of the weights) and
 ``with_orderings`` (``build_graph`` with other orderings) rebuild from the
 public API what only tests need, and ``main_outcome`` runs one command line
 in process.  ``grassmannian_by_subsets`` builds the
@@ -63,7 +65,7 @@ from gkmgraph import (
 from gkmgraph.axial import AmbiguousConnectionError, AxiomViolationError, ConnectionNotFoundError
 from gkmgraph.cli import main
 from gkmgraph.extension import project_axial
-from gkmgraph.graph import AxialError, AxialFunction, NotProportionalError, OrientedGraph
+from gkmgraph.graph import AxialError, AxialFunction, OrientedGraph
 
 
 def core_fixtures() -> dict[str, GkmGraph]:
@@ -161,12 +163,16 @@ def pairwise_dependent(a, b) -> bool:
     return True
 
 
+class NotAMultipleError(Exception):
+    """The division oracle found a weight change that is not an integer multiple of the base weight."""
+
+
 def congruence_coefficient(gkm: GkmGraph, e: str, e_prime: str) -> int:
     """The integer ``c`` with ``weight(image of e') - weight(e') == c * weight(e)``."""
     img = gkm.connection[e][e_prime]
     c = ratio(sub(gkm.weight(img), gkm.weight(e_prime)), gkm.weight(e))
     if c is None:
-        raise NotProportionalError(
+        raise NotAMultipleError(
             f"weight change of {e_prime} across {e} is not a multiple of the base weight"
         )
     return c
@@ -564,6 +570,18 @@ def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """Matrix ``T`` with ``T @ x == propagate(gkm, x, e)``: ``propagate`` on the unit vectors."""
     columns = [propagate(gkm, unit, e) for unit in IntegerMatrix.identity(gkm.m).data]
     return IntegerMatrix.from_rows(columns, gkm.m).transpose()
+
+
+def permutation_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
+    """The m×m matrix ``N_e`` with ``(N_e x)_j = x[σ(j)]``, ``σ`` the ``permutation`` of ``e``."""
+    sig = permutation(gkm, e)
+    return IntegerMatrix.from_rows([[int(k == s) for k in range(len(sig))] for s in sig], len(sig))
+
+
+def canonical_elements(gkm: GkmGraph) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """The n solutions read off the weights: the i-th holds, at every vertex, the i-th coordinates of its out-darts."""
+    g, w = gkm.graph, gkm.axial.weights
+    return tuple({p: tuple(w[d][i] for d in g.out_darts(p)) for p in g.vertices} for i in range(gkm.n))
 
 
 def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:

@@ -17,13 +17,13 @@ from gkmgraph import (
     gen_s6,
     infer_connection,
     invariant_function,
-    permutation_matrix,
     project_axial,
     verify_extension,
 )
 from gkmgraph.extension import RankExceededError
 from helpers import (
     core_fixtures,
+    permutation_matrix,
     random_unimodular,
     random_valid_projection,
     shuffled_orderings,

@@ -10,15 +10,12 @@ from gkmgraph import (
     AxiomViolationError,
     GkmGraph,
     IntegerMatrix,
-    NotProportionalError,
     axial_group_basis,
-    canonical_elements,
     gen_grassmannian,
     gen_projective,
     gen_s6,
     gkm_from_document,
     infer_connection,
-    invariant_function,
     load_gkm,
     parse_gkm,
     propagate,
@@ -27,6 +24,7 @@ from gkmgraph import (
 from helpers import (
     TWISTED_S6,
     brute_force_solutions,
+    canonical_elements,
     core_fixtures,
     element_in_lattice,
     in_integer_span,
@@ -79,8 +77,7 @@ def test_propagate_reads_only_the_congruence_of_its_own_dart():
     near = {e, *g.out_darts(g.target(e)), *g.out_darts(g.source(e))}
     far = next(d for d in g.darts if d not in near and g.reverse(d) not in near)
     bent = gkm.with_weights(dict(gkm.axial.weights, **{far: (5,) * gkm.n}), gkm.n)
-    with pytest.raises(NotProportionalError):
-        invariant_function(bent)
+    assert any(None in vector for vector in bent.validation.coefficients.values())
     for f in [(1, 0, 0, 0), (2, -1, 3, 5)]:
         with pytest.raises(AxiomViolationError) as exc:
             propagate(bent, f, e)
@@ -214,7 +211,8 @@ def test_propagation_refuses_a_connection_not_sending_each_dart_to_its_reverse()
     # system is p:(2, -1, -1).  Axiom 3 fails (so does axiom 2), and both
     # methods refuse the labeling as loading does
     gkm = gkm_from_document(parse_gkm(TWISTED_S6))
-    assert invariant_function(gkm)  # the congruence holds; only the connection is off
+    coefficients = gkm.validation.coefficients  # the congruence holds; only the connection is off
+    assert coefficients.keys() == set(gkm.graph.darts) and all(None not in v for v in coefficients.values())
     assert AxiomFailure(3, "dart e2", "map must send e2 to e2~") in validate_gkm(gkm).failures
     assert _agree_from_every_base(gkm) is None
     with pytest.raises(AxiomViolationError, match=f"^{re.escape(_refusal(gkm))}$"):
@@ -260,15 +258,14 @@ def test_rank_n_exit_is_gated_by_the_base_vertex_rank():
 
 def test_rank_n_exit_is_gated_by_the_congruence():
     # axiom 1 holds and the weights at each vertex keep rank n, but one
-    # weight change is not a multiple: invariant_function names it, and both
-    # methods refuse the labeling with the first failure of axiom 3
+    # weight change is not a multiple: the validation has no coefficient for
+    # it, and both methods refuse the labeling with the first failure of axiom 3
     gkm = gen_projective(3)
     e = gkm.graph.edge_representatives()[-1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[gkm.graph.reverse(e)] = (1, 2, 3), (-1, -2, -3)
     bent = gkm.with_weights(weights, gkm.n)
-    with pytest.raises(NotProportionalError):
-        invariant_function(bent)
+    assert any(None in vector for vector in bent.validation.coefficients.values())
     assert validate_gkm(bent).passed(1) and not validate_gkm(bent).passed(3)
     assert _agree_from_every_base(bent) is None
     assert _refusal(bent).startswith("axiom 3 fails at dart ")
@@ -345,17 +342,6 @@ def test_rank_is_ordering_independent():
             g2 = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
             gkm2 = GkmGraph(g2, gkm.axial, gkm.connection)
             assert axial_group_basis(gkm2).rank == reference, name
-
-
-def test_canonical_elements_examples():
-    s6 = gen_s6()
-    f1, f2 = canonical_elements(s6)
-    assert f1["p"] == (1, 0, -1)
-    assert f2["p"] == (0, 1, -1)
-    assert f1["q"] == (-1, 0, 1)
-    pj = gen_projective(2)
-    g1, _g2 = canonical_elements(pj)
-    assert g1["0"] == (1, 0)
 
 
 def test_canonical_elements_are_independent_lattice_members():

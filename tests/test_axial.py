@@ -9,6 +9,7 @@ from gkmgraph import (
     AmbiguousConnectionError,
     AxialFunction,
     AxiomFailure,
+    AxiomViolationError,
     ConnectionNotFoundError,
     GkmGraph,
     build_graph,
@@ -23,7 +24,7 @@ from gkmgraph import (
     validate_gkm,
 )
 from gkmgraph.axial import _residue_key
-from gkmgraph.graph import AxialError, NotProportionalError, _packed
+from gkmgraph.graph import AxialError, _packed
 from gkmgraph.io import labels_from_document, parse_gkm
 from helpers import (
     TWISTED_S6,
@@ -522,7 +523,10 @@ def test_congruence_coefficient_rejects_inconsistent_connection():
     maps["e1"]["e2"] = "e2~"
     maps["e1"]["e3"] = "e3~"
     broken = GkmGraph(s6.graph, s6.axial, maps)
-    with pytest.raises(NotProportionalError, match="weight change of e2 across e1"):
+    assert AxiomFailure(3, "dart e1", "weight change of e2 is not a multiple of the base weight") in validate_gkm(
+        broken
+    ).failures
+    with pytest.raises(AxiomViolationError, match="^axiom 3 fails at dart e1: "):
         invariant_function(broken)
 
 

@@ -175,8 +175,8 @@ def test_validate_failure_exits_1(tmp_path, capsys):
 
 
 def test_validate_reports_axiom_3_of_an_inferred_connection_as_checked(tmp_path, capsys):
-    # validate skips the axiom 3 check on a connection it inferred; its report
-    # reads as the full check, on fixtures and on bent weights
+    # validate checks axiom 3 on a connection it inferred, as on a pinned one;
+    # its report is the full check, on fixtures and on bent weights
     rng = random.Random(31)
     docs = []
     for gkm in (gen_s6(), gen_projective(4), gen_grassmannian(3)):
@@ -197,6 +197,30 @@ def test_validate_reports_axiom_3_of_an_inferred_connection_as_checked(tmp_path,
         assert out == "connection: inferred from the weights\n" + report.summary() + "\n"
         assert code == (0 if report.ok else 1)
     assert inferred > 10 and failing > 5, (inferred, failing)
+
+
+def test_validate_checks_axiom_3_of_an_inferred_connection(tmp_path, monkeypatch, capsys):
+    # the report of a connection-free document is the validation of the graph
+    # with the inferred connection: one dart of each edge is divided in full
+    from collections import Counter
+
+    from gkmgraph import axial
+
+    checked = Counter()
+    check = axial._check_dart
+
+    def counting(graph, maps, e, *rest):
+        checked[min(e, graph.reverse(e))] += 1
+        return check(graph, maps, e, *rest)
+
+    monkeypatch.setattr(axial, "_check_dart", counting)
+    for gkm in (gen_s6(), gen_projective(4), gen_grassmannian(3)):
+        path = tmp_path / "doc.json"
+        path.write_text(emit_gkm(document_from_gkm(gkm)._replace(connection=None)))
+        checked.clear()
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("connection: inferred from the weights\n")
+        assert checked == dict.fromkeys(gkm.graph.edge_representatives(), 1)
 
 
 def test_connection_and_invariant(s6_file, capsys):

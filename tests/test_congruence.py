@@ -4,15 +4,43 @@ import pytest
 
 from gkmgraph import (
     AxialError,
+    AxiomFailure,
+    AxiomViolationError,
     IntegerMatrix,
-    NotProportionalError,
     gen_grassmannian,
     gen_projective,
     gen_s6,
     invariant_function,
-    permutation_matrix,
 )
-from helpers import congruence_vector, core_fixtures
+from helpers import NotAMultipleError, coefficients_by_division, congruence_vector, core_fixtures, permutation_matrix
+
+
+def _check_against_division(gkm) -> bool:
+    """Check the validation of ``gkm`` against the division oracle; return whether a coefficient is missing.
+
+    The vectors are those of dividing every dart on its own, the report names
+    each out-dart with no integer coefficient as a failure of axiom 3, and
+    ``invariant_function`` hands the vectors out only when every axiom holds,
+    refusing otherwise with the first failure of the report.
+    """
+    g = gkm.graph
+    report, coefficients = gkm.validation
+    expected = coefficients_by_division(g, gkm.axial, gkm.connection)
+    assert coefficients == expected
+    misses = {
+        AxiomFailure(3, f"dart {e}", f"weight change of {d} is not a multiple of the base weight")
+        for e, vector in expected.items()
+        for d, c in zip(g.out_darts(g.source(e)), vector)
+        if c is None
+    }
+    assert set(report.failures_for(3)) == misses
+    if report.ok:
+        assert invariant_function(gkm) == coefficients
+    else:
+        with pytest.raises(AxiomViolationError) as exc:
+            invariant_function(gkm)
+        assert str(exc.value) == str(AxiomViolationError.from_report(report))
+    return bool(misses)
 
 
 def test_s6_invariant_vectors():
@@ -100,29 +128,19 @@ def test_permutation_matrices_invert_pairwise():
 
 
 def test_invariant_function_matches_pairwise_coefficients_off_the_axioms():
-    # weights perturbed at random (some zeroed) and never validated: the
-    # packed bulk check gives each dart's pairwise vector, or both raise the
-    # same error for the same first dart
+    # weights perturbed at random (some zeroed): the validation hands on the
+    # pairwise vector of each dart and names each missing coefficient, and
+    # invariant_function refuses every bent labeling that fails an axiom
     rng = random.Random(11)
     failures = 0
-
-    def outcome(compute):
-        try:
-            return compute()
-        except NotProportionalError as exc:
-            return str(exc)
-
-    for name, gkm in core_fixtures().items():
+    for gkm in core_fixtures().values():
         for trial in range(8):
             bend = (0.0, 0.01, 0.05, 0.2)[trial % 4]
             weights = {}
             for d, w in gkm.axial.weights.items():
                 u = rng.random()
                 weights[d] = (0,) * gkm.n if u < bend / 4 else tuple(x + (u < bend) * rng.choice((-1, 1)) for x in w)
-            bent = gkm.with_weights(weights, gkm.n)
-            expected = outcome(lambda: {e: congruence_vector(bent, e) for e in gkm.graph.darts})
-            assert outcome(lambda: invariant_function(bent)) == expected, name
-            failures += isinstance(expected, str)
+            failures += _check_against_division(gkm.with_weights(weights, gkm.n))
     assert 0 < failures < len(core_fixtures()) * 8
 
 
@@ -145,10 +163,10 @@ def test_packing_leaves_room_for_the_largest_quotient():
     weights[e], weights[g.reverse(e)] = (1, 3, 0), (-1, -3, 0)
     weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (3, 1, 1)
     bent = gkm.with_weights(weights, gkm.n)
-    with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
+    with pytest.raises(NotAMultipleError, match=f"weight change of {d} across {e} is"):
         congruence_vector(bent, e)
-    with pytest.raises(NotProportionalError, match=f"weight change of {d} across {e} is"):
-        invariant_function(bent)
+    assert bent.validation.coefficients[e][g.dart_index(d)] is None
+    assert _check_against_division(bent)
 
 
 def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
@@ -163,15 +181,11 @@ def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
     weights[e], weights[g.reverse(e)] = (1, 0, 0), (-1, 0, 0)
     weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (0, 1, 0)
     bent = gkm.with_weights(weights, gkm.n)
-
-    def first_failure(compute):
-        with pytest.raises(NotProportionalError) as exc:
-            compute()
-        return str(exc.value)
-
-    expected = first_failure(lambda: {x: congruence_vector(bent, x) for x in g.darts})
-    assert expected.startswith(f"weight change of {d} across {e} is")
-    assert first_failure(lambda: invariant_function(bent)) == expected
+    with pytest.raises(NotAMultipleError) as exc:
+        {x: congruence_vector(bent, x) for x in g.darts}
+    assert str(exc.value).startswith(f"weight change of {d} across {e} is")
+    assert bent.validation.coefficients[e][g.dart_index(d)] is None
+    assert _check_against_division(bent)
 
 
 def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
@@ -184,12 +198,5 @@ def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
         weights[gkm.connection[e][d]] = weights[d]
     bent = gkm.with_weights(weights, gkm.n)
     assert congruence_vector(bent, e) == (0, 0, 0)
-
-    def vectors(compute):
-        try:
-            return compute()
-        except NotProportionalError as exc:
-            return str(exc)
-
-    expected = vectors(lambda: {x: congruence_vector(bent, x) for x in g.darts})
-    assert vectors(lambda: invariant_function(bent)) == expected
+    assert bent.validation.coefficients[e] == (0, 0, 0)
+    _check_against_division(bent)

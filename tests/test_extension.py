@@ -6,7 +6,6 @@ import pytest
 from gkmgraph import (
     IntegerMatrix,
     axial_group_basis,
-    canonical_elements,
     complete_inside_lattice,
     document_from_gkm,
     emit_gkm,
@@ -26,7 +25,7 @@ from gkmgraph.extension import (
     NotSurjectiveError,
     RankExceededError,
 )
-from helpers import core_fixtures, element_in_lattice
+from helpers import canonical_elements, core_fixtures, element_in_lattice
 
 DROP_A3 = IntegerMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 

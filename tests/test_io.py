@@ -12,6 +12,7 @@ from gkmgraph import (
     EdgeRecord,
     GkmDocument,
     GkmGraph,
+    GraphError,
     axial_group_basis,
     document_from_gkm,
     emit_dot,
@@ -274,6 +275,17 @@ def test_an_entry_shaped_object_elsewhere_is_reported_as_before(where, message):
     with pytest.raises(SchemaError) as err:
         parse_gkm(json.dumps(obj))
     assert str(err.value) == message
+
+
+def test_an_ordering_object_shaped_like_a_connection_entry_is_read_as_orderings():
+    # at vertices named dart and maps the orderings object has the keys of a
+    # connection entry; its empty list is an ordering, which assembly refuses
+    obj = json.loads(MINIMAL.replace('"p"', '"dart"').replace('"q"', '"maps"'))
+    obj["orderings"] = {"dart": ["pq", "rp~"], "maps": []}
+    doc = parse_gkm(json.dumps(obj))
+    assert doc.orderings == {"dart": ("pq", "rp~"), "maps": ()}
+    with pytest.raises(GraphError, match="^ordering at vertex maps is not a permutation of its out-darts$"):
+        gkm_from_document(doc)
 
 
 def test_malformed_connection_entries_are_reported_as_before():

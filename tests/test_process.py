@@ -97,7 +97,7 @@ def _every_library_path() -> list:
         _error_name(lambda: load_gkm(NOT_PROPORTIONAL)),
         _error_name(lambda: invariant_function(gkm_from_document(parse_gkm(NOT_PROPORTIONAL)))),
     ]
-    assert errors == ["SchemaError", "ParseError", "AxiomViolationError", "NotProportionalError"]
+    assert errors == ["SchemaError", "ParseError", "AxiomViolationError", "AxiomViolationError"]
     return kept
 
 

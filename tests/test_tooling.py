@@ -15,7 +15,6 @@ from gkmgraph import (
     IntegerMatrix,
     OrientedGraph,
     axial_group_basis,
-    canonical_elements,
     document_from_gkm,
     emit_gkm,
     gen_projective,
@@ -335,7 +334,9 @@ def test_records_with_equal_fields_compare_equal():
     assert a != IntegerMatrix(((1, 2),), 2) and a != a.data
 
 
-@pytest.mark.parametrize("element", [axial_group_basis(gen_s6()).elements[0], canonical_elements(gen_s6())[0]])
+@pytest.mark.parametrize(
+    "element", [axial_group_basis(gen_s6(), method=method).elements[0] for method in ("propagate", "full")]
+)
 def test_elements_refuse_item_assignment(element):
     with pytest.raises(TypeError):
         element["p"] = (0, 0, 0)
