@@ -10,15 +10,16 @@ value at a single vertex already determines the whole element.
 Both solvers run on a GKM graph only, refusing any other input with
 :class:`~gkmgraph.axial.AxiomViolationError`, and read the congruence vectors
 its validation proved.  They are independent and agree bit for bit.
-``propagate`` carries the unit vectors at a base vertex along a spanning tree
-in O(m) steps and refines a base-vertex kernel on the remaining edges,
-stopping once the kernel is down to rank ``n``, the least rank possible;
+``propagate`` carries a base-vertex kernel along a spanning tree in O(m)
+steps per row, checks it on the remaining edges and refines it on each edge
+it fails, stopping once it is down to rank ``n``, the least rank possible;
 ``full`` solves for all vertex vectors at once and checks every edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -109,48 +110,46 @@ def _solve_by_propagation(
     """Refine the base-vertex kernel over the non-tree edges, stopping at rank ``n``.
 
     ``kernel`` spans the saturated lattice of base vectors meeting every
-    relation checked so far.  The unit vectors at ``base`` are spread over the
-    tree once, giving ``T_v`` at every vertex; a non-tree edge ``e`` from
-    ``p`` to ``q`` has the block ``D_e = step_e(T_p) − T_q``, and the kernel
-    fails it exactly when ``K·D_e`` is nonzero.  The saturated integer kernel
-    of that block gives the combinations of kernel rows spanning the new one.
+    relation checked so far, and ``at(v)`` is it carried to ``v`` along the
+    tree, filled down from the nearest vertex holding a value and held until
+    the kernel changes.  A non-tree edge ``e`` from ``p`` to ``q`` holds when
+    ``step_e(at(p)) == at(q)``; otherwise the difference rows are ``K·D_e``,
+    whose saturated integer kernel combines the kernel rows into the new one.
 
     The solution lattice lies in ``kernel``, and both are saturated.  The
     ``n`` canonical elements (the weight coordinates) are solutions whose
     restrictions to ``base`` are independent, so a kernel of rank ``n``
-    already is the lattice and the remaining edges are not checked.  The
-    final kernel is spread over the tree once.
+    already is the lattice and the remaining edges are not checked.
     """
     g, m = gkm.graph, gkm.graph.valence
     tree, used = _spanning_tree(g, base)
-    tree_steps = [(g.source(e), g.target(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree]
-
-    def spread(rows: list[tuple[int, ...]]) -> dict[str, list[tuple[int, ...]]]:
-        values = {base: rows}
-        for p, q, step in tree_steps:
-            values[q] = list(map(step, values[p]))
-        return values
-
+    up = {g.target(e): (g.source(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree}
     kernel = list(IntegerMatrix.identity(m).data)
-    units = spread(kernel)
+    values = {base: kernel}
+
+    def at(v: str) -> list[tuple[int, ...]]:
+        path = []
+        while v not in values:
+            path.append(v)
+            v = up[v][0]
+        rows = values[v]
+        for w in reversed(path):
+            rows = values[w] = list(map(up[w][1], rows))
+        return rows
+
     for e in g.edge_representatives():
         if len(kernel) == gkm.n:
             break
         if e in used:
             continue
-        moved = map(_step(gkm, e, inv[g.reverse(e)]), units[g.source(e)])
-        d_rows = [  # the nonzero rows of D_e, with their indices
-            (j, tuple(a - b for a, b in zip(x, y)))
-            for j, (x, y) in enumerate(zip(moved, units[g.target(e)]))
-            if x != y
-        ]
-        block = [_combine(((k[j], d) for j, d in d_rows), m) for k in kernel]
-        if not any(map(any, block)):
+        moved, there = list(map(_step(gkm, e, inv[g.reverse(e)]), at(g.source(e)))), at(g.target(e))
+        if moved == there:
             continue
+        block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]
         combos = integer_kernel_basis(IntegerMatrix.from_rows(block, m).transpose())
         kernel = [_combine(zip(c, kernel), m) for c in combos]
-    values = spread(kernel)
-    return [tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))]
+        values = {base: kernel}
+    return [tuple(chain.from_iterable(rows)) for rows in zip(*map(at, g.vertices))]
 
 
 def _solve_full_system(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -41,7 +42,8 @@ def _read(path: str) -> str:
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        for i in range(0, len(text), 2048):  # within the buffer: a longer write cut short by a closed pipe won't raise
+            sys.stdout.write(text[i : i + 2048])
     else:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -290,10 +292,16 @@ def run() -> None:
     that interpreter shutdown does not traverse it.  The package leaves no cyclic garbage;
     argparse's parser tree is the only cycle a command leaves.  Freezing, unlike ``os._exit``,
     keeps the flushing of the streams and the ``atexit`` hooks.  ``main`` leaves the
-    collector as it finds it.
+    collector as it finds it.  A closed standard output ends the command with one ``error:`` line.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit would raise again
+        print("error: standard output was closed", file=sys.stderr)
+        code = 1
     gc.freeze()
     sys.exit(code)
 

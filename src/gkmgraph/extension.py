@@ -42,13 +42,14 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     An element is determined by its value at the base vertex, so the
     canonical elements (the weight coordinates) are completed in ``Z^m``,
     restricted there, inside the restrictions of the basis elements in their
-    order (:func:`~gkmgraph.intlinalg.complete_inside_lattice`).  The first
-    ``target_rank - n`` vectors of the completion alone are spread to every
-    vertex, and give each dart its new coordinates.  On valid input the
-    canonical elements span a primitive sublattice, so the chosen elements
-    are part of a basis of the lattice, and projecting by ``[I_n | 0]``
-    recovers ``gkm``.  ``gkm`` and the result must pass the axioms, or
-    :class:`~gkmgraph.axial.AxiomViolationError` names the first failure.
+    order (:func:`~gkmgraph.intlinalg.complete_inside_lattice`), as
+    coordinates in that basis.  The first ``target_rank - n`` of them, times
+    the ``coordinate_matrix`` of the basis, give each dart its new
+    coordinates.  On valid input the canonical elements span a primitive
+    sublattice, so the chosen elements are part of a basis of the lattice,
+    and projecting by ``[I_n | 0]`` recovers ``gkm``.  ``gkm`` and the result
+    must pass the axioms, or :class:`~gkmgraph.axial.AxiomViolationError`
+    names the first failure.
     """
     from .axgroup import axial_group_basis
     from .intlinalg import complete_inside_lattice
@@ -62,12 +63,9 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
     g, w, base = gkm.graph, gkm.axial.weights, basis.base_vertex
-    restricted = IntegerMatrix.from_rows([el[base] for el in basis.elements], g.valence)
     canon = [tuple(w[d][i] for d in g.out_darts(base)) for i in range(n)]
-    completion, _ = complete_inside_lattice(canon, restricted.data)
-    h, u = hermite_normal_form(restricted)
-    coords = [_back_substitute(h, u, r) for r in completion[: target_rank - n]]
-    new = (IntegerMatrix.from_rows(coords, basis.rank) @ basis.coordinate_matrix).data
+    coords, _ = complete_inside_lattice(canon, [el[base] for el in basis.elements])
+    new = (IntegerMatrix.from_rows(coords[: target_rank - n], basis.rank) @ basis.coordinate_matrix).data
     darts = [d for v in g.vertices for d in g.out_darts(v)]
     weights = {d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}
     return validated(gkm.with_weights(weights, target_rank))

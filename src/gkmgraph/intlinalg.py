@@ -50,18 +50,19 @@ def complete_inside_lattice(
 
     ``lattice`` is a basis; each chosen vector must be an integer combination
     of it (``NotInLatticeError`` otherwise) and the chosen vectors must be
-    linearly independent.  Returns ``(completion, index)``: ``chosen`` plus
-    the completion span a sublattice of index ``index``, the index of the span
-    of ``chosen`` inside its saturation (1 exactly when primitive).
+    linearly independent.  Returns ``(completion, index)``, the completion as
+    coordinates in the lattice basis: ``chosen`` plus the vectors with those
+    coordinates span a sublattice of index ``index``, the index of the span of
+    ``chosen`` inside its saturation (1 exactly when primitive).
 
     The coordinates of ``chosen`` in the lattice basis come from one HNF of
     that basis, and the rest works on coordinates alone.  Column operations
     reduce their echelon form until row ``i`` vanishes outside the first
     ``i + 1`` pivot columns; the completion is read from the inverse
     operations at the non-pivot columns.  When every pivot is 1 it is the
-    lattice basis vectors at the non-pivot columns, in order.  So the images
-    of ``chosen`` and ``lattice`` under an injective linear map complete to
-    the images of the completion, with the same index, which is how
+    unit coordinates at the non-pivot columns, in order.  So the images of
+    ``chosen`` and ``lattice`` under an injective linear map have the same
+    completion and index, which is how
     :func:`~gkmgraph.extension.extend_axial` completes in ``Z^m``.
     """
     basis = [tuple(v) for v in lattice]
@@ -69,8 +70,7 @@ def complete_inside_lattice(
         if chosen:
             raise NotInLatticeError("the lattice is trivial but chosen vectors were given")
         return [], 1
-    b = IntegerMatrix.from_rows(basis)
-    h, u = hermite_normal_form(b)
+    h, u = hermite_normal_form(IntegerMatrix.from_rows(basis))
     rows = []  # coordinates of the chosen vectors in the lattice basis
     for v in chosen:
         x = _back_substitute(h, u, v)
@@ -106,8 +106,7 @@ def complete_inside_lattice(
                 inverse[p] = [u * x + v * y for x, y in zip(ip, ij)]
                 inverse[j] = [s * y - t * x for x, y in zip(ip, ij)]
         index *= rows[i][p]
-    rest = [inverse[j] for j in range(r) if j not in pivots]
-    return list((IntegerMatrix.from_rows(rest, r) @ b).data), index
+    return [tuple(inverse[j]) for j in range(r) if j not in pivots], index
 
 
 def saturation(vectors: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:

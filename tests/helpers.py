@@ -19,7 +19,8 @@ vectors a validation hands on; ``validation_checking_every_vertex`` checks axiom
 every pair and axiom 4 at every vertex, the reference for its shortcuts.
 ``transport_matrix`` (``propagate`` on the unit vectors),
 ``permutation_matrix`` (the matrix of ``permutation``),
-``canonical_elements`` (the coordinates of the weights) and
+``canonical_elements`` (the coordinates of the weights),
+``long_cycle`` (a GKM graph whose breadth-first tree is thousands deep) and
 ``with_orderings`` (``build_graph`` with other orderings) rebuild from the
 public API what only tests need, and ``main_outcome`` runs one command line
 in process.  ``grassmannian_by_subsets`` builds the
@@ -75,6 +76,18 @@ def core_fixtures() -> dict[str, GkmGraph]:
     for n in (1, 2, 3):
         out[f"grassmannian{n}"] = gen_grassmannian(n)
     return out
+
+
+def long_cycle(length: int = 4000) -> GkmGraph:
+    """A cycle whose edge ``i`` carries e1, e2, −e1, −e2 by ``i mod 4``, its connection inferred.
+
+    Each vertex sees two independent weights and every weight change across an
+    edge is zero, so the axioms hold (``length`` a multiple of 4); the
+    breadth-first tree from any vertex is ``length / 2`` deep.
+    """
+    units, names = [(1, 0), (0, 1), (-1, 0), (0, -1)], tuple(f"v{i:04d}" for i in range(length))
+    edges = tuple(EdgeRecord(f"e{i:04d}", names[i], names[(i + 1) % length], units[i % 4]) for i in range(length))
+    return gkm_from_document(GkmDocument(2, names, edges))
 
 
 def method_fixtures() -> dict[str, GkmGraph]:

@@ -18,6 +18,7 @@ from gkmgraph import (
     infer_connection,
     load_gkm,
     parse_gkm,
+    project_axial,
     propagate,
     validate_gkm,
 )
@@ -282,6 +283,13 @@ def _oracle_cases():
             with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph)), gkm.axial, gkm.connection
         )
         cases[name + "-renamed"] = renamed_vertices(rng, gkm)
+    for n in range(5, 11):  # projected by [I | 1] to rank n, with ℓ = n + 1: every non-tree edge is checked
+        fold = IntegerMatrix.from_rows([[int(c == i) for c in range(n)] + [1] for i in range(n)])
+        gkm = project_axial(gen_grassmannian(n), fold)
+        cases[f"grassmannian{n}-projected"] = gkm
+        cases[f"grassmannian{n}-projected-shuffled"] = GkmGraph(
+            with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph)), gkm.axial, gkm.connection
+        )
     return cases
 
 

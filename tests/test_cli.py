@@ -32,7 +32,7 @@ from gkmgraph import cli
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
-from helpers import TWISTED_S6, bent_documents, main_outcome, validation_checking_every_vertex
+from helpers import TWISTED_S6, bent_documents, long_cycle, main_outcome, validation_checking_every_vertex
 
 
 @pytest.fixture
@@ -281,6 +281,20 @@ def test_rank_basis_prints_the_pinned_output(case, tmp_path, capsys):
     code = main(["rank", str(path), "--basis", "--method", method])
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == RANK_OUTPUTS[case]
+
+
+def test_rank_basis_carries_along_a_tree_thousands_deep(tmp_path, capsys):
+    # the breadth-first tree of the 4000-cycle is 2000 deep, past the
+    # interpreter's recursion limit: the transport walks it in a loop
+    gkm = long_cycle()
+    assert validate_gkm(gkm).checked == (1, 2, 3, 4) and validate_gkm(gkm).ok
+    path = tmp_path / "cycle.json"
+    path.write_text(emit_gkm(document_from_gkm(gkm)))
+    assert main(["rank", str(path), "--basis"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("rank: 2\n")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b150caf2f354ff774ce7b52a1ad307bd08028bb38d6ec2fcc9b4caf1aceb7430"
 
 
 def test_rank_refuses_a_connection_not_sending_each_dart_to_its_reverse(tmp_path, capsys):

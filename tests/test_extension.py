@@ -182,8 +182,8 @@ def _projections():
 
 def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
     # an element is determined by its value at the base vertex, so completing
-    # the canonical restrictions there gives the full-coordinate completion,
-    # restricted, with the same index
+    # the canonical restrictions there gives the coordinates and the index of
+    # the full-coordinate completion
     for gkm in [p for p, _ in _projections()] + list(core_fixtures().values()):
         basis = axial_group_basis(gkm)
         g, base, m = gkm.graph, basis.base_vertex, gkm.m
@@ -193,7 +193,7 @@ def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
         restricted = [c[k : k + m] for c in full]
         completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
         at_base = complete_inside_lattice(restricted, [el[base] for el in basis.elements])
-        assert at_base == ([c[k : k + m] for c in completion], index)
+        assert at_base == (completion, index)
 
 
 def test_completion_and_verification_take_one_hnf_per_matrix(monkeypatch):

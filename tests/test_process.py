@@ -154,6 +154,30 @@ def test_process_reports_a_missing_file_on_one_line(tmp_path):
     assert done.stderr.startswith("error: cannot read ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["connection"], ["invariant"], ["rank", "--basis"], ["gen", "grassmannian", "--n", "9"]],
+    ids=["connection", "invariant", "rank-basis", "gen"],
+)
+def test_process_reports_a_closed_stdout_on_one_line(tmp_path, argv):
+    # the reader stops after one line, as `| head -1` does; each command prints
+    # more than a pipe holds, so it writes again after the pipe is closed, and
+    # gen's one document must not end cut short with exit code 0
+    if argv[0] != "gen":
+        path = tmp_path / "grassmannian12.json"
+        path.write_text(emit_gkm(document_from_gkm(gen_grassmannian(12))), encoding="utf-8")
+        argv = [argv[0], str(path), *argv[1:]]
+    with subprocess.Popen(
+        [sys.executable, "-m", "gkmgraph.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert child.returncode == 1
+    assert err == "error: standard output was closed\n"
+
+
 @pytest.mark.parametrize("argv", [[], ["rank"], ["rank", "x.json", "--method", "bad"]], ids=["none", "no-file", "method"])
 def test_process_exits_2_on_a_usage_error(argv):
     done = _process(*argv)

@@ -147,6 +147,34 @@ def test_divmod_is_called_only_in_the_congruence_pass_and_the_back_substitution(
     assert _callers("divmod") == [("axial", "_check_dart"), ("hermite", "_back_substitute")]
 
 
+def test_solver_combines_kernel_rows_only_where_an_edge_refines(monkeypatch):
+    # on the [I | 1] projection of grassmannian(9), with ℓ = n + 1, every
+    # non-tree edge is checked; an edge that holds costs one transport of the
+    # kernel rows and one comparison, so _combine runs once per row of each
+    # kernel a refining edge produces and nowhere else
+    from gkmgraph import axgroup, gen_grassmannian, project_axial
+
+    n = 9
+    fold = IntegerMatrix.from_rows([[int(c == i) for c in range(n)] + [1] for i in range(n)])
+    gkm = project_axial(gen_grassmannian(n), fold)
+    combined, ranks = [], []
+    combine, kernel = axgroup._combine, axgroup.integer_kernel_basis
+
+    def counted_combine(terms, width):
+        combined.append(width)
+        return combine(terms, width)
+
+    def counted_kernel(matrix):
+        ranks.append(len(out := kernel(matrix)))
+        return out
+
+    monkeypatch.setattr(axgroup, "_combine", counted_combine)
+    monkeypatch.setattr(axgroup, "integer_kernel_basis", counted_kernel)
+    assert axial_group_basis(gkm).rank == n + 1
+    assert 0 < len(ranks) <= gkm.m - (n + 1)  # each refining edge cuts the rank
+    assert len(combined) == sum(ranks)
+
+
 def _full_checks(monkeypatch, gkm) -> Counter:
     """How many times validating ``gkm`` checks a dart of each edge in full, by edge."""
     from gkmgraph import axial
