@@ -28,7 +28,7 @@ _MODULES = {
         "families": "gen_grassmannian gen_projective gen_s6",
         "graph": "AxialError AxialFunction DisconnectedError GkmGraph GraphError LoopEdgeError"
         " NonRegularError OrientedGraph build_graph reverse_name",
-        "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis matrix_rank solve_left",
+        "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis",
         "intlinalg": "NotInLatticeError complete_inside_lattice invariant_factors saturation",
         "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",
         "writer": "document_from_gkm emit_dot emit_gkm",

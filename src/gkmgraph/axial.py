@@ -12,8 +12,9 @@ multiple of the weight of ``e`` (the congruence relation).  When every triple
 of weights at a vertex is linearly independent the connection is forced and
 can be inferred from the weights alone.
 
-Weights are packed into one integer each (:func:`~gkmgraph.graph._packed`), and every
-congruence test reads that packing, in one of two ways.  Inference alone
+Weights are packed into one integer each (:func:`~gkmgraph.graph._packed`), once per
+load: inference hands its packing on to validation.  Every congruence test
+reads that packing, in one of two ways.  Inference alone
 compares residues: a weight's class modulo ``Z·w(e)`` is the integer
 :func:`_residue_key`, and inference runs one residue search per edge: under
 ``w(ē) = −w(e)`` the map of ``ē`` is the inverse of that of ``e``.  Axiom 3
@@ -40,7 +41,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import GkmError
-from .graph import AxialError, AxialFunction, GkmGraph, OrientedGraph, Weight, _check_weights, _packed
+from .graph import AxialError, AxialFunction, GkmGraph, OrientedGraph, Weight, _packed
 
 
 Maps = Mapping[str, Mapping[str, str]]
@@ -119,10 +120,6 @@ class Validation(NamedTuple):
     coefficients: dict[str, tuple[int | None, ...]]
 
 
-def _neg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
-
-
 def _direction(v: Weight) -> Weight | None:
     """``v`` divided by the gcd of its entries, first nonzero entry positive; ``None`` for zero.
 
@@ -173,8 +170,8 @@ def validated(gkm: GkmGraph) -> GkmGraph:
     return gkm
 
 
-def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | None) -> Validation:
-    _check_weights(axial, graph.darts)
+def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | None, packing=None) -> Validation:
+    packing = packing or _packed(axial, graph.darts)  # which checks that every dart carries a weight
     w = axial.weights
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
@@ -182,7 +179,7 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
     bent: set[str] = set()  # both darts of each edge failing axiom 1
     for e in graph.darts:
         eb = graph.reverse(e)
-        if e < eb and w[eb] != _neg(w[e]):
+        if e < eb and w[eb] != tuple(-x for x in w[e]):
             failures.append(AxiomFailure(1, f"dart {e}", f"weight of {eb} is not the negative of {w[e]}"))
             bent.update((e, eb))
 
@@ -207,7 +204,7 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
                         AxiomFailure(2, f"vertex {p}", f"darts {out[i]} and {out[j]} carry dependent weights")
                     )
 
-    coefficients = {} if connection is None else _check_connection(graph, axial, connection, failures)
+    coefficients = {} if connection is None else _check_connection(graph, connection, packing, failures)
 
     from .hermite import lattice_basis
 
@@ -223,7 +220,7 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
     return Validation(ValidationReport(checked=checked, failures=tuple(failures)), coefficients)
 
 
-def _check_connection(graph: OrientedGraph, axial: AxialFunction, maps: Maps, failures: list[AxiomFailure]):
+def _check_connection(graph: OrientedGraph, maps: Maps, packing: tuple[dict, int], failures: list[AxiomFailure]):
     """Append the failures of axiom 3; return the congruence vector of each dart whose map is a bijection.
 
     The first dart of an edge gets the full check (:func:`_check_dart`).  When
@@ -234,7 +231,7 @@ def _check_connection(graph: OrientedGraph, axial: AxialFunction, maps: Maps, fa
     Any other second dart gets the full check too, so the failures and their
     order are those of checking every dart.
     """
-    packed, big = _packed(axial, graph.darts)
+    packed, big = packing
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
     index = graph._positions
     coefficients = {}
@@ -313,8 +310,13 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, di
     several partners (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
-    w, packed = axial.weights, _packed(axial, graph.darts)[0]
-    maps: dict[str, dict[str, str]] = {}
+    return _inferred(graph, axial).connection
+
+
+def _inferred(graph: OrientedGraph, axial: AxialFunction) -> GkmGraph:
+    """The graph with the connection :func:`infer_connection` finds; its validation takes the packing read here."""
+    packing = _packed(axial, graph.darts)
+    w, packed, maps = axial.weights, packing[0], {}
     for e in graph.darts:
         p, q = graph.source(e), graph.target(e)
         eb = graph.reverse(e)
@@ -334,9 +336,7 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, di
                 continue
             cands = partners.get(key(e2))
             if not cands:
-                raise ConnectionNotFoundError(
-                    f"dart {e2} at vertex {p} has no partner across dart {e}"
-                )
+                raise ConnectionNotFoundError(f"dart {e2} at vertex {p} has no partner across dart {e}")
             if len(cands) > 1:
                 raise AmbiguousConnectionError(
                     f"dart {e2} at vertex {p} has {len(cands)} partners across dart {e}; "
@@ -344,12 +344,12 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, di
                 )
             nabla[e2] = cands[0]
         if len(set(nabla.values())) != graph.valence:
-            raise ConnectionNotFoundError(
-                f"the forced partners across dart {e} do not form a bijection"
-            )
+            raise ConnectionNotFoundError(f"the forced partners across dart {e} do not form a bijection")
         if back is not None and any(back[img] != src for src, img in nabla.items()):
             raise ConnectionNotFoundError(
                 f"forced partners across {eb} and its reverse are not mutually inverse"
             )
         maps[e] = nabla
-    return maps
+    gkm = GkmGraph(graph, axial, maps)
+    gkm.__dict__["_packing"] = packing  # until GkmGraph.validation takes it
+    return gkm

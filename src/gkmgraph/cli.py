@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import GkmError
-from .io import format_vector, gkm_from_document, labels_from_document, load_gkm, parse_gkm
+from .io import format_vector, gkm_from_document, labels_from_document, parse_gkm
 
 if TYPE_CHECKING:
     from .graph import GkmGraph
@@ -38,6 +38,17 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GkmError(f"cannot read {path}: {exc}") from exc
+
+
+def _load(path: str) -> GkmGraph:
+    """The validated graph of the document at ``path``, as :func:`~gkmgraph.io.load_gkm` loads a text.
+
+    The text goes straight into :func:`parse_gkm`, which frees it once decoded;
+    ``load_gkm`` would hold it until validation ends.
+    """
+    from .axial import validated
+
+    return validated(gkm_from_document(parse_gkm(_read(path))))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -112,7 +123,7 @@ def cmd_connection(args: argparse.Namespace) -> int:
 def cmd_invariant(args: argparse.Namespace) -> int:
     from .congruence import invariant_function
 
-    gkm = load_gkm(_read(args.file))
+    gkm = _load(args.file)
     inv = invariant_function(gkm)
     for e in gkm.graph.darts:
         print(f"{e}: {format_vector(inv[e])}")
@@ -122,7 +133,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     from .axgroup import axial_group_basis
 
-    gkm = load_gkm(_read(args.file))
+    gkm = _load(args.file)
     basis = axial_group_basis(gkm, method=args.method)
     print(f"rank: {basis.rank}")
     print(f"no effective torus of dimension > {basis.rank} acts on this structure")
@@ -136,7 +147,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     from .extension import extend_axial
 
-    gkm = load_gkm(_read(args.file))
+    gkm = _load(args.file)
     _write_gkm(extend_axial(gkm, args.target), args.output)
     return 0
 
@@ -144,7 +155,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_project(args: argparse.Namespace) -> int:
     from .extension import project_axial
 
-    gkm = load_gkm(_read(args.file))
+    gkm = _load(args.file)
     _write_gkm(project_axial(gkm, _parse_matrix(args.matrix)), args.output)
     return 0
 
@@ -152,7 +163,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 def cmd_check_extension(args: argparse.Namespace) -> int:
     from .extension import verify_extension
 
-    base = load_gkm(_read(args.base))
+    base = _load(args.base)
     candidate = gkm_from_document(parse_gkm(_read(args.candidate)))  # failing the axioms, it is no extension
     check = verify_extension(base, candidate)
     if check.ok:
@@ -181,7 +192,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_dot(args: argparse.Namespace) -> int:
     from .writer import emit_dot
 
-    gkm = load_gkm(_read(args.file))
+    gkm = _load(args.file)
     _write_output(emit_dot(gkm, annotate=args.annotate), args.output)
     return 0
 

@@ -19,7 +19,9 @@ def gen_projective(m: int) -> GkmGraph:
 
     Dart ``i -> j`` is labeled ``a_j - a_i`` where ``a_1, ..., a_m`` is the
     standard basis and ``a_0 = 0``, giving an (m, m)-type labeling.  The
-    connection is inferred from the weights.
+    connection is written in closed form, for the forward darts: across
+    ``i -> j`` the dart to ``k`` goes to the dart from ``j`` to ``k``, whose
+    weight differs by ``a_i - a_j``, and ``i -> j`` itself to ``j -> i``.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -28,11 +30,19 @@ def gen_projective(m: int) -> GkmGraph:
         # a_0 is the zero vector by convention
         return tuple(1 if t == i else 0 for t in range(1, m + 1))
 
+    def dart(i: int, j: int) -> str:
+        return f"{i}-{j}" if i < j else f"{j}-{i}~"
+
+    pairs = tuple(combinations(range(m + 1), 2))
     edges = tuple(
         EdgeRecord(f"{i}-{j}", str(i), str(j), tuple(a - b for a, b in zip(unit(j), unit(i))))
-        for i, j in combinations(range(m + 1), 2)
+        for i, j in pairs
     )
-    return gkm_from_document(GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges))
+    connection = tuple(
+        ConnectionEntry(dart(i, j), {dart(i, k): dart(j, i if k == j else k) for k in range(m + 1) if k != i})
+        for i, j in pairs
+    )
+    return gkm_from_document(GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges, connection))
 
 
 def gen_s6() -> GkmGraph:

@@ -15,6 +15,7 @@ congruence test reads.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import cached_property
 from itertools import chain
@@ -102,7 +103,8 @@ class OrientedGraph(Frozen):
         return self.targets[dart]
 
     def reverse(self, dart: str) -> str:
-        return reverse_name(dart)
+        """The reverse dart's id, as the one string :func:`build_graph` keeps for it."""
+        return sys.intern(reverse_name(dart))
 
     def out_darts(self, vertex: str) -> tuple[str, ...]:
         return self.orderings[vertex]
@@ -124,7 +126,8 @@ def build_graph(
     """Build and fully validate a graph from undirected edges ``(edge_id, source, target)``.
 
     Each edge expands to the dart pair ``edge_id`` (forward) and
-    ``edge_id~`` (reverse).
+    ``edge_id~`` (reverse), whose id is interned, so that it is one string
+    wherever the graph, its weights and its connection hold it.
     """
     verts = tuple(sorted(vertices))
     if not verts:
@@ -139,7 +142,7 @@ def build_graph(
             raise GraphError(f"edge id {eid!r} must not contain {REVERSE_SUFFIX!r}")
         if eid in sources:
             raise GraphError(f"duplicate edge id {eid!r}")
-        rid = reverse_name(eid)
+        rid = sys.intern(reverse_name(eid))
         sources[eid], targets[eid] = s, t
         sources[rid], targets[rid] = t, s
     for d, s in sources.items():
@@ -234,7 +237,8 @@ class GkmGraph(Frozen):
         """The axioms checked once: a :class:`~gkmgraph.axial.Validation`, the report and the congruence vectors."""
         from .axial import _validate
 
-        return _validate(self.graph, self.axial, self.connection)
+        # a connection inferred on load hands on the packing inference read (axial._inferred)
+        return _validate(self.graph, self.axial, self.connection, self.__dict__.pop("_packing", None))
 
     @property
     def m(self) -> int:

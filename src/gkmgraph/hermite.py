@@ -170,11 +170,6 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     return h, u
 
 
-def matrix_rank(m: IntegerMatrix) -> int:
-    rows = [list(row) for row in m.data]
-    return len(_echelon(rows, m.ncols))
-
-
 def lattice_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
     """Canonical (HNF) basis of the lattice spanned by ``vectors`` in ``Z^width``."""
     rows = [list(v) for v in vectors]
@@ -197,16 +192,11 @@ def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
     return lattice_basis(kernel, m.ncols)
 
 
-def solve_left(m: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer row vector ``x`` with ``x @ m == target``, or ``None``.
-
-    Decides membership of ``target`` in the row lattice of ``m``.
-    """
-    return _back_substitute(*hermite_normal_form(m), target)
-
-
 def _back_substitute(h: IntegerMatrix, u: IntegerMatrix, target: Sequence[int]) -> tuple[int, ...] | None:
-    """:func:`solve_left` against the matrix whose HNF is ``(h, u)``, so many targets share one HNF."""
+    """Integer row vector ``x`` with ``x @ m == target``, or ``None``, where ``(h, u)`` is the HNF of ``m``.
+
+    It decides whether ``target`` lies in the row lattice of ``m``; many targets share one HNF.
+    """
     if len(target) != h.ncols:
         raise ValueError("target length does not match column count")
     residual = list(target)

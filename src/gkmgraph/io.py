@@ -5,12 +5,18 @@ one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
 ordering sections.  Parsing is purely structural, and so is assembly
 (:func:`gkm_from_document`), after which ``validate`` prints the assembled
-graph's validation; :func:`load_gkm`, which every other command reads
-through, also refuses a graph failing an axiom.
+graph's validation; :func:`load_gkm` also refuses a graph failing an axiom,
+and so does every other command, which loads a file the same way.
 
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
-that dict becomes the assembled graph's connection map.
+that dict becomes the assembled graph's connection map.  :func:`parse_gkm`
+drops the text once ``json.loads`` has decoded it, so a caller that passes
+the text on without holding it frees it before the schema walk, and the
+decoded tree goes when the walk returns.  The walk interns every vertex id,
+edge id, endpoint, ordering entry and connection dart, and
+:func:`~gkmgraph.graph.build_graph` each reverse id, so each id is one string
+throughout the loaded graph.
 
 Loading a document loads :mod:`gkmgraph.axial`, to validate it and to infer a
 missing connection.  Writing documents and DOT text is :mod:`gkmgraph.writer`,
@@ -24,7 +30,7 @@ import sys
 from typing import Mapping, NamedTuple
 
 from .errors import GkmError
-from .graph import REVERSE_SUFFIX, AxialFunction, GkmGraph, OrientedGraph, build_graph, reverse_name
+from .graph import REVERSE_SUFFIX, AxialFunction, GkmGraph, OrientedGraph, build_graph
 
 
 class ParseError(GkmError):
@@ -113,6 +119,7 @@ def parse_gkm(text: str) -> GkmDocument:
     """Parse a document, raising :class:`ParseError` or :class:`SchemaError`."""
     try:
         obj = json.loads(text, object_pairs_hook=_decode_object)
+        del text  # a caller passing the text on, not holding it, frees it here
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -133,6 +140,7 @@ def parse_gkm(text: str) -> GkmDocument:
     vertices = obj.get("vertices")
     if not (isinstance(vertices, list) and all(isinstance(x, str) for x in vertices)):
         raise SchemaError("vertices: expected a list of strings")
+    vertices = tuple(map(sys.intern, vertices))
     vertex_ids = set(vertices)
     if len(vertex_ids) != len(vertices):
         raise SchemaError("vertices: duplicate vertex ids")
@@ -157,14 +165,15 @@ def parse_gkm(text: str) -> GkmDocument:
         ends = e["endpoints"]
         if not (isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends)):
             raise SchemaError(f"edges[{k}].endpoints: expected a pair of vertex ids")
-        if not (ends[0] in vertex_ids and ends[1] in vertex_ids):
+        source, target = map(sys.intern, ends)
+        if not (source in vertex_ids and target in vertex_ids):
             raise SchemaError(f"edges[{k}].endpoints: unknown vertex")
         weight = e["weight"]
         if not (isinstance(weight, list) and set(map(type, weight)) <= {int}):  # bool is not int here
             raise SchemaError(f"edges[{k}].weight: expected a list of integers")
         if len(weight) != rank:
             raise SchemaError(f"edges[{k}].weight: expected {rank} integers, got {len(weight)}")
-        edges.append(EdgeRecord(eid, ends[0], ends[1], tuple(weight)))
+        edges.append(EdgeRecord(sys.intern(eid), source, target, tuple(weight)))
 
     connection = None
     if obj.get("connection") is not None:
@@ -187,7 +196,7 @@ def parse_gkm(text: str) -> GkmDocument:
                 if not isinstance(maps, list):
                     raise SchemaError(f"connection[{k}].maps: expected a list of pairs")
                 maps = _images(maps, f"connection[{k}]")
-            entries.append(ConnectionEntry(dart, maps))
+            entries.append(ConnectionEntry(sys.intern(dart), maps))
         connection = tuple(entries)
 
     orderings = None
@@ -201,9 +210,9 @@ def parse_gkm(text: str) -> GkmDocument:
                 raise SchemaError(f"orderings.{v}: unknown vertex")
             if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
                 raise SchemaError(f"orderings.{v}: expected a list of strings")
-            orderings[v] = tuple(lst)
+            orderings[sys.intern(v)] = tuple(map(sys.intern, lst))
 
-    return GkmDocument(rank, tuple(vertices), tuple(edges), connection, orderings)
+    return GkmDocument(rank, vertices, tuple(edges), connection, orderings)
 
 
 def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction]:
@@ -213,10 +222,11 @@ def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction
         [(e.id, e.source, e.target) for e in doc.edges],
         orderings=doc.orderings,
     )
+    darts = iter(graph.sources)  # each edge's dart, then the reverse id build_graph interned for it
     weights: dict[str, tuple[int, ...]] = {}
-    for e in doc.edges:
-        weights[e.id] = e.weight
-        weights[reverse_name(e.id)] = tuple(-x for x in e.weight)
+    for e, forward, reverse in zip(doc.edges, darts, darts):
+        weights[forward] = e.weight
+        weights[reverse] = tuple(-x for x in e.weight)
     return graph, AxialFunction(doc.torus_rank, weights)
 
 
@@ -229,9 +239,9 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     """
     graph, axial = labels_from_document(doc)
     if doc.connection is None:
-        from .axial import infer_connection
+        from .axial import _inferred
 
-        return GkmGraph(graph, axial, infer_connection(graph, axial))
+        return _inferred(graph, axial)
     maps: dict[str, dict[str, str]] = {}
     for entry in doc.connection:
         if entry.dart not in graph.sources:

@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from gkmgraph import (
     validate_axial,
     validate_gkm,
 )
+import gkmgraph.io
 from gkmgraph import cli
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
@@ -56,6 +60,10 @@ def test_gen_writes_a_parseable_document(s6_file, capsys):
 GEN_DOCUMENTS = {
     ("s6",): "d5157740a354e443e05943828e9e5112fa3d1a8cdfa88da9a3ddea361b8488bb",
     ("projective", "--m", "5"): "0c435105fc45051ececac664c1ce4d29cf767ce2f60cbda4527c433b90514557",
+    ("projective", "--m", "8"): "94fe2e41f7ae9480ff68a72e7b1b95428d17954d568b89a67d09c94428961196",
+    ("projective", "--m", "12"): "66aa0ad4482531fed81521447dc16d26303305a7848f132d7dd43e1fbb1a4c10",
+    ("projective", "--m", "16"): "ea3948593ee31cd760678977708c1b3020635ce964bc3d00b18475bb90c54153",
+    ("projective", "--m", "20"): "d85a6297a395b3bc1143c12be8faaa060b38d59ccb9721e56a8433e9cf846db8",
     ("grassmannian", "--n", "1"): "cd009a83887a3be93627f9d7eae5c6704525b25ee45ca3c6bbae0cf809d44752",
     ("grassmannian", "--n", "2"): "b05e2c1db108aa7b88bc1ebcab362212e769aca3add0ac233e5992a65e3a3aff",
     ("grassmannian", "--n", "3"): "71c7d29dc5675a9e3138738b9b87d68a67d723da316e70eb5ecc3f467749d4f1",
@@ -71,6 +79,44 @@ def test_gen_writes_the_pinned_document(spec, tmp_path):
     path = tmp_path / "out.json"
     assert main(["gen", *spec, "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DOCUMENTS[spec]
+
+
+def test_each_command_frees_the_text_before_assembly(s6_file, tmp_path, monkeypatch):
+    # parse_gkm drops the text once json.loads has decoded it, and the command
+    # passes the text on without holding it, so assembly and validation run
+    # without the text of the document they read
+    class Text(str):
+        pass
+
+    texts, alive = [], []
+    read, assemble = cli._read, gkmgraph.io.gkm_from_document
+
+    def reading(path):
+        text = Text(read(path))
+        texts.append(weakref.ref(text))
+        return text
+
+    def assembling(doc):
+        alive.append(texts[-1]() is not None)
+        return assemble(doc)
+
+    monkeypatch.setattr(cli, "_read", reading)
+    monkeypatch.setattr(cli, "gkm_from_document", assembling)
+    monkeypatch.setattr(gkmgraph.io, "gkm_from_document", assembling)
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["rank", s6_file],
+        ["invariant", s6_file],
+        ["dot", s6_file, "-o", out],
+        ["extend", s6_file, "--target", "2", "-o", out],
+        ["project", s6_file, "--matrix", "1 0; 0 1", "-o", out],
+        ["check-extension", s6_file, out],
+        ["validate", s6_file],
+        ["connection", s6_file],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert alive == [False] * 9
 
 
 def shuffled_document(gkm, seed: int) -> GkmDocument:

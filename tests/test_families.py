@@ -28,6 +28,13 @@ def test_projective_triangle_weights():
     assert gkm.weight("0-1~") == (-1, 0)
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_projective_connection_is_the_inferred_one(m):
+    # the closed form the family writes is the connection the weights force
+    gkm = gen_projective(m)
+    assert gkm.connection == infer_connection(gkm.graph, gkm.axial)
+
+
 def test_projective_rejects_bad_m():
     with pytest.raises(ValueError):
         gen_projective(0)

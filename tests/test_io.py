@@ -328,14 +328,25 @@ def test_load_peak_memory_stays_below_one_and_a_half_times_the_text():
 
 
 def test_loaded_maps_share_one_string_per_dart():
+    pinned = document_from_gkm(gen_grassmannian(4))
     for text in (
-        emit_gkm(document_from_gkm(gen_grassmannian(4))),
+        emit_gkm(pinned),
         # forward darts only: the reverse maps are inverted from these
         json.dumps({**_s6_json(), "connection": [c for c in _s6_json()["connection"] if c["dart"][-1] != "~"]}),
+        # no connection: inference builds the maps from the graph's own ids
+        emit_gkm(pinned._replace(connection=None, orderings=None)),
     ):
         gkm = load_gkm(text)
+        g = gkm.graph
         ids = {id(x) for nabla in gkm.connection.values() for x in (*nabla, *nabla.values())}
-        assert len(ids) == len(gkm.graph.darts)
+        assert len(ids) == len(g.darts)
+        # every dart id and every vertex id is one string wherever the graph holds it
+        held = [
+            *g.vertices, *g.sources, *g.sources.values(), *g.targets, *g.targets.values(),
+            *g.orderings, *(d for order in g.orderings.values() for d in order),
+            *gkm.axial.weights, *(x for e, nabla in gkm.connection.items() for x in (e, *nabla, *nabla.values())),
+        ]
+        assert len({id(x) for x in held}) == len(set(held)) == len(g.vertices) + len(g.darts)
 
 
 def test_load_restores_the_garbage_collector_state():

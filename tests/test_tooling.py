@@ -228,6 +228,58 @@ def test_helpers_import_nothing_private_from_the_package():
             assert not any(part.startswith("_") for part in name.split(".")), name
 
 
+# public names nothing outside the tests uses, each with the reason it stays
+KEPT_WITHOUT_A_USE = {
+    "propagate": "the paper's transport along one dart; the tests' oracle transport_matrix reads it",
+}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a use is a name or an attribute in the package, the demos or the
+    # benchmark, or a function the traced run wraps by name; not the name's
+    # own definition, the table in __init__ or a docstring
+    import gkmgraph
+
+    root = Path(__file__).resolve().parents[1]
+    used = {attr for _, attr in _span_names()}
+    for folder in ("src/gkmgraph", "demos", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(set(gkmgraph.__all__) - used - set(KEPT_WITHOUT_A_USE)) == []
+    assert set(KEPT_WITHOUT_A_USE) <= set(gkmgraph.__all__) - used
+
+
+@pytest.mark.parametrize("connection", ["pinned", "inferred"])
+def test_a_load_packs_and_checks_the_weights_once(connection, monkeypatch):
+    # inference hands the packing it read on to validation, and packing checks
+    # the weights, so a load packs them once and checks them once
+    from gkmgraph import axial, gen_grassmannian, graph, load_gkm
+
+    calls = Counter()
+
+    def counted(name, original):
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counting
+
+    for name in ("_packed", "_check_weights"):
+        wrapper = counted(name, getattr(graph, name))
+        for module in (graph, axial):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    doc = document_from_gkm(gen_grassmannian(4))
+    if connection == "inferred":
+        doc = doc._replace(connection=None, orderings=None)
+    assert validate_gkm(load_gkm(emit_gkm(doc))).ok
+    assert calls == {"_packed": 1, "_check_weights": 1}
+
+
 def test_public_names_resolve():
     # a name removed from the package but left in __all__ would otherwise
     # fail only on a star import
@@ -311,6 +363,8 @@ print("ok")
         (["dot", pinned], {"axial", "hermite", "writer"}, {"axgroup", "congruence", "intlinalg"}),
         (["extend", pinned, "--target", "2", "-o", out], {"axgroup", "intlinalg", "writer"}, set()),
         (["gen", "s6", "-o", out], {"families", "writer"}, {"axial", "hermite"}),
+        # the projective family writes its connection, so nothing infers one
+        (["gen", "projective", "--m", "4", "-o", out], {"families", "writer"}, {"axial", "hermite"}),
     ]
     for argv, loads, skips in cases:
         code, loaded = _loaded_by([str(a) for a in argv])
