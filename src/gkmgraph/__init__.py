@@ -30,7 +30,7 @@ _MODULES = {
         " NonRegularError OrientedGraph build_graph reverse_name",
         "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis",
         "intlinalg": "NotInLatticeError complete_inside_lattice invariant_factors saturation",
-        "io": "ConnectionEntry EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",
+        "io": "EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",
         "writer": "document_from_gkm emit_dot emit_gkm",
     }.items()
     for name in names.split()

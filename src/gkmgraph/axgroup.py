@@ -172,8 +172,7 @@ def _solve_full_system(
             row[offset[q] + j] -= 1
             row[offset[q] + pos_eb] -= cbar[j]
             rows.append(row)
-    mat = IntegerMatrix.from_rows(rows, width) if rows else IntegerMatrix.zeros(0, width)
-    return integer_kernel_basis(mat)
+    return integer_kernel_basis(IntegerMatrix.from_rows(rows, width))
 
 
 def axial_group_basis(

@@ -206,13 +206,11 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
 
     coefficients = {} if connection is None else _check_connection(graph, connection, packing, failures)
 
-    from .hermite import lattice_basis
+    from .hermite import _spans
 
-    n = axial.torus_rank  # the weights at a vertex span Z^n exactly when their row HNF is I_n
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     spans_agree = connection is not None and all(f.axiom != 3 for f in failures)
     tested = graph.vertices[:1] if spans_agree else graph.vertices
-    bad = [p for p in tested if lattice_basis([w[d] for d in graph.out_darts(p)], n) != unit]
+    bad = [p for p in tested if not _spans([w[d] for d in graph.out_darts(p)], axial.torus_rank)]
     if spans_agree and bad:
         bad = graph.vertices
     failures.extend(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice") for p in bad)

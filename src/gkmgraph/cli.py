@@ -11,8 +11,8 @@ of ``check-extension``, which is no extension.  All numeric output is exact
 integers.  Each command loads only the layers it runs, and the parser holds
 only the sub-parser of the command it parses.  All load the read side (``io``,
 ``graph``), and all but ``gen`` the validation layer (``axial``) and the
-Hermite core (``hermite``) it checks axiom 4 with; the Smith form and
-completion (``intlinalg``) load for ``extend`` and ``project`` alone, the
+Hermite core (``hermite``) it checks axiom 4 with, and ``project`` its
+surjectivity; the completion (``intlinalg``) loads for ``extend`` alone, the
 writer for ``gen``, ``extend``, ``project`` and ``dot``.
 """
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .axial import _first_failure, validate_gkm, validated
 from .errors import GkmError
 from .graph import GkmGraph
-from .hermite import IntegerMatrix, _back_substitute, hermite_normal_form
+from .hermite import IntegerMatrix, _back_substitute, _spans, hermite_normal_form
 
 
 class RankExceededError(GkmError):
@@ -76,18 +76,16 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
 
     ``gkm`` and the result must pass the axioms, or :class:`~gkmgraph.axial.AxiomViolationError`
     names the first failure; so a projection that collapses some vertex's
-    weights is refused.  The projection must be onto (all Smith invariant
-    factors 1); the result keeps the graph and connection.
+    weights is refused.  The projection must be onto: its columns span the
+    target lattice, decided as axiom 4 decides that weights span.  The result
+    keeps the graph and connection.
     """
-    from .intlinalg import invariant_factors
-
     validated(gkm)
     if projection.ncols != gkm.axial.torus_rank:
         raise ValueError(
             f"projection has {projection.ncols} columns, expected {gkm.axial.torus_rank}"
         )
-    facs = invariant_factors(projection)
-    if len(facs) != projection.nrows or any(f != 1 for f in facs):
+    if not _spans(zip(*projection.data), projection.nrows):
         raise NotSurjectiveError("the projection matrix is not onto the target lattice")
     weights = {d: projection.mul_vector(w) for d, w in gkm.axial.weights.items()}
     return validated(gkm.with_weights(weights, projection.nrows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graph import GkmGraph, reverse_name
-from .io import ConnectionEntry, EdgeRecord, GkmDocument, gkm_from_document
+from .io import EdgeRecord, GkmDocument, gkm_from_document
 
 
 def gen_projective(m: int) -> GkmGraph:
@@ -38,10 +38,9 @@ def gen_projective(m: int) -> GkmGraph:
         EdgeRecord(f"{i}-{j}", str(i), str(j), tuple(a - b for a, b in zip(unit(j), unit(i))))
         for i, j in pairs
     )
-    connection = tuple(
-        ConnectionEntry(dart(i, j), {dart(i, k): dart(j, i if k == j else k) for k in range(m + 1) if k != i})
-        for i, j in pairs
-    )
+    connection = {
+        dart(i, j): {dart(i, k): dart(j, i if k == j else k) for k in range(m + 1) if k != i} for i, j in pairs
+    }
     return gkm_from_document(GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges, connection))
 
 
@@ -57,10 +56,10 @@ def gen_s6() -> GkmGraph:
         EdgeRecord("e2", "p", "q", (0, 1)),
         EdgeRecord("e3", "p", "q", (-1, -1)),
     )
-    connection = tuple(
-        ConnectionEntry(f"e{i}", {f"e{i}": f"e{i}~", f"e{j}": f"e{k}~", f"e{k}": f"e{j}~"})
+    connection = {
+        f"e{i}": {f"e{i}": f"e{i}~", f"e{j}": f"e{k}~", f"e{k}": f"e{j}~"}
         for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
-    )
+    }
     return gkm_from_document(GkmDocument(2, ("p", "q"), edges, connection))
 
 
@@ -107,7 +106,7 @@ def gen_grassmannian(n: int) -> GkmGraph:
             edges.append(EdgeRecord(eid, src, dst, weight[old][new]))
             moves.append((eid, src, dst, s, old, new))
 
-    connection = []
+    connection = {}
     for eid, src, dst, s, old, new in moves:
         here, there = dart[src], dart[dst]
         images = {eid: there[src], here[label[old][new]]: there[label[old][new]]}
@@ -115,11 +114,11 @@ def gen_grassmannian(n: int) -> GkmGraph:
             if k != s and k != old and k != new:
                 images[here[label[s][k]]] = there[label[s][k]]
                 images[here[label[old][k]]] = there[label[new][k]]
-        connection.append(ConnectionEntry(eid, images))
+        connection[eid] = images
 
     orderings = {}
     for v, (i, j) in zip(vertices, combinations(ground, 2)):
         others = [k for k in ground if k != i and k != j]
         orderings[v] = tuple([dart[v][label[i][k]] for k in others] + [dart[v][label[j][k]] for k in others])
 
-    return gkm_from_document(GkmDocument(n + 1, vertices, tuple(edges), tuple(connection), orderings))
+    return gkm_from_document(GkmDocument(n + 1, vertices, tuple(edges), connection, orderings))

@@ -180,6 +180,11 @@ def lattice_basis(vectors: Iterable[Sequence[int]], width: int) -> list[tuple[in
     return [tuple(row) for row in rows if any(row)]
 
 
+def _spans(vectors: Iterable[Sequence[int]], width: int) -> bool:
+    """Whether ``vectors`` span all of ``Z^width``: exactly when their canonical basis is the identity."""
+    return lattice_basis(vectors, width) == [tuple(int(i == j) for j in range(width)) for i in range(width)]
+
+
 def integer_kernel_basis(m: IntegerMatrix) -> list[tuple[int, ...]]:
     """Canonical basis of ``{x in Z^ncols : m @ x = 0}``.
 

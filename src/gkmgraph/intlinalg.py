@@ -1,8 +1,8 @@
 """Smith invariant factors, lattice completion and saturation over the integers.
 
 Built on the Hermite core of :mod:`gkmgraph.hermite`, and loaded only where
-it is called: ``project`` (surjectivity by the Smith form) and ``extend``
-(completion inside the solution lattice).
+it is called: ``extend`` (completion inside the solution lattice).  The Smith
+form is the independent check of what ``project`` decides by the Hermite form.
 """
 
 from __future__ import annotations
@@ -116,13 +116,5 @@ def saturation(vectors: Sequence[Sequence[int]], width: int) -> list[tuple[int, 
     saturated, and the kernel of the kernel recovers the rational row span
     intersected with ``Z^width``.
     """
-    mat = (
-        IntegerMatrix.from_rows(vectors, width)
-        if vectors
-        else IntegerMatrix.zeros(0, width)
-    )
-    ker = integer_kernel_basis(mat)
-    kmat = (
-        IntegerMatrix.from_rows(ker, width) if ker else IntegerMatrix.zeros(0, width)
-    )
-    return integer_kernel_basis(kmat)
+    ker = integer_kernel_basis(IntegerMatrix.from_rows(vectors, width))
+    return integer_kernel_basis(IntegerMatrix.from_rows(ker, width))

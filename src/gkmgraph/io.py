@@ -10,7 +10,8 @@ and so does every other command, which loads a file the same way.
 
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
-that dict becomes the assembled graph's connection map.  :func:`parse_gkm`
+that dict becomes the assembled graph's connection map.  A document keys
+these maps by dart, as the graph does, so it holds at most one per dart.  :func:`parse_gkm`
 drops the text once ``json.loads`` has decoded it, so a caller that passes
 the text on without holding it frees it before the schema walk, and the
 decoded tree goes when the walk returns.  The walk interns every vertex id,
@@ -48,16 +49,11 @@ class EdgeRecord(NamedTuple):
     weight: tuple[int, ...]
 
 
-class ConnectionEntry(NamedTuple):
-    dart: str
-    images: Mapping[str, str]
-
-
 class GkmDocument(NamedTuple):
     torus_rank: int
     vertices: tuple[str, ...]
     edges: tuple[EdgeRecord, ...]
-    connection: tuple[ConnectionEntry, ...] | None = None
+    connection: Mapping[str, Mapping[str, str]] | None = None
     orderings: Mapping[str, tuple[str, ...]] | None = None
 
 
@@ -180,24 +176,22 @@ def parse_gkm(text: str) -> GkmDocument:
         raw_conn = obj["connection"]
         if not isinstance(raw_conn, list):
             raise SchemaError("connection: expected a list")
-        entries, seen_darts = [], set()
+        connection = {}
         for k, c in enumerate(raw_conn):
             if not (isinstance(c, dict) and c.keys() == {"dart", "maps"}):
                 raise SchemaError(f"connection[{k}]: expected fields dart, maps")
             dart = c["dart"]
             if not isinstance(dart, str):
                 raise SchemaError(f"connection[{k}].dart: expected a string")
-            if dart in seen_darts:
+            if dart in connection:
                 raise SchemaError(f"connection[{k}].dart: duplicate dart")
-            seen_darts.add(dart)
             maps = c["maps"]
             if type(maps) is not _Images:
                 # the decoder left it: a duplicated key, or an error to report
                 if not isinstance(maps, list):
                     raise SchemaError(f"connection[{k}].maps: expected a list of pairs")
                 maps = _images(maps, f"connection[{k}]")
-            entries.append(ConnectionEntry(sys.intern(dart), maps))
-        connection = tuple(entries)
+            connection[sys.intern(dart)] = maps
 
     orderings = None
     if obj.get("orderings") is not None:
@@ -233,8 +227,8 @@ def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction
 def gkm_from_document(doc: GkmDocument) -> GkmGraph:
     """Assemble a labeled graph, not validated; the connection is inferred when absent.
 
-    Each entry's ``images`` becomes the graph's map for that dart as it is, not copied, and a
-    dart with no entry gets the inverse of its reverse's map.  Whether each map is a bijection
+    Each of the document's maps becomes the graph's map for its dart as it is, not copied, and
+    a dart with no map gets the inverse of its reverse's map.  Whether each map is a bijection
     between the out-darts is axiom 3's to check.
     """
     graph, axial = labels_from_document(doc)
@@ -242,11 +236,10 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
         from .axial import _inferred
 
         return _inferred(graph, axial)
-    maps: dict[str, dict[str, str]] = {}
-    for entry in doc.connection:
-        if entry.dart not in graph.sources:
-            raise SchemaError(f"connection: unknown dart {entry.dart}")
-        maps[entry.dart] = entry.images
+    maps = dict(doc.connection)
+    for d in maps:
+        if d not in graph.sources:
+            raise SchemaError(f"connection: unknown dart {d}")
     for d in graph.darts:
         if d in maps:
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 from .graph import GkmGraph
-from .io import ConnectionEntry, EdgeRecord, GkmDocument, format_vector
+from .io import EdgeRecord, GkmDocument, format_vector
 
 
 class _Quoted(dict):
@@ -49,11 +49,11 @@ def emit_gkm(doc: GkmDocument) -> str:
     ]
     if doc.connection is not None:
         entries = []
-        for c in doc.connection:
+        for dart, images in doc.connection.items():
             # one string per pair: a connection holds tens of thousands of them
-            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in c.images.items()]
+            pairs = [f"[\n          {q[a]},\n          {q[b]}\n        ]" for a, b in images.items()]
             maps = _block("[]", pairs, "      ")
-            entries.append(_block("{}", [f'"dart": {q[c.dart]}', f'"maps": {maps}'], "    "))
+            entries.append(_block("{}", [f'"dart": {q[dart]}', f'"maps": {maps}'], "    "))
         fields.append('"connection": ' + _block("[]", entries, "  "))
     if doc.orderings is not None:
         orderings = [f"{q[v]}: " + _block("[]", [q[d] for d in o], "    ") for v, o in doc.orderings.items()]
@@ -65,15 +65,12 @@ def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     """Snapshot a labeled graph, pinning its connection and orderings."""
     g = gkm.graph
     edges = tuple(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)) for e in g.edge_representatives())
-    entries = []
-    for d in g.darts:
-        nabla = gkm.connection[d]
-        entries.append(ConnectionEntry(d, {e2: nabla[e2] for e2 in g.out_darts(g.source(d))}))
+    nabla = gkm.connection
     return GkmDocument(
         torus_rank=gkm.axial.torus_rank,
         vertices=g.vertices,
         edges=edges,
-        connection=tuple(entries),
+        connection={d: {e2: nabla[d][e2] for e2 in g.out_darts(g.source(d))} for d in g.darts},
         orderings={v: g.out_darts(v) for v in g.vertices},
     )
 

@@ -42,7 +42,6 @@ from math import gcd
 
 from gkmgraph import (
     AxiomFailure,
-    ConnectionEntry,
     EdgeRecord,
     GkmDocument,
     GkmGraph,
@@ -116,7 +115,7 @@ def grassmannian_by_subsets(n: int) -> GkmGraph:
         return f"{a}|{b}" if a < b else reverse_name(f"{b}|{a}")
 
     edges = []
-    connection = []
+    connection = {}
     for u, w in combinations(pairs, 2):
         if not (u & w):
             continue
@@ -127,7 +126,7 @@ def grassmannian_by_subsets(n: int) -> GkmGraph:
         edges.append(EdgeRecord(f"{a}|{b}", a, b, tuple(x - y for x, y in zip(unit(new), unit(old)))))
         swap = {old: new, new: old}
         images = {dart_id(src, t): dart_id(dst, frozenset(swap.get(x, x) for x in t)) for t in neighbours[src]}
-        connection.append(ConnectionEntry(f"{a}|{b}", images))
+        connection[f"{a}|{b}"] = images
     orderings = {}
     for u in pairs:
         i, j = sorted(u)
@@ -135,7 +134,7 @@ def grassmannian_by_subsets(n: int) -> GkmGraph:
         orderings[name[u]] = tuple(
             [dart_id(u, frozenset({i, k})) for k in others] + [dart_id(u, frozenset({j, k})) for k in others]
         )
-    return gkm_from_document(GkmDocument(n + 1, tuple(name.values()), tuple(edges), tuple(connection), orderings))
+    return gkm_from_document(GkmDocument(n + 1, tuple(name.values()), tuple(edges), connection, orderings))
 
 
 def weight_ratio(diff, base):

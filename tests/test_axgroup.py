@@ -158,6 +158,11 @@ def test_method_is_propagate_or_full():
         axial_group_basis(gkm, method="full_system")
 
 
+def test_unknown_base_vertex_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^unknown base vertex 'r'$"):
+        axial_group_basis(gen_s6(), base_vertex="r")
+
+
 RELABEL_FIXTURES = core_fixtures()
 
 

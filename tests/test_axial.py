@@ -68,6 +68,14 @@ def test_axiom2_failure_at_every_vertex():
     assert vertices == {"vertex p", "vertex q", "vertex r"}
 
 
+def test_connection_without_a_dart_s_map_fails_axiom3_there():
+    gkm = gen_s6()
+    maps = {e: nabla for e, nabla in gkm.connection.items() if e != "e2~"}
+    report = validate_axial(gkm.graph, gkm.axial, maps)
+    assert report.failures_for(3) == (AxiomFailure(3, "dart e2~", "connection has no map for this dart"),)
+    assert report == validation_by_residues(gkm.graph, gkm.axial, maps)
+
+
 def test_axiom4_distinguishes_integer_and_rational_span():
     base = gen_projective(2)
     weights = {d: tuple(2 * x for x in base.weight(d)) for d in base.graph.darts}
@@ -99,7 +107,7 @@ def _mutated(doc, mutations):
     that map, and ``("reverse-weight", i, factor, k, delta)`` gives ``ē`` the
     weight ``factor·w(e)`` plus ``delta`` at entry ``k``, through ``AxialFunction``.
     """
-    edges, entries = list(doc.edges), [c._replace(images=dict(c.images)) for c in doc.connection]
+    edges, entries = list(doc.edges), {d: dict(images) for d, images in doc.connection.items()}
     one_sided = []
     for kind, *args in mutations:
         if kind == "bend":
@@ -109,7 +117,7 @@ def _mutated(doc, mutations):
             edges[i] = edges[i]._replace(weight=tuple(w))
         elif kind == "swap":
             i, a, b = args
-            images = entries[i].images
+            images = entries[list(entries)[i]]
             images[a], images[b] = images[b], images[a]
         elif kind == "scale":
             v, factor = args
@@ -117,7 +125,7 @@ def _mutated(doc, mutations):
                      for e in edges]
         else:
             one_sided.append((kind, *args))
-    gkm = gkm_from_document(doc._replace(edges=tuple(edges), connection=tuple(entries)))
+    gkm = gkm_from_document(doc._replace(edges=tuple(edges), connection=entries))
     weights, maps = dict(gkm.axial.weights), dict(gkm.connection)
     for kind, i, *args in one_sided:
         e = doc.edges[i].id
@@ -141,7 +149,7 @@ def _mutated(doc, mutations):
 def _mutations(draw):
     name = draw(st.sampled_from(sorted(VALIDATION_DOCUMENTS)))
     doc = VALIDATION_DOCUMENTS[name]
-    m = len(doc.connection[0].images)
+    m = len(next(iter(doc.connection.values())))
     mutations = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["bend", "swap", "scale", "swap-reverse", "extend-reverse", "reverse-weight"]))
@@ -150,7 +158,8 @@ def _mutations(draw):
             mutations.append(("bend", i, draw(st.integers(0, doc.torus_rank - 1)), draw(st.sampled_from((-2, -1, 1, 2)))))
         elif kind == "swap" and m > 1:
             i = draw(st.integers(0, len(doc.connection) - 1))
-            a, b = draw(st.lists(st.sampled_from(sorted(doc.connection[i].images)), min_size=2, max_size=2, unique=True))
+            images = list(doc.connection.values())[i]
+            a, b = draw(st.lists(st.sampled_from(sorted(images)), min_size=2, max_size=2, unique=True))
             mutations.append(("swap", i, a, b))
         elif kind == "scale":
             mutations.append(("scale", draw(st.sampled_from(doc.vertices)), draw(st.sampled_from((2, 3, -2)))))
@@ -225,7 +234,7 @@ def test_each_mutation_reaches_the_axiom_it_breaks():
     # weight and swapped images the congruence, a scaled vertex the integer
     # span, and the twisted s6 the rule e -> ē
     doc = VALIDATION_DOCUMENTS["projective3"]
-    a, b = sorted(doc.connection[0].images)[:2]
+    a, b = sorted(doc.connection["0-1"])[:2]
     cases = [
         ("twisted_s6", [], AxiomFailure(3, "dart e2", "map must send e2 to e2~")),
         ("projective3", [("bend", 0, 1, 1)], AxiomFailure(3, "dart 0-1", "weight change of 0-2 is not a multiple of the base weight")),

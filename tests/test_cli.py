@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
-    ConnectionEntry,
     EdgeRecord,
     GkmDocument,
     IntegerMatrix,
@@ -134,10 +133,10 @@ def shuffled_document(gkm, seed: int) -> GkmDocument:
     def dart(d):
         return edge_ids[d[:-1]] + "~" if d.endswith("~") else edge_ids[d]
 
-    connection = [ConnectionEntry(dart(c.dart), {dart(a): dart(b) for a, b in c.images.items()}) for c in doc.connection]
+    connection = [(dart(d), {dart(a): dart(b) for a, b in images.items()}) for d, images in doc.connection.items()]
     orderings = {vertices[v]: tuple(map(dart, order)) for v, order in doc.orderings.items()}
     return GkmDocument(
-        doc.torus_rank, tuple(new_vertices), tuple(edges), tuple(rng.sample(connection, len(connection))), orderings
+        doc.torus_rank, tuple(new_vertices), tuple(edges), dict(rng.sample(connection, len(connection))), orderings
     )
 
 
@@ -605,6 +604,13 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         ["extend", "{s6}", "--target", "2", "-o", "{missing}"],
         ["project", "{s6}", "--matrix", "1 0", "-o", "{out}"],
         ["rank", "{newline}"],
+        ["project", "{s6}", "--matrix", "2 0; 0 1", "-o", "{out}"],
+        ["rank", "{array}"],
+        ["rank", "{tilde}"],
+        ["rank", "{connection_object}"],
+        ["rank", "{orderings_list}"],
+        ["rank", "{ordering_unknown}"],
+        ["validate", "{lonely}"],
     ],
     ids=[
         "projective-m-0",
@@ -616,6 +622,13 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         "output-dir-missing",
         "project-breaks-the-axioms",
         "line-break-in-an-id",
+        "project-not-onto",
+        "top-level-array",
+        "tilde-in-an-edge-id",
+        "connection-not-a-list",
+        "orderings-not-an-object",
+        "ordering-at-an-unknown-vertex",
+        "one-vertex-no-edges",
     ],
 )
 def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
@@ -633,6 +646,17 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
     newline = tmp_path / "newline.json"
     newline.write_text(json.dumps(doc))
     paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out, "missing": missing, "newline": newline}
+    s6 = json.loads(open(s6_file).read())
+    for name, malformed in {
+        "array": [s6],
+        "tilde": {**s6, "edges": [{**s6["edges"][0], "id": "e~1"}, *s6["edges"][1:]]},
+        "connection_object": {**s6, "connection": {}},
+        "orderings_list": {**s6, "orderings": []},
+        "ordering_unknown": {**s6, "orderings": {"r": [], **s6["orderings"]}},
+        "lonely": {"torus_rank": 1, "vertices": ["p"], "edges": []},
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(malformed))
     assert main([a.format(**paths) for a in args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -149,6 +149,9 @@ def test_weight_of_the_wrong_length_is_an_axial_error():
     weights = dict(gkm.axial.weights, e1=gkm.weight("e1") + (0,))
     with pytest.raises(AxialError, match="weight of dart e1 has length 3, expected 2"):
         invariant_function(gkm.with_weights(weights, gkm.n))
+    weights = {d: w for d, w in gkm.axial.weights.items() if d != "e3~"}  # and a missing weight
+    with pytest.raises(AxialError, match=r"^dart e3~ carries no weight$"):
+        invariant_function(gkm.with_weights(weights, gkm.n))
 
 
 def test_packing_leaves_room_for_the_largest_quotient():

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import extend_axial, project_axial
-from gkmgraph.hermite import IntegerMatrix, _back_substitute, hermite_normal_form, integer_kernel_basis, lattice_basis
+from gkmgraph.hermite import (
+    IntegerMatrix,
+    _back_substitute,
+    _spans,
+    hermite_normal_form,
+    integer_kernel_basis,
+    lattice_basis,
+)
 from gkmgraph.intlinalg import NotInLatticeError, complete_inside_lattice, invariant_factors, saturation
 from helpers import core_fixtures, rational_rank, smith_by_minors
 
@@ -114,6 +121,7 @@ def test_complete_with_empty_prefix_returns_basis():
     completion, index = complete_inside_lattice([], basis)
     assert completion == [(1, 0), (0, 1)]
     assert index == 1
+    assert complete_inside_lattice([], []) == ([], 1)
 
 
 def test_complete_reports_saturation_index():
@@ -161,6 +169,10 @@ def test_complete_has_least_index_random():
 def test_complete_rejects_outside_vectors():
     with pytest.raises(NotInLatticeError):
         complete_inside_lattice([(1, 1)], [(2, 0), (0, 2)])
+    with pytest.raises(NotInLatticeError, match="the lattice is trivial"):
+        complete_inside_lattice([(0, 0)], [])
+    with pytest.raises(ValueError, match=r"^chosen vectors are not linearly independent$"):
+        complete_inside_lattice([(1, 2), (2, 4)], [(1, 0), (0, 1)])
 
 
 def test_invariant_factors():
@@ -201,6 +213,18 @@ def test_invariant_factors_match_the_minors(data):
     row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
     rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="matrix")
     assert invariant_factors(IntegerMatrix.from_rows(rows, ncols)) == smith_by_minors(rows, ncols)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_columns_span_exactly_when_every_invariant_factor_is_one(data):
+    # project_axial decides that a projection is onto by the Hermite form of
+    # its columns, as axiom 4 decides that weights span; the Smith form agrees
+    nrows, ncols = data.draw(st.integers(0, 4), label="rows"), data.draw(st.integers(1, 5), label="cols")
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    m = IntegerMatrix.from_rows(data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="matrix"), ncols)
+    factors = invariant_factors(m)
+    assert _spans(zip(*m.data), nrows) == (factors == (1,) * nrows)
 
 
 @pytest.mark.parametrize("name", sorted(core_fixtures()))
@@ -247,4 +271,5 @@ def test_matrix_shape_guards():
         IntegerMatrix.from_rows([])
     m = IntegerMatrix.zeros(0, 3)
     assert m.transpose().shape == (3, 0)
+    assert IntegerMatrix.zeros(2, 0) @ IntegerMatrix.zeros(0, 3) == IntegerMatrix.zeros(2, 3)
     assert integer_kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmgraph import (
-    ConnectionEntry,
     EdgeRecord,
     GkmDocument,
     GkmGraph,
@@ -58,8 +57,8 @@ def _dumps_oracle(doc):
     }
     if doc.connection is not None:
         obj["connection"] = [
-            {"dart": c.dart, "maps": [[a, b] for a, b in c.images.items()]}
-            for c in doc.connection
+            {"dart": dart, "maps": [[a, b] for a, b in images.items()]}
+            for dart, images in doc.connection.items()
         ]
     if doc.orderings is not None:
         obj["orderings"] = {v: list(order) for v, order in doc.orderings.items()}
@@ -91,7 +90,7 @@ _DOCUMENTS = st.builds(
     _INTS,
     _tuples(_TEXT),
     _tuples(st.builds(EdgeRecord, _TEXT, _TEXT, _TEXT, _tuples(_INTS))),
-    st.none() | _tuples(st.builds(ConnectionEntry, _TEXT, st.dictionaries(_TEXT, _TEXT, max_size=3))),
+    st.none() | st.dictionaries(_TEXT, st.dictionaries(_TEXT, _TEXT, max_size=3), max_size=3),
     st.none() | st.dictionaries(_TEXT, _tuples(_TEXT), max_size=3),
 )
 
@@ -99,8 +98,8 @@ _DOCUMENTS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENTS)
 @example(GkmDocument(1, (), (), None, None))
-@example(GkmDocument(-(2**70), (), (), (), {}))
-@example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), (ConnectionEntry("d", {}),), {"v": ()}))
+@example(GkmDocument(-(2**70), (), (), {}, {}))
+@example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), {"d": {}}, {"v": ()}))
 def test_emit_writes_the_json_dumps_text_of_any_document(doc):
     assert emit_gkm(doc) == _dumps_oracle(doc)
 
@@ -308,7 +307,7 @@ def test_a_map_out_of_ordering_order_parses_and_emits_byte_for_byte():
     obj["connection"][0]["maps"].reverse()
     text = json.dumps(obj, indent=2) + "\n"
     doc = parse_gkm(text)
-    assert list(doc.connection[0].images) == ["e3", "e2", "e1"]
+    assert list(doc.connection["e1"]) == ["e3", "e2", "e1"]
     assert emit_gkm(doc) == text
     assert gkm_from_document(doc).connection == gen_s6().connection
 
@@ -372,7 +371,7 @@ def test_partial_connection_completed_by_inversion():
         torus_rank=doc.torus_rank,
         vertices=doc.vertices,
         edges=doc.edges,
-        connection=tuple(c for c in doc.connection if not c.dart.endswith("~")),
+        connection={d: images for d, images in doc.connection.items() if not d.endswith("~")},
         orderings=doc.orderings,
     )
     rebuilt = gkm_from_document(forward_only)
@@ -385,7 +384,7 @@ def test_connection_missing_both_directions_is_a_schema_error():
         torus_rank=doc.torus_rank,
         vertices=doc.vertices,
         edges=doc.edges,
-        connection=doc.connection[:2],
+        connection=dict(list(doc.connection.items())[:2]),
         orderings=doc.orderings,
     )
     with pytest.raises(SchemaError):

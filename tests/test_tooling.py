@@ -361,6 +361,8 @@ print("ok")
         (["invariant", free], {"axial", "congruence", "hermite"}, {"axgroup", "intlinalg", "writer"}),
         (["check-extension", pinned, pinned], {"axial", "extension", "hermite"}, {"intlinalg", "writer"}),
         (["dot", pinned], {"axial", "hermite", "writer"}, {"axgroup", "congruence", "intlinalg"}),
+        # onto is decided by the Hermite form, as axiom 4 decides spanning
+        (["project", pinned, "--matrix", "1 0; 0 1", "-o", out], {"extension", "hermite", "writer"}, {"intlinalg"}),
         (["extend", pinned, "--target", "2", "-o", out], {"axgroup", "intlinalg", "writer"}, set()),
         (["gen", "s6", "-o", out], {"families", "writer"}, {"axial", "hermite"}),
         # the projective family writes its connection, so nothing infers one
@@ -383,7 +385,6 @@ def _records():
         (gkm.axial, "weights"),
         (doc, "vertices"),
         (doc.edges[0], "weight"),
-        (doc.connection[0], "images"),
         (validate_gkm(gkm), "failures"),
         (AxiomFailure(1, "dart e1", "detail"), "axiom"),
         (basis, "rank"),
