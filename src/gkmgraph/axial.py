@@ -26,8 +26,8 @@ graph as :attr:`~gkmgraph.graph.GkmGraph.validation`).  When ``e`` passes
 against a map of ``ē`` that it finds to be its inverse and ``w(ē) = −w(e)``,
 ``ē`` passes too, and its coefficients are those of ``e`` permuted; otherwise
 ``ē`` is checked on its own (:func:`_check_connection`).  Axiom 2 compares
-directions (:func:`_direction`), one per edge where axiom 1 holds on it, pair
-by pair only at a vertex where they are not all distinct and nonzero.  Axiom 4
+directions (:func:`_direction`), one per dart, pair by pair only at a vertex
+where they are not all distinct and nonzero.  Axiom 4
 reads one row HNF per vertex, or of one vertex once axiom 3 holds: then
 ``w(∇_e d) = w(d) + c·w(e)``, with ``e`` an out-dart at its own source, puts
 the span of the weights at the target of ``e`` inside the span at its source,
@@ -176,25 +176,14 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
 
-    bent: set[str] = set()  # both darts of each edge failing axiom 1
     for e in graph.darts:
         eb = graph.reverse(e)
         if e < eb and w[eb] != tuple(-x for x in w[e]):
             failures.append(AxiomFailure(1, f"dart {e}", f"weight of {eb} is not the negative of {w[e]}"))
-            bent.update((e, eb))
 
-    # one direction per edge: w(ē) = −w(e) has the direction of w(e), held until ē is reached
-    pending: dict[str, Weight] = {}
     for p in graph.vertices:
         out = graph.out_darts(p)
-        dirs = []
-        for d in out:
-            a = pending.pop(d, None)
-            if a is None:
-                a = _direction(w[d])
-                if a is not None and d not in bent:
-                    pending[graph.reverse(d)] = a
-            dirs.append(a)
+        dirs = [_direction(w[d]) for d in out]
         if None not in dirs and len(set(dirs)) == len(dirs):
             continue
         for i, a in enumerate(dirs):

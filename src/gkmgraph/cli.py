@@ -82,9 +82,6 @@ def _parse_matrix(text: str) -> IntegerMatrix:
             raise GkmError(f"bad matrix row {chunk!r}") from exc
     if not rows:
         raise GkmError("empty matrix")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise GkmError("matrix rows have different lengths")
     return IntegerMatrix.from_rows(rows)
 
 

@@ -125,9 +125,12 @@ def build_graph(
 ) -> OrientedGraph:
     """Build and fully validate a graph from undirected edges ``(edge_id, source, target)``.
 
-    Each edge expands to the dart pair ``edge_id`` (forward) and
-    ``edge_id~`` (reverse), whose id is interned, so that it is one string
-    wherever the graph, its weights and its connection hold it.
+    Each edge expands to the dart pair ``edge_id`` (forward) and ``edge_id~``
+    (reverse), whose id is interned, so that it is one string wherever the
+    graph, its weights and its connection hold it.  This is the one check of
+    ids and references, for documents, families and library graphs alike: a
+    duplicate id, ``~`` in an edge id, or an edge or ordering at an unknown
+    vertex raises :class:`GraphError`.
     """
     verts = tuple(sorted(vertices))
     if not verts:
@@ -179,6 +182,8 @@ def build_graph(
         missing = sorted(vset - seen)[0]
         raise DisconnectedError(f"vertex {missing} is not reachable from {verts[0]}")
 
+    if orderings is not None and not vset.issuperset(orderings):
+        raise GraphError(f"ordering at unknown vertex {min(set(orderings) - vset)}")
     fixed: dict[str, tuple[str, ...]] = {}
     for v in verts:
         default = tuple(sorted(out[v]))

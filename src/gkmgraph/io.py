@@ -3,10 +3,12 @@
 A document stores one labeled graph: the weight-vector length, the vertices,
 one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
-ordering sections.  Parsing is purely structural, and so is assembly
-(:func:`gkm_from_document`), after which ``validate`` prints the assembled
-graph's validation; :func:`load_gkm` also refuses a graph failing an axiom,
-and so does every other command, which loads a file the same way.
+ordering sections.  Parsing checks only the shape and types of the JSON;
+assembly (:func:`gkm_from_document`) leaves ids and references to
+:func:`~gkmgraph.graph.build_graph`, as every graph does.  ``validate`` prints
+the assembled graph's validation; :func:`load_gkm` also refuses a graph
+failing an axiom, and so does every other command, which loads a file the
+same way.
 
 The connection, most of a document, is held once: the decoder turns each
 dart's list of pairs into a dict of interned dart ids while it reads, and
@@ -31,7 +33,7 @@ import sys
 from typing import Mapping, NamedTuple
 
 from .errors import GkmError
-from .graph import REVERSE_SUFFIX, AxialFunction, GkmGraph, OrientedGraph, build_graph
+from .graph import AxialFunction, GkmGraph, OrientedGraph, build_graph
 
 
 class ParseError(GkmError):
@@ -112,7 +114,7 @@ def _decode_object(pairs: list) -> dict:
 
 
 def parse_gkm(text: str) -> GkmDocument:
-    """Parse a document, raising :class:`ParseError` or :class:`SchemaError`."""
+    """Parse a document, raising :class:`ParseError` or :class:`SchemaError`; ids are checked on assembly."""
     try:
         obj = json.loads(text, object_pairs_hook=_decode_object)
         del text  # a caller passing the text on, not holding it, frees it here
@@ -137,14 +139,11 @@ def parse_gkm(text: str) -> GkmDocument:
     if not (isinstance(vertices, list) and all(isinstance(x, str) for x in vertices)):
         raise SchemaError("vertices: expected a list of strings")
     vertices = tuple(map(sys.intern, vertices))
-    vertex_ids = set(vertices)
-    if len(vertex_ids) != len(vertices):
-        raise SchemaError("vertices: duplicate vertex ids")
 
     raw_edges = obj.get("edges")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges: expected a list")
-    edges, seen_edges = [], set()
+    edges = []
     for k, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError(f"edges[{k}]: expected an object")
@@ -153,17 +152,10 @@ def parse_gkm(text: str) -> GkmDocument:
         eid = e["id"]
         if not (isinstance(eid, str) and eid):
             raise SchemaError(f"edges[{k}].id: expected a nonempty string")
-        if REVERSE_SUFFIX in eid:
-            raise SchemaError(f"edges[{k}].id: edge ids must not contain {REVERSE_SUFFIX!r}")
-        if eid in seen_edges:
-            raise SchemaError(f"edges[{k}].id: duplicate edge id")
-        seen_edges.add(eid)
         ends = e["endpoints"]
         if not (isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends)):
             raise SchemaError(f"edges[{k}].endpoints: expected a pair of vertex ids")
         source, target = map(sys.intern, ends)
-        if not (source in vertex_ids and target in vertex_ids):
-            raise SchemaError(f"edges[{k}].endpoints: unknown vertex")
         weight = e["weight"]
         if not (isinstance(weight, list) and set(map(type, weight)) <= {int}):  # bool is not int here
             raise SchemaError(f"edges[{k}].weight: expected a list of integers")
@@ -200,8 +192,6 @@ def parse_gkm(text: str) -> GkmDocument:
             raise SchemaError("orderings: expected an object")
         orderings = {}
         for v, lst in raw_ord.items():
-            if v not in vertex_ids:
-                raise SchemaError(f"orderings.{v}: unknown vertex")
             if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
                 raise SchemaError(f"orderings.{v}: expected a list of strings")
             orderings[sys.intern(v)] = tuple(map(sys.intern, lst))
@@ -210,17 +200,16 @@ def parse_gkm(text: str) -> GkmDocument:
 
 
 def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction]:
-    """The graph and axial function of a document; each ``X~`` carries the negated weight of ``X``."""
+    """The graph and axial function of a document; ``graph.reverse(e)`` carries the negated weight of ``e``."""
     graph = build_graph(
         doc.vertices,
         [(e.id, e.source, e.target) for e in doc.edges],
         orderings=doc.orderings,
     )
-    darts = iter(graph.sources)  # each edge's dart, then the reverse id build_graph interned for it
     weights: dict[str, tuple[int, ...]] = {}
-    for e, forward, reverse in zip(doc.edges, darts, darts):
-        weights[forward] = e.weight
-        weights[reverse] = tuple(-x for x in e.weight)
+    for e in doc.edges:
+        weights[e.id] = e.weight
+        weights[graph.reverse(e.id)] = tuple(-x for x in e.weight)
     return graph, AxialFunction(doc.torus_rank, weights)
 
 

@@ -611,6 +611,12 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         ["rank", "{orderings_list}"],
         ["rank", "{ordering_unknown}"],
         ["validate", "{lonely}"],
+        ["rank", "{duplicate_vertex}"],
+        ["validate", "{duplicate_edge}"],
+        ["rank", "{unknown_endpoint}"],
+        ["project", "{s6}", "--matrix", "1 0; 1", "-o", "{out}"],
+        ["project", "{s6}", "--matrix", ";", "-o", "{out}"],
+        ["project", "{s6}", "--matrix", "1 x", "-o", "{out}"],
     ],
     ids=[
         "projective-m-0",
@@ -629,6 +635,12 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         "orderings-not-an-object",
         "ordering-at-an-unknown-vertex",
         "one-vertex-no-edges",
+        "duplicate-vertex-ids",
+        "duplicate-edge-id",
+        "unknown-endpoint",
+        "project-ragged-matrix",
+        "project-empty-matrix",
+        "project-matrix-not-integers",
     ],
 )
 def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
@@ -654,6 +666,11 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
         "orderings_list": {**s6, "orderings": []},
         "ordering_unknown": {**s6, "orderings": {"r": [], **s6["orderings"]}},
         "lonely": {"torus_rank": 1, "vertices": ["p"], "edges": []},
+        "duplicate_vertex": {**s6, "vertices": [*s6["vertices"], s6["vertices"][0]]},
+        "duplicate_edge": {
+            **s6, "edges": [s6["edges"][0], {**s6["edges"][1], "id": s6["edges"][0]["id"]}, *s6["edges"][2:]]
+        },
+        "unknown_endpoint": {**s6, "edges": [{**s6["edges"][0], "endpoints": ["p", "r"]}, *s6["edges"][1:]]},
     }.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(malformed))

@@ -101,6 +101,15 @@ def test_malformed_graph_error(vertices, edges, error, message):
     assert str(err.value) == message
 
 
+def test_ordering_at_an_unknown_vertex_is_a_graph_error():
+    # the least unknown vertex is named, also next to a valid ordering
+    edges = [("e", "p", "q"), ("f", "p", "q")]
+    with pytest.raises(GraphError) as err:
+        build_graph(["p", "q"], edges, orderings={"s": ["x"], "r": [], "p": ["f", "e"]})
+    assert type(err.value) is GraphError
+    assert str(err.value) == "ordering at unknown vertex r"
+
+
 def test_edge_ids_cannot_contain_reverse_marker():
     with pytest.raises(GraphError):
         build_graph(["p", "q"], [("e~", "p", "q")])

@@ -171,10 +171,30 @@ def test_deep_nesting_is_a_parse_error(text):
         parse_gkm(text)
 
 
-def test_unknown_vertex_is_a_schema_error():
-    bad = MINIMAL.replace('["p", "q", "r"]', '["p", "q"]')
-    with pytest.raises(SchemaError):
-        parse_gkm(bad)
+def test_unknown_vertex_parses_and_is_refused_on_assembly():
+    # ids and references are build_graph's to check, not the schema walk's
+    doc = parse_gkm(MINIMAL.replace('["p", "q", "r"]', '["p", "q"]'))
+    with pytest.raises(GraphError, match="^dart qr references an unknown vertex$"):
+        gkm_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"vertices": ["p", "q", "r"]', '"vertices": ["p", "q", "r", "p"]', "duplicate vertex ids"),
+        ('"id": "qr"', '"id": "q~r"', "edge id 'q~r' must not contain '~'"),
+        ('"id": "qr"', '"id": "pq"', "duplicate edge id 'pq'"),
+        ('"edges"', '"orderings": {"s": [], "p": ["pq", "rp~"]}, "edges"', "ordering at unknown vertex s"),
+    ],
+    ids=["duplicate-vertex", "tilde", "duplicate-edge", "ordering-at-unknown-vertex"],
+)
+def test_malformed_ids_parse_and_load_raises_graph_error(old, new, message):
+    text = MINIMAL.replace(old, new, 1)
+    doc = parse_gkm(text)
+    for assemble in (lambda: gkm_from_document(doc), lambda: load_gkm(text)):
+        with pytest.raises(GraphError) as err:
+            assemble()
+        assert str(err.value) == message
 
 
 MALFORMED_PAIRS = [["e2"], ["e2", 3], "e2", ["e2", "e3~", "e1"]]

@@ -117,6 +117,35 @@ def test_src_decodes_json_only_in_parse_gkm_with_the_pairs_hook():
     assert calls == [("io", "parse_gkm", ["object_pairs_hook"])]
 
 
+def test_io_leaves_dart_names_and_their_order_to_the_graph():
+    # build_graph alone names each reverse dart and orders graph.sources;
+    # io keys each reverse weight by graph.reverse
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "gkmgraph" / "io.py").read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    docstrings = {
+        node.body[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in docstrings:
+            assert "~" not in node.value, node.lineno
+    assert not names & {"REVERSE_SUFFIX", "reverse_name"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "sources":
+            # a membership test only: never iterated, so its order is not read
+            test = parents[node]
+            assert isinstance(test, ast.Compare) and test.comparators == [node], node.lineno
+            assert isinstance(test.ops[0], (ast.In, ast.NotIn)), node.lineno
+
+
 def _callers(name: str) -> list[tuple[str, str | None]]:
     """``(module, function)`` of every call of ``name`` in the package, sorted."""
     src = Path(__file__).resolve().parents[1] / "src" / "gkmgraph"
