@@ -13,7 +13,8 @@ only the sub-parser of the command it parses.  All load the read side (``io``,
 ``graph``), and all but ``gen`` the validation layer (``axial``) and the
 Hermite core (``hermite``) it checks axiom 4 with, and ``project`` its
 surjectivity; the completion (``intlinalg``) loads for ``extend`` alone, the
-writer for ``gen``, ``extend``, ``project`` and ``dot``.
+writer for ``gen``, ``extend``, ``project`` and ``dot``, which write what they
+output piece by piece and never hold its whole text.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import GkmError
 from .io import format_vector, gkm_from_document, labels_from_document, parse_gkm
@@ -51,21 +52,29 @@ def _load(path: str) -> GkmGraph:
     return validated(gkm_from_document(parse_gkm(_read(path))))
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` in order, to standard output when ``out`` is ``None`` or ``-``, else to the file ``out``.
+
+    No piece is joined to another, so the text is never held whole.  The file is
+    opened once the caller has built what the pieces are laid out from: a document
+    snapshot or a loaded graph.
+    """
     if out is None or out == "-":
-        for i in range(0, len(text), 2048):  # within the buffer: a longer write cut short by a closed pipe won't raise
-            sys.stdout.write(text[i : i + 2048])
-    else:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise GkmError(f"cannot write {out}: {exc}") from exc
+        for piece in pieces:
+            for i in range(0, len(piece), 2048):  # within the buffer: a longer write cut short by a closed pipe won't raise
+                sys.stdout.write(piece[i : i + 2048])
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise GkmError(f"cannot write {out}: {exc}") from exc
 
 
 def _write_gkm(gkm: GkmGraph, out: str | None) -> None:
-    from .writer import document_from_gkm, emit_gkm
+    from .writer import document_from_gkm, iter_gkm
 
-    _write_output(emit_gkm(document_from_gkm(gkm)), out)
+    _write_output(iter_gkm(document_from_gkm(gkm)), out)
 
 
 def _parse_matrix(text: str) -> IntegerMatrix:
@@ -187,10 +196,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    from .writer import emit_dot
+    from .writer import iter_dot
 
     gkm = _load(args.file)
-    _write_output(emit_dot(gkm, annotate=args.annotate), args.output)
+    _write_output(iter_dot(gkm, annotate=args.annotate), args.output)
     return 0
 
 

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
 import random
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from gkmgraph import cli
 from gkmgraph.cli import main
 from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
+from gkmgraph.writer import iter_gkm
 from helpers import TWISTED_S6, bent_documents, long_cycle, main_outcome, validation_checking_every_vertex
 
 
@@ -46,7 +49,7 @@ def s6_file(tmp_path):
 
 
 def test_gen_writes_a_parseable_document(s6_file, capsys):
-    data = json.loads(open(s6_file).read())
+    data = json.loads(Path(s6_file).read_text())
     assert data["torus_rank"] == 2
     assert len(data["edges"]) == 3
     assert main(["gen", "projective", "--m", "2"]) == 0
@@ -78,6 +81,23 @@ def test_gen_writes_the_pinned_document(spec, tmp_path):
     path = tmp_path / "out.json"
     assert main(["gen", *spec, "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_DOCUMENTS[spec]
+
+
+def test_writing_a_document_never_holds_its_text(tmp_path):
+    # the pieces go to the file one by one, so the peak is one piece and the
+    # writer's quoted ids, not the text: 4.1 times the text when it was joined
+    doc = document_from_gkm(gen_grassmannian(9))
+    text = emit_gkm(doc)
+    path = tmp_path / "grassmannian9.json"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli._write_output(iter_gkm(doc), str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4, (peak, len(text))
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_each_command_frees_the_text_before_assembly(s6_file, tmp_path, monkeypatch):
@@ -576,7 +596,7 @@ def test_a_command_builds_its_own_sub_parser_only():
 
 
 def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
-    doc = json.loads(open(s6_file).read())
+    doc = json.loads(Path(s6_file).read_text())
     entry = doc["connection"][0]
     entry["maps"] = entry["maps"][1:]
     with open(s6_file, "w") as fh:
@@ -617,6 +637,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         ["project", "{s6}", "--matrix", "1 0; 1", "-o", "{out}"],
         ["project", "{s6}", "--matrix", ";", "-o", "{out}"],
         ["project", "{s6}", "--matrix", "1 x", "-o", "{out}"],
+        ["project", "{s6}", "--matrix", "9" * 4300 + " 1; 1 0", "-o", "{out}"],
+        ["project", "{s6}", "--matrix", "9" * 4300 + " 1; 1 0", "-o", "-"],
     ],
     ids=[
         "projective-m-0",
@@ -641,6 +663,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
         "project-ragged-matrix",
         "project-empty-matrix",
         "project-matrix-not-integers",
+        "project-weights-past-the-digit-limit",
+        "project-weights-past-the-digit-limit-to-stdout",
     ],
 )
 def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
@@ -653,12 +677,12 @@ def test_rejected_inputs_are_one_line_errors(args, s6_file, tmp_path, capsys):
     out = tmp_path / "out.json"
     capsys.readouterr()
     missing = tmp_path / "no-such-dir" / "x.json"
-    doc = json.loads(open(s6_file).read())
+    doc = json.loads(Path(s6_file).read_text())
     doc["connection"][0]["dart"] = "a\nb"
     newline = tmp_path / "newline.json"
     newline.write_text(json.dumps(doc))
     paths = {"s6": s6_file, "p3": p3, "latin1": latin1, "deep": deep, "out": out, "missing": missing, "newline": newline}
-    s6 = json.loads(open(s6_file).read())
+    s6 = json.loads(Path(s6_file).read_text())
     for name, malformed in {
         "array": [s6],
         "tilde": {**s6, "edges": [{**s6["edges"][0], "id": "e~1"}, *s6["edges"][1:]]},

@@ -24,6 +24,7 @@ from gkmgraph import (
     parse_gkm,
 )
 from gkmgraph.io import ParseError, SchemaError
+from gkmgraph.writer import iter_dot, iter_gkm
 from helpers import core_fixtures, shuffled_orderings, with_orderings
 
 MINIMAL = """
@@ -102,6 +103,34 @@ _DOCUMENTS = st.builds(
 @example(GkmDocument(2, ("\"\\\x00\ud800é",), (EdgeRecord("\x1f", "a", "b", (2**64,)),), {"d": {}}, {"v": ()}))
 def test_emit_writes_the_json_dumps_text_of_any_document(doc):
     assert emit_gkm(doc) == _dumps_oracle(doc)
+
+
+PIECE_FAMILIES = [(gen_s6, None)] + [(gen, n) for gen in (gen_projective, gen_grassmannian) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize(
+    "gen, size", PIECE_FAMILIES, ids=[f"{g.__name__[4:]}{s or ''}" for g, s in PIECE_FAMILIES]
+)
+def test_written_pieces_join_to_the_json_dumps_text(gen, size):
+    full = document_from_gkm(gen() if size is None else gen(size))
+    docs = [
+        full,
+        full._replace(connection=None),
+        full._replace(orderings=None),
+        full._replace(connection=None, orderings=None),
+        full._replace(edges=()),
+    ]
+    for doc in docs:
+        pieces = list(iter_gkm(doc))
+        assert "".join(pieces) == emit_gkm(doc) == _dumps_oracle(doc)
+        # one piece per record, never two records in one: the header, each edge
+        # and the closing bracket, each section's key, entries and closing
+        # bracket, and the closing brace
+        expected = 1 + len(doc.edges) + 1 + 1
+        for section in (doc.connection, doc.orderings):
+            if section is not None:
+                expected += 1 + len(section) + 1
+        assert len(pieces) == expected
 
 
 def test_document_reconstructs_the_same_gkm():
@@ -429,6 +458,8 @@ def test_dot_annotations():
     assert "(-2, 1, 1) / (-2, 1, 1)" in congruence
     # deterministic output
     assert emit_dot(gen_s6(), annotate="congruence") == congruence
+    for annotate, text in (("none", plain), ("weights", weights), ("congruence", congruence)):
+        assert list(iter_dot(gen_s6(), annotate)) == text.splitlines(keepends=True)
     with pytest.raises(ValueError):
         emit_dot(gen_s6(), annotate="bogus")
 

@@ -154,15 +154,25 @@ def test_process_reports_a_missing_file_on_one_line(tmp_path):
     assert done.stderr.startswith("error: cannot read ") and done.stderr.count("\n") == 1
 
 
+_IDENTITY13 = "; ".join(" ".join("1" if i == j else "0" for j in range(13)) for i in range(13))
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["connection"], ["invariant"], ["rank", "--basis"], ["gen", "grassmannian", "--n", "9"]],
-    ids=["connection", "invariant", "rank-basis", "gen"],
+    [
+        ["connection"],
+        ["invariant"],
+        ["rank", "--basis"],
+        ["gen", "grassmannian", "--n", "9"],
+        ["project", "--matrix", _IDENTITY13, "-o", "-"],
+        ["extend", "--target", "13", "-o", "-"],
+    ],
+    ids=["connection", "invariant", "rank-basis", "gen", "project", "extend"],
 )
 def test_process_reports_a_closed_stdout_on_one_line(tmp_path, argv):
     # the reader stops after one line, as `| head -1` does; each command prints
     # more than a pipe holds, so it writes again after the pipe is closed, and
-    # gen's one document must not end cut short with exit code 0
+    # a written document must not end cut short with exit code 0
     if argv[0] != "gen":
         path = tmp_path / "grassmannian12.json"
         path.write_text(emit_gkm(document_from_gkm(gen_grassmannian(12))), encoding="utf-8")
