@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .axial import validated
 from .congruence import permutation
 from .graph import GkmGraph, OrientedGraph
-from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis
+from .hermite import IntegerMatrix, hermite_normal_form, integer_kernel_basis, lattice_basis
 
 
 class AxialGroupBasis(NamedTuple):
@@ -120,6 +120,13 @@ def _solve_by_propagation(
     ``n`` canonical elements (the weight coordinates) are solutions whose
     restrictions to ``base`` are independent, so a kernel of rank ``n``
     already is the lattice and the remaining edges are not checked.
+
+    The rows returned are the canonical (HNF) basis of the lattice's
+    coordinates over all vertices.  An element is determined by its value
+    at one vertex, so every pivot of that HNF lies in the first vertex's
+    block: the HNF transform of the rows there, applied to the kernel before
+    it is expanded, gives that basis (a transform that is the identity
+    leaves the rows already carried).
     """
     g, m = gkm.graph, gkm.graph.valence
     tree, used = _spanning_tree(g, base)
@@ -149,12 +156,17 @@ def _solve_by_propagation(
         combos = integer_kernel_basis(IntegerMatrix.from_rows(block, m).transpose())
         kernel = [_combine(zip(c, kernel), m) for c in combos]
         values = {base: kernel}
+    _, u = hermite_normal_form(IntegerMatrix(tuple(at(g.vertices[0])), m))
+    if u != IntegerMatrix.identity(len(kernel)):
+        kernel = list((u @ IntegerMatrix(tuple(kernel), m)).data)
+        values = {base: kernel}
     return [tuple(chain.from_iterable(rows)) for rows in zip(*map(at, g.vertices))]
 
 
 def _solve_full_system(
     gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
+    """The canonical basis of the coordinates over all vertices, as the kernel of every edge's relations."""
     g = gkm.graph
     m = g.valence
     offset = {v: i * m for i, v in enumerate(g.vertices)}
@@ -201,7 +213,6 @@ def axial_group_basis(
         raise ValueError(f"unknown method {method!r}")
     m = g.valence
     width = m * len(g.vertices)
-    coords = lattice_basis(coords, width)
     elements = tuple(
         MappingProxyType({v: c[i * m : (i + 1) * m] for i, v in enumerate(g.vertices)}) for c in coords
     )

@@ -8,8 +8,9 @@ That form is canonical, which makes equality of lattices a plain ``==`` on
 their basis matrices.
 
 This core is what the solver (``rank``), axiom 4 (``validate``) and the
-extension checks load; the Smith form and lattice completion that only
-``project`` and ``extend`` run are in :mod:`gkmgraph.intlinalg`.
+extension checks load, and ``project`` decides that its matrix is onto with
+:func:`_spans`.  Lattice completion, which only ``extend`` runs, and the
+Smith form, which no command runs, are in :mod:`gkmgraph.intlinalg`.
 """
 
 from __future__ import annotations

@@ -10,16 +10,21 @@ the assembled graph's validation; :func:`load_gkm` also refuses a graph
 failing an axiom, and so does every other command, which loads a file the
 same way.
 
-The connection, most of a document, is held once: the decoder turns each
-dart's list of pairs into a dict of interned dart ids while it reads, and
-that dict becomes the assembled graph's connection map.  A document keys
-these maps by dart, as the graph does, so it holds at most one per dart.  :func:`parse_gkm`
-drops the text once ``json.loads`` has decoded it, so a caller that passes
-the text on without holding it frees it before the schema walk, and the
-decoded tree goes when the walk returns.  The walk interns every vertex id,
-edge id, endpoint, ordering entry and connection dart, and
-:func:`~gkmgraph.graph.build_graph` each reverse id, so each id is one string
-throughout the loaded graph.
+Each record is decoded once, as ``json.loads`` closes it, into the form the
+document keeps: an edge object becomes its :class:`EdgeRecord`, a connection
+entry its dart and a dict of interned dart ids (the dict the assembled graph
+keeps as that dart's connection map), and each ordering a tuple, with every
+id interned.  So the text, the decoded tree and the document are never held
+twice over, and each id is one string throughout the loaded graph
+(:func:`~gkmgraph.graph.build_graph` interns each reverse id).  The schema
+walk then checks only what a record cannot know alone: the weight length
+against ``torus_rank``, a dart named twice, and a record in another kind's
+place, which it turns back into the object it was read from, so that every
+error names the same field as a walk over plain objects would.  A record the
+decoder leaves (malformed, with a repeated field, or with its fields in
+another order than the writer's) the walk checks and decodes in full.
+:func:`parse_gkm` drops the text once ``json.loads`` has decoded it, so a
+caller that passes the text on without holding it frees it before the walk.
 
 Loading a document loads :mod:`gkmgraph.axial`, to validate it and to infer a
 missing connection.  Writing documents and DOT text is :mod:`gkmgraph.writer`,
@@ -68,6 +73,17 @@ class _Images(dict):
     """A connection map decoded from its list of pairs, each dart id interned."""
 
 
+class _Entry(NamedTuple):
+    """A connection entry decoded as it closed; not a plain tuple, whose free list would keep thousands alive."""
+
+    dart: str
+    maps: _Images
+
+
+class _Orderings(dict):
+    """An orderings object decoded as it closed: interned vertex ids to tuples of interned dart ids."""
+
+
 def _images(maps: list, path: str) -> _Images:
     """``[source, image]`` pairs as a map; a malformed or repeated source raises :class:`SchemaError`."""
     images = _Images()
@@ -97,20 +113,59 @@ def _images_by_index(maps: list, path: str) -> _Images:
     return images
 
 
-def _decode_object(pairs: list) -> dict:
-    """A JSON object; in one shaped ``{"dart", "maps"}``, a nonempty ``maps`` is decoded by :func:`_images`.
+def _edge(e, path: str) -> EdgeRecord:
+    """An edge object as its record, ids interned; a malformed one raises :class:`SchemaError` naming ``path``."""
+    if not isinstance(e, dict):
+        raise SchemaError(f"{path}: expected an object")
+    if e.keys() != {"id", "endpoints", "weight"}:
+        raise SchemaError(f"{path}: expected fields id, endpoints, weight")
+    eid = e["id"]
+    if not (isinstance(eid, str) and eid):
+        raise SchemaError(f"{path}.id: expected a nonempty string")
+    ends = e["endpoints"]
+    if not (isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends)):
+        raise SchemaError(f"{path}.endpoints: expected a pair of vertex ids")
+    weight = e["weight"]
+    if not (isinstance(weight, list) and set(map(type, weight)) <= {int}):  # bool is not int here
+        raise SchemaError(f"{path}.weight: expected a list of integers")
+    return EdgeRecord(sys.intern(eid), sys.intern(ends[0]), sys.intern(ends[1]), tuple(weight))
 
-    This runs as each object closes, so the pair lists are freed entry by
-    entry.  A map it cannot decode is left as it is for the schema walk, and
-    so is an empty list, which may be the ordering at a vertex named ``maps``.
+
+def _decode_object(pairs: list):
+    """A JSON object, decoded as it closes when it is a well-formed record with its fields in written order.
+
+    An edge object becomes its :class:`EdgeRecord`, a connection entry its
+    :class:`_Entry` and an object whose values are all lists of strings an
+    :class:`_Orderings`; anything else stays a dict for the schema walk.
+    Where the walk expects another kind it turns a record back into its
+    object (:func:`_as_object`), which the written field order makes exact.
     """
-    obj = dict(pairs)
-    if len(pairs) == 2 and obj.keys() == {"dart", "maps"} and isinstance(obj["maps"], list) and obj["maps"]:
+    keys = [k for k, _ in pairs]
+    if keys == ["id", "endpoints", "weight"]:
         try:
-            obj["maps"] = _images(obj["maps"], "")
+            return _edge(dict(pairs), "")
         except SchemaError:
             pass
+    elif keys == ["dart", "maps"]:
+        dart, maps = pairs[0][1], pairs[1][1]
+        if type(dart) is str and type(maps) is list:
+            try:
+                return _Entry(sys.intern(dart), _images(maps, ""))
+            except SchemaError:
+                pass
+    obj = dict(pairs)
+    if all(type(v) is list and all(type(x) is str for x in v) for v in obj.values()):
+        return _Orderings((sys.intern(k), tuple(map(sys.intern, v))) for k, v in obj.items())
     return obj
+
+
+def _as_object(x):
+    """A record decoded by :func:`_decode_object` as the object it was read from; any other value as it is."""
+    if type(x) is EdgeRecord:
+        return {"id": x.id, "endpoints": [x.source, x.target], "weight": list(x.weight)}
+    if type(x) is _Entry:
+        return {"dart": x.dart, "maps": [list(pair) for pair in x.maps.items()]}
+    return x
 
 
 def parse_gkm(text: str) -> GkmDocument:
@@ -125,7 +180,8 @@ def parse_gkm(text: str) -> GkmDocument:
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"an integer literal exceeds Python's int-max-str-digits limit of {limit} digits") from exc
-    # a path and message is formatted only when its check fails, not per edge
+    # a path and message is formatted only when its check fails, not per record
+    obj = _as_object(obj)
     if not isinstance(obj, dict):
         raise SchemaError("$: expected a JSON object")
     unknown = set(obj) - {"torus_rank", "vertices", "edges", "connection", "orderings"}
@@ -145,23 +201,11 @@ def parse_gkm(text: str) -> GkmDocument:
         raise SchemaError("edges: expected a list")
     edges = []
     for k, e in enumerate(raw_edges):
-        if not isinstance(e, dict):
-            raise SchemaError(f"edges[{k}]: expected an object")
-        if e.keys() != {"id", "endpoints", "weight"}:
-            raise SchemaError(f"edges[{k}]: expected fields id, endpoints, weight")
-        eid = e["id"]
-        if not (isinstance(eid, str) and eid):
-            raise SchemaError(f"edges[{k}].id: expected a nonempty string")
-        ends = e["endpoints"]
-        if not (isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends)):
-            raise SchemaError(f"edges[{k}].endpoints: expected a pair of vertex ids")
-        source, target = map(sys.intern, ends)
-        weight = e["weight"]
-        if not (isinstance(weight, list) and set(map(type, weight)) <= {int}):  # bool is not int here
-            raise SchemaError(f"edges[{k}].weight: expected a list of integers")
-        if len(weight) != rank:
-            raise SchemaError(f"edges[{k}].weight: expected {rank} integers, got {len(weight)}")
-        edges.append(EdgeRecord(sys.intern(eid), source, target, tuple(weight)))
+        if type(e) is not EdgeRecord:
+            e = _edge(_as_object(e), f"edges[{k}]")
+        if len(e.weight) != rank:
+            raise SchemaError(f"edges[{k}].weight: expected {rank} integers, got {len(e.weight)}")
+        edges.append(e)
 
     connection = None
     if obj.get("connection") is not None:
@@ -170,16 +214,19 @@ def parse_gkm(text: str) -> GkmDocument:
             raise SchemaError("connection: expected a list")
         connection = {}
         for k, c in enumerate(raw_conn):
-            if not (isinstance(c, dict) and c.keys() == {"dart", "maps"}):
-                raise SchemaError(f"connection[{k}]: expected fields dart, maps")
-            dart = c["dart"]
-            if not isinstance(dart, str):
-                raise SchemaError(f"connection[{k}].dart: expected a string")
+            if type(c) is _Entry:
+                dart, maps = c
+            else:
+                c = _as_object(c)
+                if not (isinstance(c, dict) and c.keys() == {"dart", "maps"}):
+                    raise SchemaError(f"connection[{k}]: expected fields dart, maps")
+                dart, maps = c["dart"], c["maps"]
+                if not isinstance(dart, str):
+                    raise SchemaError(f"connection[{k}].dart: expected a string")
             if dart in connection:
                 raise SchemaError(f"connection[{k}].dart: duplicate dart")
-            maps = c["maps"]
             if type(maps) is not _Images:
-                # the decoder left it: a duplicated key, or an error to report
+                # the decoder left it: a duplicated key, another field order, or an error to report
                 if not isinstance(maps, list):
                     raise SchemaError(f"connection[{k}].maps: expected a list of pairs")
                 maps = _images(maps, f"connection[{k}]")
@@ -187,14 +234,14 @@ def parse_gkm(text: str) -> GkmDocument:
 
     orderings = None
     if obj.get("orderings") is not None:
-        raw_ord = obj["orderings"]
-        if not isinstance(raw_ord, dict):
+        orderings = _as_object(obj["orderings"])
+        if not isinstance(orderings, dict):
             raise SchemaError("orderings: expected an object")
-        orderings = {}
-        for v, lst in raw_ord.items():
-            if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
-                raise SchemaError(f"orderings.{v}: expected a list of strings")
-            orderings[sys.intern(v)] = tuple(map(sys.intern, lst))
+        if type(orderings) is not _Orderings:
+            # the decoder left it, so one of these is not a list of strings
+            for v, lst in orderings.items():
+                if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
+                    raise SchemaError(f"orderings.{v}: expected a list of strings")
 
     return GkmDocument(rank, vertices, tuple(edges), connection, orderings)
 

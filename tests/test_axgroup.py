@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 
@@ -16,6 +17,7 @@ from gkmgraph import (
     gen_s6,
     gkm_from_document,
     infer_connection,
+    lattice_basis,
     load_gkm,
     parse_gkm,
     project_axial,
@@ -144,11 +146,24 @@ def test_projective_rank_is_pinned_by_bounds():
 
 
 def test_methods_agree_on_fixtures():
-    for name, gkm in method_fixtures().items():
-        a = axial_group_basis(gkm, method="propagate")
-        b = axial_group_basis(gkm, method="full")
-        assert a.coordinate_matrix == b.coordinate_matrix, name
-        assert a.elements == b.elements, name
+    # from the first, middle and last base vertex, on each fixture and on its
+    # [I | 1] projection where that keeps the weights independent; the rows
+    # expanded from the first vertex's HNF are the canonical wide basis
+    graphs = method_fixtures()
+    for name, gkm in list(graphs.items()):
+        fold = IntegerMatrix.from_rows([[int(c == i) for c in range(gkm.n - 1)] + [1] for i in range(gkm.n - 1)], gkm.n)
+        with contextlib.suppress(AxiomViolationError):
+            graphs[f"{name} by [I | 1]"] = project_axial(gkm, fold)
+    del graphs["projective1 by [I | 1]"]  # onto Z^0
+    projected = ["projective3", "projective4", "grassmannian3", "grassmannian4"]
+    assert list(graphs)[len(method_fixtures()):] == [f"{name} by [I | 1]" for name in projected]
+    for name, gkm in graphs.items():
+        vertices, m = gkm.graph.vertices, gkm.m
+        for base in (vertices[0], vertices[len(vertices) // 2], vertices[-1]):
+            a = axial_group_basis(gkm, method="propagate", base_vertex=base)
+            b = axial_group_basis(gkm, method="full", base_vertex=base)
+            assert a == b, (name, base)
+            assert list(a.coordinate_matrix.data) == lattice_basis(a.coordinate_matrix.data, len(vertices) * m), name
 
 
 def test_method_is_propagate_or_full():

@@ -5,7 +5,9 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -98,6 +100,28 @@ def test_writing_a_document_never_holds_its_text(tmp_path):
         tracemalloc.stop()
     assert peak < len(text) / 4, (peak, len(text))
     assert path.read_text(encoding="utf-8") == text
+
+
+def test_rank_basis_peak_memory_stays_below_a_multiple_of_the_text(tmp_path):
+    # a compact grassmannian(9) with short ids, as the benchmark writes it:
+    # 3.16 times the text on Python 3.11, 3.42 when the basis took the wide
+    # HNF of the expanded rows, and 3.81 when parsing kept a dict per record,
+    # with or without that HNF; Python 3.10, whose dicts keep 24-byte
+    # entries, reads 3.72, 3.99 and 4.76
+    text = json.dumps(json.loads(emit_gkm(shuffled_document(gen_grassmannian(9), 1))))
+    path = tmp_path / "grassmannian9.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["rank", "--basis", str(path)]
+    with open(os.devnull, "w", encoding="utf-8") as null, contextlib.redirect_stdout(null):
+        assert main(argv) == 0  # imports and argparse's compiled patterns stay out of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < (3.3 if sys.version_info >= (3, 11) else 3.85) * len(text), (peak, len(text))
 
 
 def test_each_command_frees_the_text_before_assembly(s6_file, tmp_path, monkeypatch):

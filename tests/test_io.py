@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -293,31 +294,48 @@ def test_duplicate_json_keys_keep_the_last_value():
     assert parse_gkm(doubled) == parse_gkm(text)
 
 
-# messages taken from a parser that decoded plain lists of pairs
+# messages taken from a parser that decoded plain lists of pairs and left
+# every object a dict; the decoder now reads connection entries and, where
+# the place starts with "edge-", edge objects as records
 @pytest.mark.parametrize(
     "where, message",
     [
         ("orderings", "orderings.p: expected a list of strings"),
         ("orderings-list", "orderings.p: expected a list of strings"),
+        ("orderings-object", "orderings.dart: expected a list of strings"),
         ("edges", "edges[1]: expected fields id, endpoints, weight"),
         ("weight", "edges[1].weight: expected a list of integers"),
         ("top", "$: unknown fields: ['dart', 'maps']"),
         ("pair", "connection[0].maps[0]: expected a pair of dart ids"),
+        ("edge-top", "$: unknown fields: ['endpoints', 'id', 'weight']"),
+        ("edge-connection", "connection[1]: expected fields dart, maps"),
+        ("edge-orderings", "orderings.p: expected a list of strings"),
+        ("edge-orderings-object", "orderings.id: expected a list of strings"),
+        ("edge-maps", "connection[0].maps: expected a list of pairs"),
+        ("edge-pair", "connection[0].maps[0]: expected a pair of dart ids"),
     ],
 )
 def test_an_entry_shaped_object_elsewhere_is_reported_as_before(where, message):
     entry = {"dart": "e1", "maps": [["e1", "e1~"], ["e2", "e3~"], ["e3", "e2~"]]}
+    if where.startswith("edge-"):
+        entry, where = {"id": "e1", "endpoints": ["p", "q"], "weight": [1, 0]}, where[len("edge-"):]
     obj = _s6_json()
     if where == "orderings":
         obj["orderings"]["p"] = entry
     elif where == "orderings-list":
         obj["orderings"]["p"] = [entry]
+    elif where == "orderings-object":
+        obj["orderings"] = entry
     elif where == "edges":
         obj["edges"][1] = entry
     elif where == "weight":
         obj["edges"][1]["weight"] = entry
     elif where == "top":
         obj = entry
+    elif where == "connection":
+        obj["connection"][1] = entry
+    elif where == "maps":
+        obj["connection"][0]["maps"] = entry
     else:
         obj["connection"][0]["maps"][0] = entry
     with pytest.raises(SchemaError) as err:
@@ -361,9 +379,11 @@ def test_a_map_out_of_ordering_order_parses_and_emits_byte_for_byte():
     assert gkm_from_document(doc).connection == gen_s6().connection
 
 
-def test_load_peak_memory_stays_below_one_and_a_half_times_the_text():
-    # each entry's pair lists are freed as it is decoded, so no second copy
-    # of the connection is ever held
+def test_load_peak_memory_stays_near_the_text():
+    # each record is decoded as it closes, so neither a second copy of the
+    # connection nor a dict per record is ever held: 0.80 times the text on 3.11,
+    # 0.91 when the schema walk decoded the edges and the wrapper of each
+    # entry; Python 3.10, whose dicts keep 24-byte entries, reads 0.97 and 1.09
     text = emit_gkm(document_from_gkm(gen_grassmannian(9)))
     gc.collect()
     tracemalloc.start()
@@ -372,7 +392,31 @@ def test_load_peak_memory_stays_below_one_and_a_half_times_the_text():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * len(text), (peak, len(text))
+    assert peak < (0.85 if sys.version_info >= (3, 11) else 1.03) * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("fields", ["as written", "reversed"])
+def test_every_id_in_a_parsed_document_is_the_string_it_names(fields):
+    # the decoder reads records in written field order, the schema walk the
+    # others; either way each id is one string, shared with the vertex or dart
+    # it names, and no record keeps a list
+    obj = json.loads(emit_gkm(document_from_gkm(gen_grassmannian(3))))
+    if fields == "reversed":
+        obj = json.loads(json.dumps(obj), object_pairs_hook=lambda pairs: dict(reversed(pairs)))
+    doc = parse_gkm(json.dumps(obj))
+    vertices = {v: v for v in doc.vertices}
+    darts = {d: d for d in doc.connection}
+    assert len(darts) == 2 * len(doc.edges)
+    named = [(vertices, v) for v in doc.orderings]
+    for e in doc.edges:
+        named += [(darts, e.id), (vertices, e.source), (vertices, e.target)]
+        assert type(e.weight) is tuple
+    for nabla in doc.connection.values():
+        named += [(darts, d) for pair in nabla.items() for d in pair]
+    for order in doc.orderings.values():
+        assert type(order) is tuple
+        named += [(darts, d) for d in order]
+    assert all(ids[x] is x for ids, x in named)
 
 
 def test_loaded_maps_share_one_string_per_dart():

@@ -180,14 +180,16 @@ def test_solver_combines_kernel_rows_only_where_an_edge_refines(monkeypatch):
     # on the [I | 1] projection of grassmannian(9), with ℓ = n + 1, every
     # non-tree edge is checked; an edge that holds costs one transport of the
     # kernel rows and one comparison, so _combine runs once per row of each
-    # kernel a refining edge produces and nowhere else
+    # kernel a refining edge produces and nowhere else.  The HNF of the rows
+    # at the first vertex is then the identity transform, so the expansion
+    # transports no row again
     from gkmgraph import axgroup, gen_grassmannian, project_axial
 
     n = 9
     fold = IntegerMatrix.from_rows([[int(c == i) for c in range(n)] + [1] for i in range(n)])
     gkm = project_axial(gen_grassmannian(n), fold)
-    combined, ranks = [], []
-    combine, kernel = axgroup._combine, axgroup.integer_kernel_basis
+    combined, ranks, moved, transforms = [], [], [], []
+    combine, kernel, step, hnf = axgroup._combine, axgroup.integer_kernel_basis, axgroup._step, axgroup.hermite_normal_form
 
     def counted_combine(terms, width):
         combined.append(width)
@@ -197,11 +199,23 @@ def test_solver_combines_kernel_rows_only_where_an_edge_refines(monkeypatch):
         ranks.append(len(out := kernel(matrix)))
         return out
 
+    def counted_step(*args):
+        move = step(*args)
+        return lambda x: moved.append(x) or move(x)
+
+    def counted_hnf(matrix):
+        h, u = hnf(matrix)
+        transforms.append((len(moved), u))
+        return h, u
+
     monkeypatch.setattr(axgroup, "_combine", counted_combine)
     monkeypatch.setattr(axgroup, "integer_kernel_basis", counted_kernel)
+    monkeypatch.setattr(axgroup, "_step", counted_step)
+    monkeypatch.setattr(axgroup, "hermite_normal_form", counted_hnf)
     assert axial_group_basis(gkm).rank == n + 1
     assert 0 < len(ranks) <= gkm.m - (n + 1)  # each refining edge cuts the rank
     assert len(combined) == sum(ranks)
+    assert transforms == [(len(moved), IntegerMatrix.identity(n + 1))]
 
 
 def _full_checks(monkeypatch, gkm) -> Counter:
