@@ -12,8 +12,8 @@ from gkmgraph import axial_group_basis, gen_grassmannian, gen_projective, gen_s6
 print("two-vertex triple edge:")
 basis = axial_group_basis(gen_s6())
 print("  rank =", basis.rank)
-for k, el in enumerate(basis.elements, start=1):
-    print(f"  f{k}: p -> {el['p']}, q -> {el['q']}")
+for k, row in enumerate(basis.coordinate_matrix.data, start=1):
+    print(f"  f{k}: p -> {row[:3]}, q -> {row[3:]}")
 print("  (every solution satisfies x + y + z = 0 and negates across the edge)")
 print()
 

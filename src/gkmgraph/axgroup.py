@@ -10,10 +10,11 @@ value at a single vertex already determines the whole element.
 Both solvers run on a GKM graph only, refusing any other input with
 :class:`~gkmgraph.axial.AxiomViolationError`, and read the congruence vectors
 its validation proved.  They are independent and agree bit for bit.
-``propagate`` carries a base-vertex kernel along a spanning tree in O(m)
-steps per row, checks it on the remaining edges and refines it on each edge
-it fails, stopping once it is down to rank ``n``, the least rank possible;
-``full`` solves for all vertex vectors at once and checks every edge.
+``propagate`` carries a kernel at the first vertex along a spanning tree in
+O(m) steps per row, checks it on the remaining edges and refines it on each
+edge it fails, stopping once it is down to rank ``n``, the least rank
+possible; ``full`` solves for all vertex vectors at once and checks every
+edge.
 """
 
 from __future__ import annotations
@@ -21,29 +22,26 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axial import validated
 from .congruence import permutation
 from .graph import GkmGraph, OrientedGraph
-from .hermite import IntegerMatrix, hermite_normal_form, integer_kernel_basis, lattice_basis
+from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis
 
 
 class AxialGroupBasis(NamedTuple):
     """Canonical basis of the solution lattice.
 
-    Each of ``elements`` is a read-only map from every vertex to its integer
-    vector in out-dart order, the rows of ``coordinate_matrix`` cut into
-    vertex blocks.  ``coordinate_matrix`` is the Hermite normal form of the
-    stacked coordinates over all vertices, so equal lattices compare equal;
-    ``canonical_matrix`` is the HNF of the restrictions to the base vertex.
+    Row ``k`` of ``coordinate_matrix`` is element ``k`` over all vertices:
+    entries ``i·m`` to ``(i+1)·m`` are its integer vector at
+    ``graph.vertices[i]``, in that vertex's out-dart order.  The matrix is
+    the Hermite normal form of these coordinates, so equal lattices compare
+    equal, and its first ``m`` columns are the HNF of the values at the first
+    vertex.
     """
 
-    elements: tuple[Mapping[str, tuple[int, ...]], ...]
     rank: int
-    base_vertex: str
-    canonical_matrix: IntegerMatrix
     coordinate_matrix: IntegerMatrix
 
 
@@ -104,31 +102,30 @@ def _combine(terms, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _solve_by_propagation(
-    gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]], base: str
-) -> list[tuple[int, ...]]:
-    """Refine the base-vertex kernel over the non-tree edges, stopping at rank ``n``.
+def _solve_by_propagation(gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Refine the kernel at the first vertex over the non-tree edges, stopping at rank ``n``.
 
-    ``kernel`` spans the saturated lattice of base vectors meeting every
-    relation checked so far, and ``at(v)`` is it carried to ``v`` along the
-    tree, filled down from the nearest vertex holding a value and held until
-    the kernel changes.  A non-tree edge ``e`` from ``p`` to ``q`` holds when
-    ``step_e(at(p)) == at(q)``; otherwise the difference rows are ``K·D_e``,
-    whose saturated integer kernel combines the kernel rows into the new one.
+    ``kernel`` spans the saturated lattice of vectors at the first vertex
+    meeting every relation checked so far, and ``at(v)`` is it carried to
+    ``v`` along the tree rooted there, filled down from the nearest vertex
+    holding a value and held until the kernel changes.  A non-tree edge ``e``
+    from ``p`` to ``q`` holds when ``step_e(at(p)) == at(q)``; otherwise the
+    difference rows are ``K·D_e``, whose saturated integer kernel combines
+    the kernel rows into the new one.
 
     The solution lattice lies in ``kernel``, and both are saturated.  The
     ``n`` canonical elements (the weight coordinates) are solutions whose
-    restrictions to ``base`` are independent, so a kernel of rank ``n``
-    already is the lattice and the remaining edges are not checked.
+    restrictions to the first vertex are independent, so a kernel of rank
+    ``n`` already is the lattice and the remaining edges are not checked.
 
     The rows returned are the canonical (HNF) basis of the lattice's
     coordinates over all vertices.  An element is determined by its value
     at one vertex, so every pivot of that HNF lies in the first vertex's
-    block: the HNF transform of the rows there, applied to the kernel before
-    it is expanded, gives that basis (a transform that is the identity
-    leaves the rows already carried).
+    block: the HNF of the kernel, expanded, is that basis (a kernel already
+    in HNF keeps the rows already carried).
     """
     g, m = gkm.graph, gkm.graph.valence
+    base = g.vertices[0]
     tree, used = _spanning_tree(g, base)
     up = {g.target(e): (g.source(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree}
     kernel = list(IntegerMatrix.identity(m).data)
@@ -156,10 +153,9 @@ def _solve_by_propagation(
         combos = integer_kernel_basis(IntegerMatrix.from_rows(block, m).transpose())
         kernel = [_combine(zip(c, kernel), m) for c in combos]
         values = {base: kernel}
-    _, u = hermite_normal_form(IntegerMatrix(tuple(at(g.vertices[0])), m))
-    if u != IntegerMatrix.identity(len(kernel)):
-        kernel = list((u @ IntegerMatrix(tuple(kernel), m)).data)
-        values = {base: kernel}
+    canonical = lattice_basis(kernel, m)
+    if canonical != kernel:
+        values = {base: canonical}
     return [tuple(chain.from_iterable(rows)) for rows in zip(*map(at, g.vertices))]
 
 
@@ -187,40 +183,19 @@ def _solve_full_system(
     return integer_kernel_basis(IntegerMatrix.from_rows(rows, width))
 
 
-def axial_group_basis(
-    gkm: GkmGraph,
-    method: str = "propagate",
-    base_vertex: str | None = None,
-) -> AxialGroupBasis:
+def axial_group_basis(gkm: GkmGraph, method: str = "propagate") -> AxialGroupBasis:
     """Solve the defining relations and return the canonical lattice basis.
 
     ``method`` is ``"propagate"`` or ``"full"``; both canonicalize to the
-    same basis.  ``base_vertex`` defaults to the smallest vertex id and only
-    affects the propagation start and the restriction used for
-    ``canonical_matrix``, never the lattice itself.  Input that fails an
-    axiom raises :class:`~gkmgraph.axial.AxiomViolationError`.
+    same basis.  Input that fails an axiom raises
+    :class:`~gkmgraph.axial.AxiomViolationError`.
     """
-    g = gkm.graph
-    base = g.vertices[0] if base_vertex is None else base_vertex
-    if base not in g.orderings:
-        raise ValueError(f"unknown base vertex {base!r}")
     inv = validated(gkm).validation.coefficients
     if method == "propagate":
-        coords = _solve_by_propagation(gkm, inv, base)
+        coords = _solve_by_propagation(gkm, inv)
     elif method == "full":
         coords = _solve_full_system(gkm, inv)
     else:
         raise ValueError(f"unknown method {method!r}")
-    m = g.valence
-    width = m * len(g.vertices)
-    elements = tuple(
-        MappingProxyType({v: c[i * m : (i + 1) * m] for i, v in enumerate(g.vertices)}) for c in coords
-    )
-    restricted = lattice_basis([el[base] for el in elements], m)
-    return AxialGroupBasis(
-        elements=elements,
-        rank=len(coords),
-        base_vertex=base,
-        canonical_matrix=IntegerMatrix(tuple(restricted), m),
-        coordinate_matrix=IntegerMatrix(tuple(coords), width),
-    )
+    width = gkm.graph.valence * len(gkm.graph.vertices)
+    return AxialGroupBasis(rank=len(coords), coordinate_matrix=IntegerMatrix(tuple(coords), width))

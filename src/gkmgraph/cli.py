@@ -144,9 +144,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     print(f"rank: {basis.rank}")
     print(f"no effective torus of dimension > {basis.rank} acts on this structure")
     if args.basis:
-        for k, el in enumerate(basis.elements, start=1):
-            parts = " ".join(f"{v}:{format_vector(el[v])}" for v in gkm.graph.vertices)
-            print(f"f{k}: {parts}")
+        for k, row in enumerate(basis.coordinate_matrix.data, start=1):
+            blocks = (row[i : i + gkm.m] for i in range(0, len(row), gkm.m))
+            print(f"f{k}:", " ".join(f"{v}:{format_vector(b)}" for v, b in zip(gkm.graph.vertices, blocks)))
     return 0
 
 

@@ -39,17 +39,18 @@ class ExtensionCheck(NamedTuple):
 def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
     """Extend the weights to rank ``target_rank``; the first ``n`` coordinates are the old weights.
 
-    An element is determined by its value at the base vertex, so the
-    canonical elements (the weight coordinates) are completed in ``Z^m``,
-    restricted there, inside the restrictions of the basis elements in their
-    order (:func:`~gkmgraph.intlinalg.complete_inside_lattice`), as
-    coordinates in that basis.  The first ``target_rank - n`` of them, times
-    the ``coordinate_matrix`` of the basis, give each dart its new
-    coordinates.  On valid input the canonical elements span a primitive
-    sublattice, so the chosen elements are part of a basis of the lattice,
-    and projecting by ``[I_n | 0]`` recovers ``gkm``.  ``gkm`` and the result
-    must pass the axioms, or :class:`~gkmgraph.axial.AxiomViolationError`
-    names the first failure.
+    An element is determined by its value at one vertex, so the canonical
+    elements (the weight coordinates) are completed in ``Z^m``, restricted
+    to the first vertex, inside the first vertex blocks ``row[:m]`` of the
+    basis's ``coordinate_matrix`` in their order
+    (:func:`~gkmgraph.intlinalg.complete_inside_lattice`), as coordinates in
+    that basis.  The first ``target_rank - n`` of them, times the
+    ``coordinate_matrix``, give each dart its new coordinates.  On valid
+    input the canonical elements span a primitive sublattice, so the chosen
+    elements are part of a basis of the lattice, and projecting by
+    ``[I_n | 0]`` recovers ``gkm``.  ``gkm`` and the result must pass the
+    axioms, or :class:`~gkmgraph.axial.AxiomViolationError` names the first
+    failure.
     """
     from .axgroup import axial_group_basis
     from .intlinalg import complete_inside_lattice
@@ -62,9 +63,9 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
         raise RankExceededError(
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
-    g, w, base = gkm.graph, gkm.axial.weights, basis.base_vertex
-    canon = [tuple(w[d][i] for d in g.out_darts(base)) for i in range(n)]
-    coords, _ = complete_inside_lattice(canon, [el[base] for el in basis.elements])
+    g, w, m = gkm.graph, gkm.axial.weights, gkm.m
+    canon = [tuple(w[d][i] for d in g.out_darts(g.vertices[0])) for i in range(n)]
+    coords, _ = complete_inside_lattice(canon, [row[:m] for row in basis.coordinate_matrix.data])
     new = (IntegerMatrix.from_rows(coords[: target_rank - n], basis.rank) @ basis.coordinate_matrix).data
     darts = [d for v in g.vertices for d in g.out_darts(v)]
     weights = {d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}
@@ -77,9 +78,11 @@ def project_axial(gkm: GkmGraph, projection: IntegerMatrix) -> GkmGraph:
     ``gkm`` and the result must pass the axioms, or :class:`~gkmgraph.axial.AxiomViolationError`
     names the first failure; so a projection that collapses some vertex's
     weights is refused.  The projection must be onto: its columns span the
-    target lattice, decided as axiom 4 decides that weights span.  The result
-    keeps the graph and connection.
+    target lattice, decided as axiom 4 decides that weights span, and that
+    lattice must not be ``Z^0``.  The result keeps the graph and connection.
     """
+    if not projection.nrows:
+        raise ValueError("projection has no rows")
     validated(gkm)
     if projection.ncols != gkm.axial.torus_rank:
         raise ValueError(

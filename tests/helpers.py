@@ -20,10 +20,14 @@ every pair and axiom 4 at every vertex, the reference for its shortcuts.
 ``transport_matrix`` (``propagate`` on the unit vectors),
 ``permutation_matrix`` (the matrix of ``permutation``),
 ``canonical_elements`` (the coordinates of the weights),
-``long_cycle`` (a GKM graph whose breadth-first tree is thousands deep) and
-``with_orderings`` (``build_graph`` with other orderings) rebuild from the
-public API what only tests need, and ``main_outcome`` runs one command line
-in process.  ``grassmannian_by_subsets`` builds the
+``long_cycle`` (a GKM graph whose breadth-first tree is thousands deep),
+``with_orderings`` (``build_graph`` with other orderings),
+``with_first_vertex`` (the vertices renamed so that a chosen one sorts first,
+which is where the solver starts), ``in_vertex_order`` (a lattice solved on
+such a renaming, read back in the original vertex order) and
+``basis_elements`` (the rows of a basis cut into vertex blocks) rebuild from
+the public API what only tests need, and ``main_outcome`` runs one command
+line in process.  ``grassmannian_by_subsets`` builds the
 Grassmannian family from frozensets, swapping the replaced and the new
 element inside each target subset, the reference for the index tables of
 ``gen_grassmannian``.  Nothing private is
@@ -578,6 +582,42 @@ def with_orderings(graph: OrientedGraph, orderings) -> OrientedGraph:
     return build_graph(graph.vertices, edges, orderings={**graph.orderings, **orderings})
 
 
+def with_first_vertex(gkm: GkmGraph, first: str) -> GkmGraph:
+    """The same structure with every vertex ``v`` renamed ``"a" + v`` if it is ``first``, else ``"b" + v``.
+
+    So ``first`` sorts first and the others keep their order.  Dart ids,
+    weights and the connection are kept: the graph is rebuilt by
+    ``build_graph`` with the same ``AxialFunction``, so a labeling off the
+    axioms is renamed too.
+    """
+    g = gkm.graph
+    new = {v: ("a" if v == first else "b") + v for v in g.vertices}
+    edges = [(e, new[g.source(e)], new[g.target(e)]) for e in g.edge_representatives()]
+    orderings = {new[v]: order for v, order in g.orderings.items()}
+    return GkmGraph(build_graph(new.values(), edges, orderings), gkm.axial, gkm.connection)
+
+
+def in_vertex_order(gkm: GkmGraph, renamed: GkmGraph, coordinates: IntegerMatrix) -> IntegerMatrix:
+    """The lattice of ``coordinates`` over ``renamed = with_first_vertex(gkm, v)``, in ``gkm``'s vertex order.
+
+    Each row's vertex blocks are put back in the order of ``gkm.graph.vertices``
+    and the rows are brought to canonical form by ``lattice_basis``.
+    """
+    m, width = gkm.m, coordinates.ncols
+    rows = []
+    for row in coordinates.data:
+        blocks = {v[1:]: row[i * m : (i + 1) * m] for i, v in enumerate(renamed.graph.vertices)}
+        rows.append(tuple(x for v in gkm.graph.vertices for x in blocks[v]))
+    return IntegerMatrix.from_rows(lattice_basis(rows, width), width)
+
+
+def basis_elements(gkm: GkmGraph, basis) -> list[dict[str, tuple[int, ...]]]:
+    """The rows of ``basis.coordinate_matrix`` cut into vertex blocks: per element, a map from vertex to vector."""
+    m = gkm.m
+    rows = basis.coordinate_matrix.data
+    return [{v: row[i * m : (i + 1) * m] for i, v in enumerate(gkm.graph.vertices)} for row in rows]
+
+
 def transport_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
     """Matrix ``T`` with ``T @ x == propagate(gkm, x, e)``: ``propagate`` on the unit vectors."""
     columns = [propagate(gkm, unit, e) for unit in IntegerMatrix.identity(gkm.m).data]
@@ -613,10 +653,10 @@ def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:
     )
 
 
-def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Reference for the propagation solver: ``(coordinate_matrix, canonical_matrix)``.
+def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
+    """Reference for the propagation solver: its ``coordinate_matrix``.
 
-    The base-vertex kernel starts as ``Z^m``, is spread over the
+    The kernel at the first vertex starts as ``Z^m``, is spread over the
     breadth-first tree (out-darts in sorted order), and is cut down by every
     non-tree edge in turn, re-spread after each cut.  No edge is skipped, so
     no rank argument is involved.  Transport across ``e`` is
@@ -624,6 +664,7 @@ def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMa
     row ``k·f(q)_ē = f(p)_e`` of the relation (``k = −1`` under axiom 1).
     """
     g, m = gkm.graph, gkm.graph.valence
+    base = g.vertices[0]
     inv = invariant_function(gkm)
 
     def step(e):
@@ -662,8 +703,7 @@ def propagation_checking_every_edge(gkm: GkmGraph, base: str) -> tuple[IntegerMa
         values = spread(kernel)
     width = m * len(g.vertices)
     coords = lattice_basis([tuple(x for v in g.vertices for x in values[v][i]) for i in range(len(kernel))], width)
-    restricted = lattice_basis([c[g.vertices.index(base) * m :][:m] for c in coords], m)
-    return IntegerMatrix.from_rows(coords, width), IntegerMatrix.from_rows(restricted, m)
+    return IntegerMatrix.from_rows(coords, width)
 
 
 def main_outcome(argv: list[str]) -> tuple[int, str, str]:

@@ -26,17 +26,20 @@ from gkmgraph import (
 )
 from helpers import (
     TWISTED_S6,
+    basis_elements,
     brute_force_solutions,
     canonical_elements,
     core_fixtures,
     element_in_lattice,
     in_integer_span,
+    in_vertex_order,
     method_fixtures,
     propagation_checking_every_edge,
     rational_rank,
     renamed_vertices,
     shuffled_orderings,
     transport_matrix,
+    with_first_vertex,
     with_orderings,
 )
 
@@ -98,8 +101,8 @@ def test_s6_lattice():
     basis = axial_group_basis(gen_s6())
     assert basis.rank == 2
     assert basis.coordinate_matrix == S6_CANONICAL
-    assert basis.canonical_matrix == IntegerMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-    for el in basis.elements:
+    assert [row[:3] for row in basis.coordinate_matrix.data] == [(1, 0, -1), (0, 1, -1)]
+    for el in basis_elements(gen_s6(), basis):
         x, y, z = el["p"]
         assert x + y + z == 0
         assert el["q"] == (-x, -y, -z)
@@ -110,26 +113,25 @@ def test_brute_force_oracle_small_fixtures():
     # then compare against the basis in both directions
     for gkm in (gen_s6(), gen_projective(2)):
         basis = axial_group_basis(gkm)
-        rows = [tuple(x for v in gkm.graph.vertices for x in el[v]) for el in basis.elements]
+        rows = basis.coordinate_matrix.data
         brute = brute_force_solutions(gkm, bound=2)
         assert rational_rank(brute) == basis.rank
         for sol in brute:
             assert in_integer_span(rows, sol)
-        for el in basis.elements:
+        for el in basis_elements(gkm, basis):
             assert element_in_lattice(gkm, el)
 
 
 def test_basis_elements_satisfy_relations_everywhere():
     for name, gkm in core_fixtures().items():
-        basis = axial_group_basis(gkm)
-        for el in basis.elements:
+        for el in basis_elements(gkm, axial_group_basis(gkm)):
             assert element_in_lattice(gkm, el), name
 
 
 def test_antisymmetry_across_darts():
     for name, gkm in core_fixtures().items():
         g = gkm.graph
-        for el in axial_group_basis(gkm).elements:
+        for el in basis_elements(gkm, axial_group_basis(gkm)):
             for e in g.darts:
                 assert el[g.source(e)][g.dart_index(e)] == -el[g.target(e)][g.dart_index(g.reverse(e))], name
 
@@ -146,24 +148,57 @@ def test_projective_rank_is_pinned_by_bounds():
 
 
 def test_methods_agree_on_fixtures():
-    # from the first, middle and last base vertex, on each fixture and on its
-    # [I | 1] projection where that keeps the weights independent; the rows
-    # expanded from the first vertex's HNF are the canonical wide basis
+    # with the first, middle and last vertex renamed to come first, on each
+    # fixture and on its [I | 1] projection onto Z^(n-1), n > 1, where that
+    # keeps the weights independent; the rows expanded from the first
+    # vertex's HNF are the canonical wide basis, the same lattice from every
+    # start
     graphs = method_fixtures()
     for name, gkm in list(graphs.items()):
+        if gkm.n == 1:
+            continue
         fold = IntegerMatrix.from_rows([[int(c == i) for c in range(gkm.n - 1)] + [1] for i in range(gkm.n - 1)], gkm.n)
         with contextlib.suppress(AxiomViolationError):
             graphs[f"{name} by [I | 1]"] = project_axial(gkm, fold)
-    del graphs["projective1 by [I | 1]"]  # onto Z^0
     projected = ["projective3", "projective4", "grassmannian3", "grassmannian4"]
     assert list(graphs)[len(method_fixtures()):] == [f"{name} by [I | 1]" for name in projected]
     for name, gkm in graphs.items():
-        vertices, m = gkm.graph.vertices, gkm.m
+        vertices, width = gkm.graph.vertices, len(gkm.graph.vertices) * gkm.m
+        expected = axial_group_basis(gkm).coordinate_matrix
         for base in (vertices[0], vertices[len(vertices) // 2], vertices[-1]):
-            a = axial_group_basis(gkm, method="propagate", base_vertex=base)
-            b = axial_group_basis(gkm, method="full", base_vertex=base)
+            renamed = with_first_vertex(gkm, base)
+            a = axial_group_basis(renamed, method="propagate")
+            b = axial_group_basis(renamed, method="full")
             assert a == b, (name, base)
-            assert list(a.coordinate_matrix.data) == lattice_basis(a.coordinate_matrix.data, len(vertices) * m), name
+            assert list(a.coordinate_matrix.data) == lattice_basis(a.coordinate_matrix.data, width), name
+            assert in_vertex_order(gkm, renamed, a.coordinate_matrix) == expected, (name, base)
+
+
+def test_a_kernel_off_hnf_is_canonicalized_before_the_expansion(monkeypatch):
+    # on these fixtures the kernel at the first vertex ends in HNF.  Adding
+    # the last row of each refinement's combinations to the first keeps the
+    # lattice and leaves that HNF, so the solver must bring its kernel back
+    # before expanding it, and still returns the canonical basis
+    from gkmgraph import axgroup
+
+    kernel, basis, changed = axgroup.integer_kernel_basis, axgroup.lattice_basis, []
+
+    def sheared(matrix):
+        rows = kernel(matrix)
+        return [tuple(a + b for a, b in zip(rows[0], rows[-1]))] + rows[1:] if len(rows) > 1 else rows
+
+    def counted_basis(rows, width):
+        out = basis(rows, width)
+        changed.append(out != rows)
+        return out
+
+    for name, gkm in method_fixtures().items():
+        expected = axial_group_basis(gkm, method="full")
+        with monkeypatch.context() as patch:
+            patch.setattr(axgroup, "integer_kernel_basis", sheared)
+            patch.setattr(axgroup, "lattice_basis", counted_basis)
+            assert axial_group_basis(gkm) == expected, name
+    assert any(changed)
 
 
 def test_method_is_propagate_or_full():
@@ -171,11 +206,6 @@ def test_method_is_propagate_or_full():
     assert axial_group_basis(gkm, method="full") == axial_group_basis(gkm, method="propagate")
     with pytest.raises(ValueError, match="unknown method 'full_system'"):
         axial_group_basis(gkm, method="full_system")
-
-
-def test_unknown_base_vertex_is_a_value_error():
-    with pytest.raises(ValueError, match=r"^unknown base vertex 'r'$"):
-        axial_group_basis(gen_s6(), base_vertex="r")
 
 
 RELABEL_FIXTURES = core_fixtures()
@@ -187,8 +217,8 @@ RELABEL_FIXTURES = core_fixtures()
 def test_methods_agree_off_the_axioms(name, data):
     # weights relabelled through a random small matrix, with w(X~) = w(X) on
     # a drawn set of edges, so axioms 1, 2, 3 and 4 may fail: both methods
-    # refuse such a labeling with the same first failure from every base
-    # vertex, and on one that passes they give the same lattice
+    # refuse such a labeling with the same first failure whichever vertex
+    # comes first, and on one that passes they give the same lattice
     gkm = RELABEL_FIXTURES[name]
     g = gkm.graph
     k = data.draw(st.integers(1, gkm.n + 1), label="rows")
@@ -209,18 +239,29 @@ def _refusal(gkm) -> str:
 
 
 def _agree_from_every_base(gkm):
-    """The lattice both methods give from every base vertex, or ``None`` when both refuse ``gkm`` alike."""
+    """The lattice both methods give with every vertex renamed to come first, or ``None`` when both refuse ``gkm``.
 
-    def outcome(method, base=None):
+    A refusal is the first failure of the report of the graph refused, so a
+    renaming may name another vertex.
+    """
+
+    def outcome(method, graph):
         try:
-            return axial_group_basis(gkm, method=method, base_vertex=base).coordinate_matrix
+            return axial_group_basis(graph, method=method).coordinate_matrix
         except AxiomViolationError as exc:
             return str(exc)
 
-    expected = outcome("full")
+    expected, valid = outcome("full", gkm), validate_gkm(gkm).ok
+    assert outcome("propagate", gkm) == expected
     for v in gkm.graph.vertices:
-        assert outcome("full", v) == outcome("propagate", v) == expected, v
-    if validate_gkm(gkm).ok:
+        renamed = with_first_vertex(gkm, v)
+        got = outcome("full", renamed)
+        assert got == outcome("propagate", renamed), v
+        if valid:
+            assert in_vertex_order(gkm, renamed, got) == expected, v
+        else:
+            assert got == _refusal(renamed), v
+    if valid:
         return expected
     assert expected == _refusal(gkm)
     return None
@@ -322,9 +363,12 @@ def test_propagation_matches_checking_every_edge(name):
     # the lattice of the propagation that checks every edge, bit for bit
     gkm = ORACLE_CASES[name]
     vertices = gkm.graph.vertices
+    expected = axial_group_basis(gkm).coordinate_matrix
     for base in (vertices[0], vertices[len(vertices) // 2], vertices[-1]):
-        basis = axial_group_basis(gkm, base_vertex=base)
-        assert (basis.coordinate_matrix, basis.canonical_matrix) == propagation_checking_every_edge(gkm, base)
+        renamed = with_first_vertex(gkm, base)
+        basis = axial_group_basis(renamed)
+        assert basis.coordinate_matrix == propagation_checking_every_edge(renamed)
+        assert in_vertex_order(gkm, renamed, basis.coordinate_matrix) == expected
 
 
 def test_rank_nullity_against_rational_oracle():
@@ -357,9 +401,10 @@ def test_base_vertex_independence():
     for name, gkm in core_fixtures().items():
         reference = axial_group_basis(gkm)
         for v in gkm.graph.vertices:
-            other = axial_group_basis(gkm, base_vertex=v)
+            renamed = with_first_vertex(gkm, v)
+            other = axial_group_basis(renamed)
             assert other.rank == reference.rank, name
-            assert other.coordinate_matrix == reference.coordinate_matrix, name
+            assert in_vertex_order(gkm, renamed, other.coordinate_matrix) == reference.coordinate_matrix, name
 
 
 def test_rank_is_ordering_independent():
@@ -388,10 +433,10 @@ def test_canonical_elements_are_independent_lattice_members():
 
 def test_restriction_to_any_vertex_is_injective():
     for name, gkm in core_fixtures().items():
-        basis = axial_group_basis(gkm)
+        elements = basis_elements(gkm, axial_group_basis(gkm))
         for v in gkm.graph.vertices:
-            rows = [el[v] for el in basis.elements]
-            assert rational_rank(rows) == basis.rank, name
+            rows = [el[v] for el in elements]
+            assert rational_rank(rows) == len(elements), name
 
 
 def test_grassmannian_tail_relations():
@@ -400,7 +445,7 @@ def test_grassmannian_tail_relations():
     for n in (2, 3, 4):
         gkm = gen_grassmannian(n)
         top = f"{n + 1:02d}.{n + 2:02d}"
-        for el in axial_group_basis(gkm).elements:
+        for el in basis_elements(gkm, axial_group_basis(gkm)):
             x = el[top]
             for j in range(n - 1):
                 assert x[2 * n - j - 1] == -x[0] + x[n - j - 1] + x[n]

@@ -181,18 +181,16 @@ def _projections():
 
 
 def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
-    # an element is determined by its value at the base vertex, so completing
+    # an element is determined by its value at the first vertex, so completing
     # the canonical restrictions there gives the coordinates and the index of
     # the full-coordinate completion
     for gkm in [p for p, _ in _projections()] + list(core_fixtures().values()):
-        basis = axial_group_basis(gkm)
-        g, base, m = gkm.graph, basis.base_vertex, gkm.m
+        basis, g, m = axial_group_basis(gkm), gkm.graph, gkm.m
         darts = [d for v in g.vertices for d in g.out_darts(v)]
         full = [tuple(gkm.weight(d)[i] for d in darts) for i in range(gkm.n)]
-        k = g.vertices.index(base) * m
-        restricted = [c[k : k + m] for c in full]
+        restricted = [c[:m] for c in full]
         completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
-        at_base = complete_inside_lattice(restricted, [el[base] for el in basis.elements])
+        at_base = complete_inside_lattice(restricted, [row[:m] for row in basis.coordinate_matrix.data])
         assert at_base == (completion, index)
 
 
@@ -209,12 +207,12 @@ def test_completion_and_verification_take_one_hnf_per_matrix(monkeypatch):
 
     for projected, original in _projections():
         basis = axial_group_basis(projected)
-        base, m = basis.base_vertex, projected.m
+        base, m = projected.graph.vertices[0], projected.m
         canon = [el[base] for el in canonical_elements(projected)]
         with monkeypatch.context() as patch:
             for module in (gkmgraph.intlinalg, gkmgraph.extension):
                 patch.setattr(module, "hermite_normal_form", counted)
-            complete_inside_lattice(canon, [el[base] for el in basis.elements])
+            complete_inside_lattice(canon, [row[:m] for row in basis.coordinate_matrix.data])
             assert shapes == [(basis.rank, m)]
             del shapes[:]
             assert verify_extension(projected, original).ok
@@ -234,6 +232,18 @@ def test_project_requires_surjectivity():
         project_axial(gen_s6(), IntegerMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(NotSurjectiveError):
         project_axial(gen_projective(3), IntegerMatrix.from_rows([[1, 0, 0], [1, 0, 0]]))
+
+
+def test_project_onto_z0_is_a_value_error():
+    # no torus of rank 0: a document cannot hold its empty weights, and its
+    # solution lattice would bound nothing.  The rows are counted before any
+    # validation, so a labeling off axiom 1 gets the same refusal
+    off_axiom_1 = gen_projective(2).with_weights(
+        dict(gen_projective(2).axial.weights, **{"0-1~": (1, 0), "0-2~": (0, 1)}), 2
+    )
+    for gkm in (gen_projective(1), gen_s6(), off_axiom_1):
+        with pytest.raises(ValueError, match="^projection has no rows$"):
+            project_axial(gkm, IntegerMatrix.from_rows([], gkm.n))
 
 
 def test_project_collapsing_weights_is_an_axiom_violation():
