@@ -172,13 +172,13 @@ def validated(gkm: GkmGraph) -> GkmGraph:
 
 def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | None, packing=None) -> Validation:
     packing = packing or _packed(axial, graph.darts)  # which checks that every dart carries a weight
-    w = axial.weights
+    w, packed = axial.weights, packing[0]
     failures: list[AxiomFailure] = []
     checked = (1, 2, 3, 4) if connection is not None else (1, 2, 4)
 
     for e in graph.darts:
         eb = graph.reverse(e)
-        if e < eb and w[eb] != tuple(-x for x in w[e]):
+        if e < eb and packed[eb] != -packed[e]:  # packing is linear and exact: w(ē) = −w(e)
             failures.append(AxiomFailure(1, f"dart {e}", f"weight of {eb} is not the negative of {w[e]}"))
 
     for p in graph.vertices:
@@ -220,7 +220,7 @@ def _check_connection(graph: OrientedGraph, maps: Maps, packing: tuple[dict, int
     """
     packed, big = packing
     outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
-    index = graph._positions
+    index = graph.positions
     coefficients = {}
     proved: set[str] = set()  # second darts whose vectors the first dart's check proved
     for e in graph.darts:
@@ -269,7 +269,7 @@ def _check_dart(
     if back is not None and list(map(back.get, nabla.values())) != list(nabla):
         failures.append(AxiomFailure(3, f"dart {e}", f"map for {eb} is not the inverse"))
     base = packed[e]
-    index = graph._positions
+    index = graph.positions
     vector: list[int | None] = [None] * graph.valence
     for e2, img in nabla.items():
         change = packed[img] - packed[e2]

@@ -23,7 +23,6 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import GkmError
@@ -36,7 +35,8 @@ if TYPE_CHECKING:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise GkmError(f"cannot read {path}: {exc}") from exc
 

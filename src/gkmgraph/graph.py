@@ -28,18 +28,6 @@ class GraphError(GkmError):
     """Malformed graph description."""
 
 
-class LoopEdgeError(GraphError):
-    """An edge starts and ends at the same vertex."""
-
-
-class DisconnectedError(GraphError):
-    """The underlying graph is not connected."""
-
-
-class NonRegularError(GraphError):
-    """Some vertex does not have the common out-valence."""
-
-
 REVERSE_SUFFIX = "~"
 
 
@@ -50,51 +38,22 @@ def reverse_name(dart_id: str) -> str:
     return dart_id + REVERSE_SUFFIX
 
 
-class OrientedGraph(Frozen):
+class OrientedGraph(NamedTuple):
     """An m-valent connected multigraph with oriented darts.
 
-    The reverse of dart ``X`` is ``X~`` and that of ``X~`` is ``X``.
-    Instances are immutable; build them with :func:`build_graph`, which
-    verifies all structural invariants.
+    The reverse of dart ``X`` is ``X~`` and that of ``X~`` is ``X``.  Build
+    it with :func:`build_graph`, which verifies all structural invariants and
+    derives the last two fields: ``darts``, every dart sorted, and
+    ``positions``, each dart's place in the ordering at its source.
     """
 
-    def __init__(
-        self,
-        vertices: tuple[str, ...],
-        sources: Mapping[str, str],
-        targets: Mapping[str, str],
-        orderings: Mapping[str, tuple[str, ...]],
-        valence: int,
-    ):
-        self.__dict__.update(
-            vertices=vertices, sources=sources, targets=targets, orderings=orderings, valence=valence
-        )
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.sources, self.targets, self.orderings, self.valence)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return (
-            f"OrientedGraph(vertices={self.vertices!r}, sources={self.sources!r}, "
-            f"targets={self.targets!r}, orderings={self.orderings!r}, valence={self.valence!r})"
-        )
-
-    @cached_property
-    def darts(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sources))
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        pos: dict[str, int] = {}
-        for order in self.orderings.values():
-            for i, d in enumerate(order):
-                pos[d] = i
-        return pos
+    vertices: tuple[str, ...]
+    sources: Mapping[str, str]
+    targets: Mapping[str, str]
+    orderings: Mapping[str, tuple[str, ...]]
+    valence: int
+    darts: tuple[str, ...]
+    positions: Mapping[str, int]
 
     def source(self, dart: str) -> str:
         return self.sources[dart]
@@ -111,7 +70,7 @@ class OrientedGraph(Frozen):
 
     def dart_index(self, dart: str) -> int:
         """Position of the dart in the ordering at its source vertex."""
-        return self._positions[dart]
+        return self.positions[dart]
 
     def edge_representatives(self) -> tuple[str, ...]:
         """One dart per undirected edge: the forward dart ``X`` of the pair, sorted."""
@@ -128,9 +87,10 @@ def build_graph(
     Each edge expands to the dart pair ``edge_id`` (forward) and ``edge_id~``
     (reverse), whose id is interned, so that it is one string wherever the
     graph, its weights and its connection hold it.  This is the one check of
-    ids and references, for documents, families and library graphs alike: a
-    duplicate id, ``~`` in an edge id, or an edge or ordering at an unknown
-    vertex raises :class:`GraphError`.
+    ids, references and shape, for documents, families and library graphs
+    alike: a duplicate id, ``~`` in an edge id, an edge or ordering at an
+    unknown vertex, a loop, an irregular or a disconnected graph raises
+    :class:`GraphError`.
     """
     verts = tuple(sorted(vertices))
     if not verts:
@@ -153,7 +113,7 @@ def build_graph(
         if s not in vset or t not in vset:
             raise GraphError(f"dart {d} references an unknown vertex")
         if s == t:
-            raise LoopEdgeError(f"dart {d} is a loop at vertex {s}")
+            raise GraphError(f"dart {d} is a loop at vertex {s}")
 
     out: dict[str, list[str]] = {v: [] for v in verts}
     for d, s in sources.items():
@@ -162,12 +122,10 @@ def build_graph(
     if len(valences) != 1:
         counts = {v: len(ds) for v, ds in out.items()}
         bad = min(v for v in counts if counts[v] != max(valences))
-        raise NonRegularError(
-            f"vertex {bad} has out-valence {counts[bad]}, expected a regular graph"
-        )
+        raise GraphError(f"vertex {bad} has out-valence {counts[bad]}, expected a regular graph")
     valence = valences.pop()
     if valence == 0:
-        raise NonRegularError("vertices have no outgoing darts")
+        raise GraphError("vertices have no outgoing darts")
 
     seen = {verts[0]}
     queue = deque([verts[0]])
@@ -180,7 +138,7 @@ def build_graph(
                 queue.append(q)
     if len(seen) != len(verts):
         missing = sorted(vset - seen)[0]
-        raise DisconnectedError(f"vertex {missing} is not reachable from {verts[0]}")
+        raise GraphError(f"vertex {missing} is not reachable from {verts[0]}")
 
     if orderings is not None and not vset.issuperset(orderings):
         raise GraphError(f"ordering at unknown vertex {min(set(orderings) - vset)}")
@@ -195,13 +153,8 @@ def build_graph(
                 raise GraphError(f"ordering at vertex {v} is not a permutation of its out-darts")
             fixed[v] = pinned
 
-    return OrientedGraph(
-        vertices=verts,
-        sources=sources,
-        targets=targets,
-        orderings=fixed,
-        valence=valence,
-    )
+    positions = {d: i for order in fixed.values() for i, d in enumerate(order)}
+    return OrientedGraph(verts, sources, targets, fixed, valence, tuple(sorted(sources)), positions)
 
 
 Weight = tuple[int, ...]

@@ -60,6 +60,18 @@ def test_axiom1_failure_names_the_dart():
     assert failure.where == "dart e2"
 
 
+@pytest.mark.parametrize("delta", [(1, 0), (0, 1), (0, -2), (16, -1)])
+def test_axiom1_fails_when_any_coordinate_breaks_the_negation(delta):
+    # axiom 1 compares packed weights: one coordinate off fails, and so does a
+    # change that a packing 4 bits wide (enough for s6's own entries) would carry away
+    gkm = gen_s6()
+    weights = dict(gkm.axial.weights)
+    weights["e2~"] = tuple(x + d for x, d in zip(weights["e2~"], delta))
+    report = validate_axial(gkm.graph, AxialFunction(2, weights))
+    detail = f"weight of e2~ is not the negative of {weights['e2']}"
+    assert report.failures_for(1) == (AxiomFailure(1, "dart e2", detail),)
+
+
 def test_axiom2_failure_at_every_vertex():
     graph = build_graph(["p", "q", "r"], [("pq", "p", "q"), ("qr", "q", "r"), ("rp", "r", "p")])
     weights = {d: (1, 0) if not d.endswith("~") else (-1, 0) for d in graph.darts}

@@ -367,8 +367,8 @@ def test_cli_start_loads_only_what_it_runs(tmp_path):
     # solver, the extensions and the families load only in the commands that
     # run them (the extensions load the solver only to extend), the axioms
     # only where a document is read, the writer, the integer linear algebra
-    # and the congruence invariant only where they are called, and no record
-    # is built by dataclasses (which imports inspect)
+    # and the congruence invariant only where they are called, no record is
+    # built by dataclasses (which imports inspect), and files are read without pathlib
     src = Path(__file__).resolve().parents[1] / "src"
     child = f"""
 import sys
@@ -376,7 +376,7 @@ sys.path.insert(0, {str(src)!r})
 import gkmgraph.cli
 loaded = {{
     "dataclasses", "inspect", "gkmgraph.axgroup", "gkmgraph.axial", "gkmgraph.congruence", "gkmgraph.extension",
-    "gkmgraph.families", "gkmgraph.hermite", "gkmgraph.intlinalg", "gkmgraph.writer"
+    "gkmgraph.families", "gkmgraph.hermite", "gkmgraph.intlinalg", "gkmgraph.writer", "pathlib"
 }} & set(sys.modules)
 assert not loaded, sorted(loaded)
 import gkmgraph.extension
@@ -458,7 +458,7 @@ def test_records_refuse_assignment(record, field):
 def test_records_with_equal_fields_compare_equal():
     assert gen_s6() == gen_s6()
     graph = gen_s6().graph
-    assert OrientedGraph(graph.vertices, graph.sources, graph.targets, graph.orderings, graph.valence) == graph
+    assert OrientedGraph(*graph) == graph
     a, b = IntegerMatrix(((1, 2), (3, 4)), 2), IntegerMatrix.from_rows([[1, 2], [3, 4]])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != IntegerMatrix(((1, 2),), 2) and a != a.data
