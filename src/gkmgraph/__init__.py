@@ -22,11 +22,10 @@ _MODULES = {
         "axial": "AmbiguousConnectionError AxiomFailure AxiomViolationError ConnectionNotFoundError"
         " ValidationReport infer_connection validate_axial validate_gkm",
         "congruence": "invariant_function permutation",
-        "errors": "GkmError",
         "extension": "ExtensionCheck GraphMismatchError"
         " NotSurjectiveError RankExceededError extend_axial project_axial verify_extension",
         "families": "gen_grassmannian gen_projective gen_s6",
-        "graph": "AxialError AxialFunction GkmGraph GraphError OrientedGraph build_graph reverse_name",
+        "graph": "AxialError AxialFunction GkmError GkmGraph GraphError OrientedGraph build_graph reverse_name",
         "hermite": "IntegerMatrix hermite_normal_form integer_kernel_basis lattice_basis",
         "intlinalg": "NotInLatticeError complete_inside_lattice invariant_factors saturation",
         "io": "EdgeRecord GkmDocument ParseError SchemaError gkm_from_document load_gkm parse_gkm",

@@ -10,8 +10,9 @@ value at a single vertex already determines the whole element.
 Both solvers run on a GKM graph only, refusing any other input with
 :class:`~gkmgraph.axial.AxiomViolationError`, and read the congruence vectors
 its validation proved.  They are independent and agree bit for bit.
-``propagate`` carries a kernel at the first vertex along a spanning tree in
-O(m) steps per row, checks it on the remaining edges and refines it on each
+``propagate`` carries a kernel at the first vertex along the graph's own
+spanning tree (``graph.tree``, the walk that proved it connected) in O(m)
+steps per row, checks it on the remaining edges and refines it on each
 edge it fails, stopping once it is down to rank ``n``, the least rank
 possible; ``full`` solves for all vertex vectors at once and checks every
 edge.
@@ -19,14 +20,13 @@ edge.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axial import validated
 from .congruence import permutation
-from .graph import GkmGraph, OrientedGraph
+from .graph import GkmGraph
 from .hermite import IntegerMatrix, integer_kernel_basis, lattice_basis
 
 
@@ -75,24 +75,6 @@ def propagate(gkm: GkmGraph, f_at_source: Sequence[int], e: str) -> tuple[int, .
     return _step(gkm, e, validated(gkm).validation.coefficients[gkm.graph.reverse(e)])(f_at_source)
 
 
-def _spanning_tree(graph: OrientedGraph, base: str) -> tuple[list[str], set[str]]:
-    """Breadth-first tree darts from ``base``; ties broken by dart id."""
-    tree: list[str] = []
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        p = queue.popleft()
-        for e in sorted(graph.out_darts(p)):
-            q = graph.target(e)
-            if q in seen:
-                continue
-            seen.add(q)
-            tree.append(e)
-            queue.append(q)
-    used = set(tree) | {graph.reverse(e) for e in tree}
-    return tree, used
-
-
 def _combine(terms, width: int) -> tuple[int, ...]:
     """``Σ c·row`` over the ``(c, row)`` pairs of ``terms``, skipping zero coefficients."""
     out = [0] * width
@@ -107,11 +89,11 @@ def _solve_by_propagation(gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]) -> 
 
     ``kernel`` spans the saturated lattice of vectors at the first vertex
     meeting every relation checked so far, and ``at(v)`` is it carried to
-    ``v`` along the tree rooted there, filled down from the nearest vertex
-    holding a value and held until the kernel changes.  A non-tree edge ``e``
-    from ``p`` to ``q`` holds when ``step_e(at(p)) == at(q)``; otherwise the
-    difference rows are ``K·D_e``, whose saturated integer kernel combines
-    the kernel rows into the new one.
+    ``v`` along the graph's own spanning tree ``graph.tree``, rooted there,
+    filled down from the nearest vertex holding a value and held until the
+    kernel changes.  A non-tree edge ``e`` from ``p`` to ``q`` holds when
+    ``step_e(at(p)) == at(q)``; otherwise the difference rows are ``K·D_e``,
+    whose saturated integer kernel combines the kernel rows into the new one.
 
     The solution lattice lies in ``kernel``, and both are saturated.  The
     ``n`` canonical elements (the weight coordinates) are solutions whose
@@ -126,8 +108,8 @@ def _solve_by_propagation(gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]) -> 
     """
     g, m = gkm.graph, gkm.graph.valence
     base = g.vertices[0]
-    tree, used = _spanning_tree(g, base)
-    up = {g.target(e): (g.source(e), _step(gkm, e, inv[g.reverse(e)])) for e in tree}
+    up = {q: (g.source(e), _step(gkm, e, inv[g.reverse(e)])) for q, e in g.tree.items()}
+    used = set(g.tree.values()) | {g.reverse(e) for e in g.tree.values()}
     kernel = list(IntegerMatrix.identity(m).data)
     values = {base: kernel}
 

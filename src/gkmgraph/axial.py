@@ -40,8 +40,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import GkmError
-from .graph import AxialError, AxialFunction, GkmGraph, OrientedGraph, Weight, _packed
+from .graph import AxialError, AxialFunction, GkmError, GkmGraph, OrientedGraph, Weight, _packed
 
 
 Maps = Mapping[str, Mapping[str, str]]

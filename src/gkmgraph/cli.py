@@ -25,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import GkmError
+from .graph import GkmError
 from .io import format_vector, gkm_from_document, labels_from_document, parse_gkm
 
 if TYPE_CHECKING:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .axial import _first_failure, validate_gkm, validated
-from .errors import GkmError
-from .graph import GkmGraph
+from .graph import GkmError, GkmGraph
 from .hermite import IntegerMatrix, _back_substitute, _spans, hermite_normal_form
 
 

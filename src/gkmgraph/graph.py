@@ -7,21 +7,23 @@ involution swapping endpoints, is read off its name.  Every vertex fixes an
 order on its outgoing darts (lexicographic by dart id unless pinned
 explicitly).
 
-Every command loads this module.  It also holds the labeled graph
-(:class:`GkmGraph`: a graph, its weights and its connection, which holds its
-validation once computed) and :func:`_packed`, the packing of weights every
-congruence test reads.
+Every command loads this module.  It also holds :class:`GkmError`, the base
+of every error the package raises, the labeled graph (:class:`GkmGraph`: a
+graph, its weights and its connection, which holds its validation once
+computed) and :func:`_packed`, the packing of weights every congruence test
+reads.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import deque
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import Frozen, GkmError
+
+class GkmError(Exception):
+    """Base class for every error raised by this package."""
 
 
 class GraphError(GkmError):
@@ -43,8 +45,11 @@ class OrientedGraph(NamedTuple):
 
     The reverse of dart ``X`` is ``X~`` and that of ``X~`` is ``X``.  Build
     it with :func:`build_graph`, which verifies all structural invariants and
-    derives the last two fields: ``darts``, every dart sorted, and
-    ``positions``, each dart's place in the ordering at its source.
+    derives the last three fields: ``darts``, every dart sorted;
+    ``positions``, each dart's place in the ordering at its source; and
+    ``tree``, the breadth-first spanning tree from ``vertices[0]`` that
+    proves the graph connected, mapping each other vertex to the dart that
+    first reaches it (out-darts taken by id, whatever the orderings).
     """
 
     vertices: tuple[str, ...]
@@ -54,6 +59,7 @@ class OrientedGraph(NamedTuple):
     valence: int
     darts: tuple[str, ...]
     positions: Mapping[str, int]
+    tree: Mapping[str, str]
 
     def source(self, dart: str) -> str:
         return self.sources[dart]
@@ -115,9 +121,10 @@ def build_graph(
         if s == t:
             raise GraphError(f"dart {d} is a loop at vertex {s}")
 
+    darts = tuple(sorted(sources))
     out: dict[str, list[str]] = {v: [] for v in verts}
-    for d, s in sources.items():
-        out[s].append(d)
+    for d in darts:
+        out[sources[d]].append(d)
     valences = {len(ds) for ds in out.values()}
     if len(valences) != 1:
         counts = {v: len(ds) for v, ds in out.items()}
@@ -127,34 +134,32 @@ def build_graph(
     if valence == 0:
         raise GraphError("vertices have no outgoing darts")
 
-    seen = {verts[0]}
-    queue = deque([verts[0]])
-    while queue:
-        p = queue.popleft()
+    root = verts[0]
+    tree: dict[str, str] = {}
+    reached = [root]
+    for p in reached:
         for d in out[p]:
             q = targets[d]
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    if len(seen) != len(verts):
-        missing = sorted(vset - seen)[0]
-        raise GraphError(f"vertex {missing} is not reachable from {verts[0]}")
+            if q not in tree and q != root:
+                tree[q] = d
+                reached.append(q)
+    if len(reached) != len(verts):
+        raise GraphError(f"vertex {min(vset.difference(reached))} is not reachable from {root}")
 
     if orderings is not None and not vset.issuperset(orderings):
         raise GraphError(f"ordering at unknown vertex {min(set(orderings) - vset)}")
     fixed: dict[str, tuple[str, ...]] = {}
     for v in verts:
-        default = tuple(sorted(out[v]))
         if orderings is None or v not in orderings:
-            fixed[v] = default
+            fixed[v] = tuple(out[v])
         else:
             pinned = tuple(orderings[v])
-            if sorted(pinned) != sorted(default):
+            if sorted(pinned) != out[v]:
                 raise GraphError(f"ordering at vertex {v} is not a permutation of its out-darts")
             fixed[v] = pinned
 
     positions = {d: i for order in fixed.values() for i, d in enumerate(order)}
-    return OrientedGraph(verts, sources, targets, fixed, valence, tuple(sorted(sources)), positions)
+    return OrientedGraph(verts, sources, targets, fixed, valence, darts, positions, tree)
 
 
 Weight = tuple[int, ...]
@@ -171,16 +176,22 @@ class AxialFunction(NamedTuple):
     weights: Mapping[str, Weight]
 
 
-class GkmGraph(Frozen):
+class GkmGraph:
     """A graph, an axial function, and a connection, used as one unit.
 
     ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
     of its source onto those of its target.  The fields are held as given and
-    must not change: :attr:`validation` reads them once.
+    must not change: :attr:`validation` reads them once, and setting or
+    deleting an attribute raises ``AttributeError``.
     """
 
     def __init__(self, graph: OrientedGraph, axial: AxialFunction, connection: dict[str, dict[str, str]]):
         self.__dict__.update(graph=graph, axial=axial, connection=connection)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -10,43 +10,36 @@ their basis matrices.
 This core is what the solver (``rank``), axiom 4 (``validate``) and the
 extension checks load, and ``project`` decides that its matrix is onto with
 :func:`_spans`.  Lattice completion, which only ``extend`` runs, and the
-Smith form, which no command runs, are in :mod:`gkmgraph.intlinalg`.
+Smith form, which no command runs, are in :mod:`gkmgraph.intlinalg`.  The
+matrix record :class:`IntegerMatrix` is a ``NamedTuple`` like every other
+record, and this module imports nothing else of the package.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Sequence
-
-from .errors import Frozen
+from typing import Iterable, NamedTuple, Sequence
 
 
-class IntegerMatrix(Frozen):
-    """Immutable integer matrix.
+class IntegerMatrix(NamedTuple("IntegerMatrix", [("data", tuple[tuple[int, ...], ...]), ("ncols", int)])):
+    """Immutable integer matrix: the record ``(data, ncols)``.
 
     ``ncols`` is stored explicitly so matrices with zero rows keep a
-    well-defined shape.
+    well-defined shape.  Every way of building one, ``_make`` and
+    ``_replace`` included, rejects rows of another length.
     """
 
-    __slots__ = ("data", "ncols")
+    __slots__ = ()
 
-    def __init__(self, data: tuple[tuple[int, ...], ...], ncols: int):
+    def __new__(cls, data: tuple[tuple[int, ...], ...], ncols: int):
         for row in data:
             if len(row) != ncols:
                 raise ValueError("ragged rows in matrix")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ncols", ncols)
+        return super().__new__(cls, data, ncols)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.data == other.data and self.ncols == other.ncols
-
-    def __hash__(self):
-        return hash((self.data, self.ncols))
-
-    def __repr__(self):
-        return f"IntegerMatrix(data={self.data!r}, ncols={self.ncols!r})"
+    @classmethod
+    def _make(cls, iterable) -> "IntegerMatrix":
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int | None = None) -> "IntegerMatrix":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .errors import GkmError
+from .graph import GkmError
 from .hermite import IntegerMatrix, _back_substitute, _echelon, _xgcd, hermite_normal_form, integer_kernel_basis
 
 

@@ -37,8 +37,7 @@ import json
 import sys
 from typing import Mapping, NamedTuple
 
-from .errors import GkmError
-from .graph import AxialFunction, GkmGraph, OrientedGraph, build_graph
+from .graph import AxialFunction, GkmError, GkmGraph, OrientedGraph, build_graph
 
 
 class ParseError(GkmError):

@@ -653,6 +653,23 @@ def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:
     )
 
 
+def breadth_first_tree(graph: OrientedGraph) -> list[str]:
+    """The darts of the breadth-first tree from ``graph.vertices[0]``, in the order the walk adds them.
+
+    Out-darts are taken in sorted order, whatever the graph's orderings.
+    """
+    base = graph.vertices[0]
+    tree, seen, queue = [], {base}, deque([base])
+    while queue:
+        p = queue.popleft()
+        for e in sorted(graph.out_darts(p)):
+            if graph.target(e) not in seen:
+                seen.add(graph.target(e))
+                tree.append(e)
+                queue.append(graph.target(e))
+    return tree
+
+
 def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
     """Reference for the propagation solver: its ``coordinate_matrix``.
 
@@ -672,14 +689,7 @@ def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
         k = 1 + cbar[g.dart_index(g.reverse(e))]
         return lambda x: tuple(x[s] - k * x[pe] * c for s, c in zip(sig, cbar))
 
-    tree, seen, queue = [], {base}, deque([base])
-    while queue:
-        p = queue.popleft()
-        for e in sorted(g.out_darts(p)):
-            if g.target(e) not in seen:
-                seen.add(g.target(e))
-                tree.append(e)
-                queue.append(g.target(e))
+    tree = breadth_first_tree(g)
     used = set(tree) | {g.reverse(e) for e in tree}
     steps = {e: step(e) for e in g.darts}
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gkmgraph import (
     EdgeRecord,
     GkmDocument,
+    GkmError,
     IntegerMatrix,
     document_from_gkm,
     emit_gkm,
@@ -37,7 +38,6 @@ from gkmgraph import (
 import gkmgraph.io
 from gkmgraph import cli
 from gkmgraph.cli import main
-from gkmgraph.errors import GkmError
 from gkmgraph.io import labels_from_document
 from gkmgraph.writer import iter_gkm
 from helpers import TWISTED_S6, bent_documents, long_cycle, main_outcome, validation_checking_every_vertex

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from gkmgraph import gen_grassmannian, gen_projective, gen_s6
 from gkmgraph.graph import GraphError, OrientedGraph, build_graph, reverse_name
-from helpers import with_orderings
+from helpers import breadth_first_tree, with_orderings
 
 TRIANGLE = [("pq", "p", "q"), ("qr", "q", "r"), ("rp", "r", "p")]
 
@@ -69,7 +72,16 @@ def test_graph_record_holds_its_darts_and_positions(orderings):
     assert g.darts == tuple(sorted(g.sources))
     assert g.positions.keys() == g.sources.keys()
     assert all(g.positions[d] == g.orderings[g.source(d)].index(d) for d in g.darts)
+    assert g.tree == {g.target(e): e for e in breadth_first_tree(g)}
     assert OrientedGraph(*g) == g
+    # the tree is the walk by dart id, whatever the edge order and the pinned orderings
+    rng = random.Random(0)
+    for graph in (gen_s6().graph, gen_projective(3).graph, gen_grassmannian(2).graph):
+        edges = [(e, graph.source(e), graph.target(e)) for e in graph.edge_representatives()]
+        builds = [build_graph(graph.vertices, order) for order in (rng.sample(edges, len(edges)), edges[::-1])]
+        builds.append(with_orderings(graph, {v: graph.out_darts(v)[::-1] for v in graph.vertices}))
+        tree = {graph.target(e): e for e in breadth_first_tree(graph)}
+        assert [build.tree for build in builds] == [tree] * 3
 
 
 def test_with_orderings():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -342,6 +343,18 @@ def test_public_names_resolve():
         assert hasattr(gkmgraph, name), name
 
 
+def test_readme_layout_table_has_one_row_per_module():
+    # each row of README's "Package layout" table names one module (the
+    # package's own row its __init__), so adding or deleting a module must
+    # change the table too
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `gkmgraph")]
+    modules = [re.findall(r"`([^`]+)`", row.split(" | ")[0])[-1].rpartition(".")[2] for row in rows]
+    assert sorted(modules) == sorted(path.stem for path in (root / "src" / "gkmgraph").glob("*.py"))
+
+
 _RUN_ONE = """
 import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
@@ -452,6 +465,8 @@ def test_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
         record.extra = None
 
 
@@ -476,8 +491,18 @@ def test_public_named_tuples_have_two_fields_at_least():
 
 
 def test_integer_matrix_rejects_ragged_rows():
-    with pytest.raises(ValueError, match="ragged"):
-        IntegerMatrix(((1, 2), (3,)), 2)
+    square = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    assert repr(square) == "IntegerMatrix(data=((1, 2), (3, 4)), ncols=2)"
+    ragged = ((1, 2), (3,))
+    for build in (
+        lambda: IntegerMatrix(ragged, 2),
+        lambda: IntegerMatrix.from_rows(ragged),
+        lambda: IntegerMatrix._make((ragged, 2)),
+        lambda: square._replace(data=ragged),
+        lambda: square._replace(ncols=3),
+    ):
+        with pytest.raises(ValueError, match="ragged"):
+            build()
 
 
 def test_only_the_process_entry_touches_the_collector():
