@@ -94,18 +94,13 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _first_failure(report: ValidationReport) -> str:
-    """One line naming the first failed axiom of ``report`` and where it fails."""
-    f = report.failures[0]
-    return f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})"
-
-
 class AxiomViolationError(GkmError):
     """A labeling fails the axioms; the message names the first failure."""
 
     @classmethod
     def from_report(cls, report: ValidationReport) -> "AxiomViolationError":
-        return cls(_first_failure(report))
+        f = report.failures[0]
+        return cls(f"axiom {f.axiom} fails at {f.where}: {f.detail} (witness 1 of {len(report.failures)})")
 
 
 class Validation(NamedTuple):
@@ -157,7 +152,7 @@ def validate_axial(graph: OrientedGraph, axial: AxialFunction, connection: Maps 
 
 
 def validate_gkm(gkm: GkmGraph) -> ValidationReport:
-    """The report of ``gkm``, computed once per graph (:attr:`~gkmgraph.graph.GkmGraph.validation`)."""
+    """The report of ``gkm``, computed when it was built (:attr:`~gkmgraph.graph.GkmGraph.validation`)."""
     return gkm.validation.report
 
 
@@ -296,11 +291,11 @@ def infer_connection(graph: OrientedGraph, axial: AxialFunction) -> dict[str, di
     several partners (possible when some weight triple is dependent) raise
     :class:`AmbiguousConnectionError`.
     """
-    return _inferred(graph, axial).connection
+    return _inferred(graph, axial)[0]
 
 
-def _inferred(graph: OrientedGraph, axial: AxialFunction) -> GkmGraph:
-    """The graph with the connection :func:`infer_connection` finds; its validation takes the packing read here."""
+def _inferred(graph: OrientedGraph, axial: AxialFunction) -> tuple[dict[str, dict[str, str]], tuple[dict, int]]:
+    """The connection :func:`infer_connection` finds, and the packing read to find it, for validation to take."""
     packing = _packed(axial, graph.darts)
     w, packed, maps = axial.weights, packing[0], {}
     for e in graph.darts:
@@ -336,6 +331,4 @@ def _inferred(graph: OrientedGraph, axial: AxialFunction) -> GkmGraph:
                 f"forced partners across {eb} and its reverse are not mutually inverse"
             )
         maps[e] = nabla
-    gkm = GkmGraph(graph, axial, maps)
-    gkm.__dict__["_packing"] = packing  # until GkmGraph.validation takes it
-    return gkm
+    return maps, packing

@@ -26,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable
 
 from .graph import GkmError
-from .io import format_vector, gkm_from_document, labels_from_document, parse_gkm
+from .io import _assembled, format_vector, gkm_from_document, labels_from_document, parse_gkm
 
 if TYPE_CHECKING:
     from .graph import GkmGraph
@@ -71,7 +71,7 @@ def _write_output(pieces: Iterable[str], out: str | None) -> None:
         raise GkmError(f"cannot write {out}: {exc}") from exc
 
 
-def _write_gkm(gkm: GkmGraph, out: str | None) -> None:
+def _write_gkm(gkm: GkmGraph | tuple, out: str | None) -> None:
     from .writer import document_from_gkm, iter_gkm
 
     _write_output(iter_gkm(document_from_gkm(gkm)), out)
@@ -183,15 +183,15 @@ def cmd_check_extension(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    from .families import gen_grassmannian, gen_projective, gen_s6
+    from .families import _grassmannian, _projective, _s6
 
     if args.family == "projective":
-        gkm = gen_projective(args.m)
+        doc = _projective(args.m)
     elif args.family == "s6":
-        gkm = gen_s6()
+        doc = _s6()
     else:
-        gkm = gen_grassmannian(args.n)
-    _write_gkm(gkm, args.output)
+        doc = _grassmannian(args.n)
+    _write_gkm(_assembled(doc), args.output)  # what gen_* hold, but unvalidated: a family needs no check
     return 0
 
 
@@ -295,8 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GkmError, ValueError) as exc:
+    except (GkmError, ValueError, OverflowError) as exc:
         # ValueError: an argument value the library rejects, or input that is not UTF-8;
+        # OverflowError: a family size past what a list or range can hold;
         # line breaks (ids may hold them) are escaped to keep the error on one line
         print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ def invariant_function(gkm: GkmGraph) -> dict[str, tuple[int, ...]]:
     makes it usable as the sole input (besides the connection) to the
     solution-lattice computation.  The vectors are the ones axiom 3 proves
     while ``gkm`` is validated (:attr:`~gkmgraph.graph.GkmGraph.validation`,
-    computed once per graph); a graph failing an axiom raises
+    computed when it was built); a graph failing an axiom raises
     :class:`~gkmgraph.axial.AxiomViolationError`, naming the first failure.
     """
     return dict(validated(gkm).validation.coefficients)

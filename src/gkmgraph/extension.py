@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .axial import _first_failure, validate_gkm, validated
+from .axial import AxiomViolationError, validate_gkm, validated
 from .graph import GkmError, GkmGraph
 from .hermite import IntegerMatrix, _back_substitute, _spans, hermite_normal_form
 
@@ -110,7 +110,7 @@ def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
         return ExtensionCheck(False, None, "the connections differ")
     report = validate_gkm(candidate)
     if not report.ok:
-        return ExtensionCheck(False, None, _first_failure(report))
+        return ExtensionCheck(False, None, str(AxiomViolationError.from_report(report)))
     g = base.graph
     p = g.vertices[0]
     out = g.out_darts(p)

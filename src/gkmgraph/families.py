@@ -3,7 +3,7 @@
 Three generators cover the standard desk-scale fixtures: complete graphs with
 difference weights (projective spaces), the two-vertex triple edge with
 weights summing to zero (the six-sphere), and Johnson graphs ``J(n+2, 2)``
-with the Grassmannian weights.  Each assembles a document of forward darts.
+with the Grassmannian weights, each assembled from a private document builder.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ def gen_projective(m: int) -> GkmGraph:
     ``i -> j`` the dart to ``k`` goes to the dart from ``j`` to ``k``, whose
     weight differs by ``a_i - a_j``, and ``i -> j`` itself to ``j -> i``.
     """
+    return gkm_from_document(_projective(m))
+
+
+def _projective(m: int) -> GkmDocument:
+    """The forward-dart document of :func:`gen_projective`."""
     if m < 1:
         raise ValueError("m must be at least 1")
 
@@ -41,7 +46,7 @@ def gen_projective(m: int) -> GkmGraph:
     connection = {
         dart(i, j): {dart(i, k): dart(j, i if k == j else k) for k in range(m + 1) if k != i} for i, j in pairs
     }
-    return gkm_from_document(GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges, connection))
+    return GkmDocument(m, tuple(str(i) for i in range(m + 1)), edges, connection)
 
 
 def gen_s6() -> GkmGraph:
@@ -51,6 +56,11 @@ def gen_s6() -> GkmGraph:
     known congruence vector (-2, 1, 1) on every dart; the connection swaps
     the two other parallel edges.
     """
+    return gkm_from_document(_s6())
+
+
+def _s6() -> GkmDocument:
+    """The forward-dart document of :func:`gen_s6`."""
     edges = (
         EdgeRecord("e1", "p", "q", (1, 0)),
         EdgeRecord("e2", "p", "q", (0, 1)),
@@ -60,7 +70,7 @@ def gen_s6() -> GkmGraph:
         f"e{i}": {f"e{i}": f"e{i}~", f"e{j}": f"e{k}~", f"e{k}": f"e{j}~"}
         for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     }
-    return gkm_from_document(GkmDocument(2, ("p", "q"), edges, connection))
+    return GkmDocument(2, ("p", "q"), edges, connection)
 
 
 def gen_grassmannian(n: int) -> GkmGraph:
@@ -81,6 +91,11 @@ def gen_grassmannian(n: int) -> GkmGraph:
     one to ``{new, k}`` for every other ``k``, the dart itself onto its
     reverse, and the dart to ``{old, new}`` onto the one to ``{old, new}``.
     """
+    return gkm_from_document(_grassmannian(n))
+
+
+def _grassmannian(n: int) -> GkmDocument:
+    """The forward-dart document of :func:`gen_grassmannian`."""
     if n < 1:
         raise ValueError("n must be at least 1")
     top = n + 2
@@ -121,4 +136,4 @@ def gen_grassmannian(n: int) -> GkmGraph:
         others = [k for k in ground if k != i and k != j]
         orderings[v] = tuple([dart[v][label[i][k]] for k in others] + [dart[v][label[j][k]] for k in others])
 
-    return gkm_from_document(GkmDocument(n + 1, vertices, tuple(edges), connection, orderings))
+    return GkmDocument(n + 1, vertices, tuple(edges), connection, orderings)

@@ -9,17 +9,18 @@ explicitly).
 
 Every command loads this module.  It also holds :class:`GkmError`, the base
 of every error the package raises, the labeled graph (:class:`GkmGraph`: a
-graph, its weights and its connection, which holds its validation once
-computed) and :func:`_packed`, the packing of weights every congruence test
-reads.
+graph, its weights, its connection and their validation) and :func:`_packed`,
+the packing of weights every congruence test reads.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .axial import Validation
 
 
 class GkmError(Exception):
@@ -176,38 +177,30 @@ class AxialFunction(NamedTuple):
     weights: Mapping[str, Weight]
 
 
-class GkmGraph:
-    """A graph, an axial function, and a connection, used as one unit.
+class GkmGraph(NamedTuple("GkmGraph", [("graph", OrientedGraph), ("axial", AxialFunction),
+                                       ("connection", Mapping[str, Mapping[str, str]]), ("validation", "Validation")])):
+    """A graph, its weights and its connection, with their validation: the record ``(graph, axial, connection, validation)``.
 
     ``connection[e]`` is the map of dart ``e``: a bijection from the out-darts
-    of its source onto those of its target.  The fields are held as given and
-    must not change: :attr:`validation` reads them once, and setting or
-    deleting an attribute raises ``AttributeError``.
+    of its source onto those of its target.  ``validation``, the
+    :class:`~gkmgraph.axial.Validation` of the other three fields, is computed
+    on construction, by ``_make`` and by ``_replace`` unless it is given, so a
+    changed graph, weight or connection never keeps a stale one.
     """
 
-    def __init__(self, graph: OrientedGraph, axial: AxialFunction, connection: dict[str, dict[str, str]]):
-        self.__dict__.update(graph=graph, axial=axial, connection=connection)
+    __slots__ = ()
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    def __new__(cls, graph: OrientedGraph, axial: AxialFunction, connection, validation: Validation | None = None):
+        from .axial import _validate  # which imports this module
 
-    __delattr__ = __setattr__
+        return super().__new__(cls, graph, axial, connection, validation or _validate(graph, axial, connection))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.axial, self.connection) == (other.graph, other.axial, other.connection)
+    @classmethod
+    def _make(cls, iterable) -> "GkmGraph":
+        return cls(*iterable)
 
-    def __repr__(self):
-        return f"GkmGraph(graph={self.graph!r}, axial={self.axial!r}, connection={self.connection!r})"
-
-    @cached_property
-    def validation(self):
-        """The axioms checked once: a :class:`~gkmgraph.axial.Validation`, the report and the congruence vectors."""
-        from .axial import _validate
-
-        # a connection inferred on load hands on the packing inference read (axial._inferred)
-        return _validate(self.graph, self.axial, self.connection, self.__dict__.pop("_packing", None))
+    def _replace(self, **fields) -> "GkmGraph":
+        return super()._replace(**{"validation": None, **fields})
 
     @property
     def m(self) -> int:
@@ -221,8 +214,8 @@ class GkmGraph:
         return self.axial.weights[dart]
 
     def with_weights(self, weights: Mapping[str, Weight], torus_rank: int) -> "GkmGraph":
-        """Same graph and connection with the weights replaced (not validated)."""
-        return GkmGraph(self.graph, AxialFunction(torus_rank, dict(weights)), self.connection)
+        """Same graph and connection with the weights replaced, and their validation."""
+        return self._replace(axial=AxialFunction(torus_rank, dict(weights)))
 
 
 def _packed(axial: AxialFunction, darts: Iterable[str]) -> tuple[dict[str, int], int]:

@@ -5,10 +5,10 @@ one record per undirected edge (the forward dart's weight; the reverse dart
 ``X~`` implicitly carries the negated weight), and optional connection and
 ordering sections.  Parsing checks only the shape and types of the JSON;
 assembly (:func:`gkm_from_document`) leaves ids and references to
-:func:`~gkmgraph.graph.build_graph`, as every graph does.  ``validate`` prints
-the assembled graph's validation; :func:`load_gkm` also refuses a graph
-failing an axiom, and so does every other command, which loads a file the
-same way.
+:func:`~gkmgraph.graph.build_graph`, as every graph does, and the record it
+builds validates itself.  ``validate`` prints that validation; :func:`load_gkm`
+also refuses a graph failing an axiom, and so does every other command but
+``gen``, which writes the unvalidated parts (:func:`_assembled`).
 
 Each record is decoded once, as ``json.loads`` closes it, into the form the
 document keeps: an edge object becomes its :class:`EdgeRecord`, a connection
@@ -63,11 +63,6 @@ class GkmDocument(NamedTuple):
     orderings: Mapping[str, tuple[str, ...]] | None = None
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: ``bool`` subclasses ``int`` but is not one here."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class _Images(dict):
     """A connection map decoded from its list of pairs, each dart id interned."""
 
@@ -96,12 +91,7 @@ def _images(maps: list, path: str) -> _Images:
     else:
         if len(images) == len(maps):  # every source is new
             return images
-    return _images_by_index(maps, path)  # raises, naming the first bad pair
-
-
-def _images_by_index(maps: list, path: str) -> _Images:
-    """:func:`_images` on a fresh map, pair by pair, so that an error names the first bad pair."""
-    images = _Images()
+    images = _Images()  # pair by pair on a fresh map, so that an error names the first bad pair
     for kk, pair in enumerate(maps):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
@@ -188,7 +178,7 @@ def parse_gkm(text: str) -> GkmDocument:
         raise SchemaError(f"$: unknown fields: {sorted(unknown)}")
 
     rank = obj.get("torus_rank")
-    if not (_is_int(rank) and rank >= 1):
+    if not (type(rank) is int and rank >= 1):  # bool is not int here
         raise SchemaError("torus_rank: expected a positive integer")
     vertices = obj.get("vertices")
     if not (isinstance(vertices, list) and all(isinstance(x, str) for x in vertices)):
@@ -260,17 +250,24 @@ def labels_from_document(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction
 
 
 def gkm_from_document(doc: GkmDocument) -> GkmGraph:
-    """Assemble a labeled graph, not validated; the connection is inferred when absent.
+    """Assemble a labeled graph, which validates itself; an absent connection is inferred, on the packing validation reads."""
+    if doc.connection is not None:
+        return GkmGraph(*_assembled(doc))
+    from .axial import _inferred, _validate
+
+    graph, axial = labels_from_document(doc)
+    maps, packing = _inferred(graph, axial)
+    return GkmGraph(graph, axial, maps, _validate(graph, axial, maps, packing))
+
+
+def _assembled(doc: GkmDocument) -> tuple[OrientedGraph, AxialFunction, dict[str, Mapping[str, str]]]:
+    """The graph, weights and connection of a document that pins its connection, not validated.
 
     Each of the document's maps becomes the graph's map for its dart as it is, not copied, and
     a dart with no map gets the inverse of its reverse's map.  Whether each map is a bijection
     between the out-darts is axiom 3's to check.
     """
     graph, axial = labels_from_document(doc)
-    if doc.connection is None:
-        from .axial import _inferred
-
-        return _inferred(graph, axial)
     maps = dict(doc.connection)
     for d in maps:
         if d not in graph.sources:
@@ -282,7 +279,7 @@ def gkm_from_document(doc: GkmDocument) -> GkmGraph:
         if back is None:
             raise SchemaError(f"connection: no map for dart {d} or its reverse")
         maps[d] = {img: src for src, img in back.items()}
-    return GkmGraph(graph, axial, maps)
+    return graph, axial, maps
 
 
 def load_gkm(text: str) -> GkmGraph:

@@ -98,12 +98,11 @@ def emit_gkm(doc: GkmDocument) -> str:
 
 
 def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
-    """Snapshot a labeled graph, pinning its connection and orderings."""
-    g = gkm.graph
-    edges = tuple(EdgeRecord(e, g.source(e), g.target(e), gkm.weight(e)) for e in g.edge_representatives())
-    nabla = gkm.connection
+    """Snapshot a labeled graph, pinning its connection and orderings; it reads ``gkm[:3]``, the graph, weights and connection."""
+    g, axial, nabla = gkm[:3]
+    edges = tuple(EdgeRecord(e, g.source(e), g.target(e), axial.weights[e]) for e in g.edge_representatives())
     return GkmDocument(
-        torus_rank=gkm.axial.torus_rank,
+        torus_rank=axial.torus_rank,
         vertices=g.vertices,
         edges=edges,
         connection={d: {e2: nabla[d][e2] for e2 in g.out_darts(g.source(d))} for d in g.darts},

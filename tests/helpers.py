@@ -30,15 +30,19 @@ the public API what only tests need, and ``main_outcome`` runs one command
 line in process.  ``grassmannian_by_subsets`` builds the
 Grassmannian family from frozensets, swapping the replaced and the new
 element inside each target subset, the reference for the index tables of
-``gen_grassmannian``.  Nothing private is
-imported from the package.
+``gen_grassmannian``.  ``parse_by_schema`` reads a document with plain
+``json.loads`` and a walk written from the schema, the reference for the
+decoder and the schema walk of ``parse_gkm``.  Nothing private is imported
+from the package.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -50,6 +54,8 @@ from gkmgraph import (
     GkmDocument,
     GkmGraph,
     IntegerMatrix,
+    ParseError,
+    SchemaError,
     ValidationReport,
     build_graph,
     document_from_gkm,
@@ -725,3 +731,87 @@ def main_outcome(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def parse_by_schema(text: str) -> GkmDocument:
+    """The document ``text`` holds, or the ``ParseError`` or ``SchemaError`` that ``parse_gkm`` names.
+
+    Plain ``json.loads``, a repeated key keeping its last value, then the
+    schema field by field, in document order: ``torus_rank``, ``vertices``,
+    each edge (its shape, then its weight length), each connection entry (its
+    fields, dart, a dart named twice, then its pairs in order) and each ordering.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects are nested too deeply") from exc
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"an integer literal exceeds Python's int-max-str-digits limit of {limit} digits") from exc
+
+    def strings(x) -> bool:
+        return type(x) is list and all(type(y) is str for y in x)
+
+    if type(obj) is not dict:
+        raise SchemaError("$: expected a JSON object")
+    unknown = sorted(set(obj) - {"torus_rank", "vertices", "edges", "connection", "orderings"})
+    if unknown:
+        raise SchemaError(f"$: unknown fields: {unknown}")
+    rank = obj.get("torus_rank")
+    if type(rank) is not int or rank < 1:
+        raise SchemaError("torus_rank: expected a positive integer")
+    if not strings(obj.get("vertices")):
+        raise SchemaError("vertices: expected a list of strings")
+    if type(obj.get("edges")) is not list:
+        raise SchemaError("edges: expected a list")
+    edges = []
+    for k, e in enumerate(obj["edges"]):
+        at = f"edges[{k}]"
+        if type(e) is not dict:
+            raise SchemaError(f"{at}: expected an object")
+        if sorted(e) != ["endpoints", "id", "weight"]:
+            raise SchemaError(f"{at}: expected fields id, endpoints, weight")
+        if type(e["id"]) is not str or e["id"] == "":
+            raise SchemaError(f"{at}.id: expected a nonempty string")
+        if not (strings(e["endpoints"]) and len(e["endpoints"]) == 2):
+            raise SchemaError(f"{at}.endpoints: expected a pair of vertex ids")
+        if not (type(e["weight"]) is list and all(type(x) is int for x in e["weight"])):
+            raise SchemaError(f"{at}.weight: expected a list of integers")
+        if len(e["weight"]) != rank:
+            raise SchemaError(f"{at}.weight: expected {rank} integers, got {len(e['weight'])}")
+        edges.append(EdgeRecord(e["id"], e["endpoints"][0], e["endpoints"][1], tuple(e["weight"])))
+    connection = None
+    if obj.get("connection") is not None:
+        if type(obj["connection"]) is not list:
+            raise SchemaError("connection: expected a list")
+        connection = {}
+        for k, c in enumerate(obj["connection"]):
+            at = f"connection[{k}]"
+            if type(c) is not dict or sorted(c) != ["dart", "maps"]:
+                raise SchemaError(f"{at}: expected fields dart, maps")
+            if type(c["dart"]) is not str:
+                raise SchemaError(f"{at}.dart: expected a string")
+            if c["dart"] in connection:
+                raise SchemaError(f"{at}.dart: duplicate dart")
+            if type(c["maps"]) is not list:
+                raise SchemaError(f"{at}.maps: expected a list of pairs")
+            images = {}
+            for kk, pair in enumerate(c["maps"]):
+                if not (strings(pair) and len(pair) == 2):
+                    raise SchemaError(f"{at}.maps[{kk}]: expected a pair of dart ids")
+                if pair[0] in images:
+                    raise SchemaError(f"{at}.maps[{kk}]: dart {pair[0]} is mapped twice")
+                images[pair[0]] = pair[1]
+            connection[c["dart"]] = images
+    orderings = None
+    if obj.get("orderings") is not None:
+        if type(obj["orderings"]) is not dict:
+            raise SchemaError("orderings: expected an object")
+        orderings = {}
+        for v, order in obj["orderings"].items():
+            if not strings(order):
+                raise SchemaError(f"orderings.{v}: expected a list of strings")
+            orderings[v] = tuple(order)
+    return GkmDocument(rank, tuple(obj["vertices"]), tuple(edges), connection, orderings)

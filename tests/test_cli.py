@@ -641,6 +641,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
     [
         ["gen", "projective", "--m", "0"],
         ["gen", "grassmannian", "--n", "0"],
+        ["gen", "projective", "--m", "99999999999999999999999"],
+        ["gen", "grassmannian", "--n", "99999999999999999999"],
         ["extend", "{s6}", "--target", "1", "-o", "{out}"],
         ["project", "{p3}", "--matrix", "1 0 0 0", "-o", "{out}"],
         ["rank", "{latin1}"],
@@ -667,6 +669,8 @@ def test_connection_map_missing_a_pair_is_a_one_line_error(s6_file, capsys):
     ids=[
         "projective-m-0",
         "grassmannian-n-0",
+        "projective-m-past-an-index",
+        "grassmannian-n-past-an-index",
         "extend-target-below-n",
         "project-wrong-width",
         "not-utf-8",

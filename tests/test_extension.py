@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmgraph import (
     IntegerMatrix,
@@ -115,7 +117,8 @@ def _fold(v):
     return IntegerMatrix.from_rows([[int(c == i) for c in range(k)] + list(v[i]) for i in range(k)])
 
 
-def test_projections_extend_back_and_verify():
+def _folded_cases():
+    """``(projected, target)`` pairs: fixtures folded by ``[I | v]``, each with the ranks it extends back to."""
     # projective(10) folded by this v has coordinates of the canonical
     # elements with an echelon pivot above 1: the lattice basis vectors at
     # the non-pivot columns complete them to a sublattice of index > 1
@@ -133,8 +136,15 @@ def test_projections_extend_back_and_verify():
                 except AxiomViolationError:
                     continue  # the fold collapses the weights at some vertex
                 cases += [(projected, target) for target in range(n - drop + 1, n + 1)]
-    assert len(cases) > 20
-    for projected, target in cases:
+    return cases
+
+
+FOLDED_CASES = _folded_cases()
+
+
+def test_projections_extend_back_and_verify():
+    assert len(FOLDED_CASES) > 20
+    for projected, target in FOLDED_CASES:
         result = extend_axial(projected, target)
         assert validate_gkm(result).ok
         assert verify_extension(projected, result).ok
@@ -192,6 +202,36 @@ def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
         completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
         at_base = complete_inside_lattice(restricted, [row[:m] for row in basis.coordinate_matrix.data])
         assert at_base == (completion, index)
+
+
+def _completion_index(gkm) -> int:
+    """The index ``complete_inside_lattice`` returns for the canonical restrictions, as ``extend_axial`` completes them."""
+    basis, g, m = axial_group_basis(gkm), gkm.graph, gkm.m
+    canon = [tuple(gkm.weight(d)[i] for d in g.out_darts(g.vertices[0])) for i in range(gkm.n)]
+    return complete_inside_lattice(canon, [row[:m] for row in basis.coordinate_matrix.data])[1]
+
+
+def test_the_completion_index_reads_1_on_valid_input():
+    # axiom 4 at the first vertex makes the canonical restrictions primitive in
+    # Z^m, and the lattice's restriction there is saturated, so they are
+    # primitive in it: the index is a check that reads 1, not information
+    graphs = list(core_fixtures().values()) + [p for p, _ in _projections()] + [p for p, _ in FOLDED_CASES]
+    assert [_completion_index(gkm) for gkm in graphs] == [1] * len(graphs)
+
+
+@pytest.mark.parametrize("name", sorted(core_fixtures()))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_completion_index_reads_1_on_folded_fixtures(name, data):
+    # weights folded by a drawn [I | v] onto any rank; a fold that passes the
+    # axioms (one that collapses some vertex's weights does not) completes at index 1
+    gkm = core_fixtures()[name]
+    k = data.draw(st.integers(1, gkm.n), label="rows")
+    v = data.draw(st.lists(st.lists(st.integers(-2, 3), min_size=gkm.n - k, max_size=gkm.n - k), min_size=k, max_size=k))
+    weights = {d: _fold(v).mul_vector(w) for d, w in gkm.axial.weights.items()}
+    folded = gkm.with_weights(weights, k)
+    if validate_gkm(folded).ok:
+        assert _completion_index(folded) == 1
 
 
 def test_completion_and_verification_take_one_hnf_per_matrix(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -26,7 +27,7 @@ from gkmgraph import (
 )
 from gkmgraph.io import ParseError, SchemaError
 from gkmgraph.writer import iter_dot, iter_gkm
-from helpers import core_fixtures, shuffled_orderings, with_orderings
+from helpers import core_fixtures, parse_by_schema, shuffled_orderings, with_orderings
 
 MINIMAL = """
 {
@@ -529,3 +530,86 @@ def test_dot_escapes_quotes_and_backslashes():
         '  "q\\\\y";',
         '  "p\\"x" -- "q\\\\y" [label="e\\"1: (1, 0)"];',
     ]
+
+
+class _Pairs(list):
+    """A JSON object as its ``[key, value]`` pairs, so that a key may be written twice."""
+
+
+def _as_pairs(text: str):
+    return json.loads(text, object_pairs_hook=lambda pairs: _Pairs([list(p) for p in pairs]))
+
+
+def _dump(node, indent: str | None) -> str:
+    """``node`` as JSON text, a repeated key written as many times as it is held, indented or compact."""
+    sep = "," if indent is None else ",\n" + indent
+    if type(node) is _Pairs:
+        return "{" + sep.join(json.dumps(k) + ": " + _dump(v, indent) for k, v in node) + "}"
+    if type(node) is list:
+        return "[" + sep.join(_dump(x, indent) for x in node) + "]"
+    return json.dumps(node)
+
+
+def _places(node):
+    """Every ``(container, index)`` below ``node``: a list item or an object's ``[key, value]`` pair."""
+    out = []
+    for i, item in enumerate(node):
+        out.append((node, i))
+        child = item[1] if type(node) is _Pairs else item
+        if type(child) in (list, _Pairs):
+            out += _places(child)
+    return out
+
+
+_SCALARS = [0, 1, -1, 2, True, False, None, 1.5, "", "p", "e1", "0-1~", 2**70, [], _Pairs(), ["p"], [[]]]
+_ORACLE_TEXTS = [emit_gkm(document_from_gkm(gkm)) for gkm in (gen_s6(), gen_grassmannian(2), gen_projective(2))]
+
+
+def _outcome(parse, text: str):
+    try:
+        return "document", parse(text)
+    except Exception as exc:  # the type and text of any refusal must agree, not only a GkmError's
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_agrees_with_the_plain_schema_walk(data):
+    # documents mutated from s6, grassmannian(2) and projective(2): items
+    # dropped, values swapped for scalars or for nodes from elsewhere
+    # (records in another kind's place), fields reversed or written twice, and
+    # the text compact or indented; parse_gkm, whose decoder reads records as
+    # json.loads closes them, gives the document or the refusal of a plain walk
+    text = data.draw(st.sampled_from(_ORACLE_TEXTS), label="document")
+    root = _as_pairs(text)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        places = _places(root)
+        kind = data.draw(st.sampled_from(["drop", "scalar", "move", "reverse", "repeat", "number"]), label="kind")
+        if kind == "number":  # the rank or a weight entry, where bool is not int
+            places = [(c, i) for c, i in places if type(c) is list and type(c[i]) is int] or places
+            kind = "scalar"
+        container, i = data.draw(st.sampled_from(places), label="place")
+        is_pair = type(container) is _Pairs
+        if kind == "drop":
+            del container[i]
+        elif kind in ("scalar", "move"):
+            if kind == "scalar":
+                value = copy.deepcopy(data.draw(st.sampled_from(_SCALARS), label="scalar"))
+            else:
+                source, j = data.draw(st.sampled_from(places), label="from")
+                value = copy.deepcopy(source[j][1] if type(source) is _Pairs else source[j])
+            if is_pair:
+                container[i] = [container[i][0], value]
+            else:
+                container[i] = value
+        elif kind == "reverse":
+            container.reverse()
+        else:  # the item again, before or after: a key written twice, or a repeated entry or pair
+            value = copy.deepcopy(container[i])
+            if is_pair:
+                value[1] = copy.deepcopy(data.draw(st.sampled_from(_SCALARS + [container[i][1]]), label="value"))
+            container.insert(i + data.draw(st.integers(0, 1), label="after"), value)
+    mutated = _dump(root, data.draw(st.sampled_from([None, "  "]), label="indent"))
+    if data.draw(st.integers(0, 7), label="truncated") == 7:
+        mutated = mutated[: data.draw(st.integers(0, len(mutated)), label="cut")]
+    assert _outcome(parse_gkm, mutated) == _outcome(parse_by_schema, mutated)

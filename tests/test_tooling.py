@@ -308,9 +308,13 @@ def test_every_public_name_is_used_outside_the_tests():
 @pytest.mark.parametrize("connection", ["pinned", "inferred"])
 def test_a_load_packs_and_checks_the_weights_once(connection, monkeypatch):
     # inference hands the packing it read on to validation, and packing checks
-    # the weights, so a load packs them once and checks them once
+    # the weights, so a load packs them once and checks them once; the fixture,
+    # which validates itself on construction, is built before counting
     from gkmgraph import axial, gen_grassmannian, graph, load_gkm
 
+    doc = document_from_gkm(gen_grassmannian(4))
+    if connection == "inferred":
+        doc = doc._replace(connection=None, orderings=None)
     calls = Counter()
 
     def counted(name, original):
@@ -325,11 +329,62 @@ def test_a_load_packs_and_checks_the_weights_once(connection, monkeypatch):
         for module in (graph, axial):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    doc = document_from_gkm(gen_grassmannian(4))
-    if connection == "inferred":
-        doc = doc._replace(connection=None, orderings=None)
     assert validate_gkm(load_gkm(emit_gkm(doc))).ok
     assert calls == {"_packed": 1, "_check_weights": 1}
+
+
+def test_replacing_a_field_revalidates_the_record():
+    # _replace and _make compute the validation of the fields they are given,
+    # so a record never holds the validation of the fields it replaced
+    from gkmgraph import AxialFunction
+
+    from helpers import with_orderings
+
+    gkm = gen_projective(2)
+    g = gkm.graph
+    bent = dict(gkm.axial.weights, **{"0-1~": (1, 0)})  # off axiom 1
+    swapped = dict(gkm.connection, **{"0-1": {"0-1": "0-1~", "0-2": "1-2~"}})  # not onto the out-darts of 1
+    reordered = with_orderings(g, {"0": g.out_darts("0")[::-1]})  # moves the entries of the vectors at 0
+    records = [
+        gkm._replace(axial=AxialFunction(2, bent)),
+        gkm._replace(connection=swapped),
+        gkm._replace(graph=reordered),
+        gkm.with_weights(bent, 2),
+        GkmGraph._make([reordered, gkm.axial, gkm.connection]),
+        GkmGraph._make([reordered, gkm.axial, gkm.connection, None]),
+    ]
+    for record in records:
+        assert record.validation != gkm.validation
+        assert record.validation == GkmGraph(*record[:3]).validation
+    assert not validate_gkm(records[0]).passed(1) and not validate_gkm(records[1]).passed(3)
+    assert gkm._replace() == gkm and gkm._replace(validation=records[0].validation) != gkm
+
+
+def test_inferring_a_connection_checks_no_axiom(monkeypatch, tmp_path):
+    # infer_connection returns its maps and validates nothing, so the
+    # connection command on a pinned document validates once, on its load
+    from gkmgraph import axial, gen_grassmannian
+    from helpers import main_outcome
+
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    gkm = gen_grassmannian(3)
+    pinned = tmp_path / "grassmannian3.json"
+    pinned.write_text(emit_gkm(document_from_gkm(gkm)), encoding="utf-8")
+    for name in ("_check_dart", "_validate"):
+        monkeypatch.setattr(axial, name, counted(name, getattr(axial, name)))
+    assert infer_connection(gkm.graph, gkm.axial) == gkm.connection
+    assert calls == {}
+    code, out, _ = main_outcome(["connection", str(pinned)])
+    assert code == 0 and out
+    assert calls["_validate"] == 1 and calls["_check_dart"] == len(gkm.graph.edge_representatives())
 
 
 def test_public_names_resolve():
