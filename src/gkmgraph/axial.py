@@ -41,6 +41,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from .graph import AxialError, AxialFunction, GkmError, GkmGraph, OrientedGraph, Weight, _packed
+from .hermite import _spans
 
 
 Maps = Mapping[str, Mapping[str, str]]
@@ -188,8 +189,6 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
                     )
 
     coefficients = {} if connection is None else _check_connection(graph, connection, packing, failures)
-
-    from .hermite import _spans
 
     spans_agree = connection is not None and all(f.axiom != 3 for f in failures)
     tested = graph.vertices[:1] if spans_agree else graph.vertices

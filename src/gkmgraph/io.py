@@ -10,21 +10,22 @@ builds validates itself.  ``validate`` prints that validation; :func:`load_gkm`
 also refuses a graph failing an axiom, and so does every other command but
 ``gen``, which writes the unvalidated parts (:func:`_assembled`).
 
-Each record is decoded once, as ``json.loads`` closes it, into the form the
-document keeps: an edge object becomes its :class:`EdgeRecord`, a connection
-entry its dart and a dict of interned dart ids (the dict the assembled graph
-keeps as that dart's connection map), and each ordering a tuple, with every
-id interned.  So the text, the decoded tree and the document are never held
-twice over, and each id is one string throughout the loaded graph
-(:func:`~gkmgraph.graph.build_graph` interns each reverse id).  The schema
-walk then checks only what a record cannot know alone: the weight length
-against ``torus_rank``, a dart named twice, and a record in another kind's
-place, which it turns back into the object it was read from, so that every
-error names the same field as a walk over plain objects would.  A record the
-decoder leaves (malformed, with a repeated field, or with its fields in
-another order than the writer's) the walk checks and decodes in full.
-:func:`parse_gkm` drops the text once ``json.loads`` has decoded it, so a
-caller that passes the text on without holding it frees it before the walk.
+The decoder knows two records, each by its fields in the writer's order, and
+decodes each once, as ``json.loads`` closes it: an edge object becomes its
+:class:`EdgeRecord`, and a connection entry the dict of its pairs, which keeps
+its dart and stays the assembled graph's connection map for that dart, so the
+connection, most of a document, is never held twice over.  The schema walk
+places the orderings, each a tuple, and interns every id the records did not,
+so each id is one string throughout the loaded graph
+(:func:`~gkmgraph.graph.build_graph` interns each reverse id).  The walk checks
+what a record cannot know alone: the weight length against ``torus_rank``, a
+dart named twice, and a record in another kind's place, which it turns back
+into the object it was read from, so that every error names the same field as
+a walk over plain objects would.  A record the decoder leaves (malformed, with
+a repeated field, or with its fields in another order) the walk checks and
+decodes in full.  :func:`parse_gkm` drops the text once ``json.loads`` has
+decoded it, so a caller that passes the text on without holding it frees it
+before the walk.
 
 Loading a document loads :mod:`gkmgraph.axial`, to validate it and to infer a
 missing connection.  Writing documents and DOT text is :mod:`gkmgraph.writer`,
@@ -64,23 +65,15 @@ class GkmDocument(NamedTuple):
 
 
 class _Images(dict):
-    """A connection map decoded from its list of pairs, each dart id interned."""
+    """A connection entry decoded as it closed: the map of its pairs, each dart id interned, and its dart."""
+
+    __slots__ = ("dart",)
 
 
-class _Entry(NamedTuple):
-    """A connection entry decoded as it closed; not a plain tuple, whose free list would keep thousands alive."""
-
-    dart: str
-    maps: _Images
-
-
-class _Orderings(dict):
-    """An orderings object decoded as it closed: interned vertex ids to tuples of interned dart ids."""
-
-
-def _images(maps: list, path: str) -> _Images:
-    """``[source, image]`` pairs as a map; a malformed or repeated source raises :class:`SchemaError`."""
+def _images(dart: str, maps: list, path: str) -> _Images:
+    """The entry for ``dart`` with ``[source, image]`` pairs; a malformed or repeated source raises :class:`SchemaError`."""
     images = _Images()
+    images.dart = dart
     for pair in maps:
         if type(pair) is list and len(pair) == 2:
             source, image = pair
@@ -91,7 +84,7 @@ def _images(maps: list, path: str) -> _Images:
     else:
         if len(images) == len(maps):  # every source is new
             return images
-    images = _Images()  # pair by pair on a fresh map, so that an error names the first bad pair
+    images.clear()  # pair by pair again, so that an error names the first bad pair
     for kk, pair in enumerate(maps):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
@@ -123,11 +116,10 @@ def _edge(e, path: str) -> EdgeRecord:
 def _decode_object(pairs: list):
     """A JSON object, decoded as it closes when it is a well-formed record with its fields in written order.
 
-    An edge object becomes its :class:`EdgeRecord`, a connection entry its
-    :class:`_Entry` and an object whose values are all lists of strings an
-    :class:`_Orderings`; anything else stays a dict for the schema walk.
-    Where the walk expects another kind it turns a record back into its
-    object (:func:`_as_object`), which the written field order makes exact.
+    An edge object becomes its :class:`EdgeRecord` and a connection entry its
+    :class:`_Images`; anything else stays a dict for the schema walk.  Where
+    the walk expects another kind it turns a record back into its object
+    (:func:`_as_object`), which the written field order makes exact.
     """
     keys = [k for k, _ in pairs]
     if keys == ["id", "endpoints", "weight"]:
@@ -136,24 +128,21 @@ def _decode_object(pairs: list):
         except SchemaError:
             pass
     elif keys == ["dart", "maps"]:
-        dart, maps = pairs[0][1], pairs[1][1]
+        (_, dart), (_, maps) = pairs
         if type(dart) is str and type(maps) is list:
             try:
-                return _Entry(sys.intern(dart), _images(maps, ""))
+                return _images(sys.intern(dart), maps, "")
             except SchemaError:
                 pass
-    obj = dict(pairs)
-    if all(type(v) is list and all(type(x) is str for x in v) for v in obj.values()):
-        return _Orderings((sys.intern(k), tuple(map(sys.intern, v))) for k, v in obj.items())
-    return obj
+    return dict(pairs)
 
 
 def _as_object(x):
     """A record decoded by :func:`_decode_object` as the object it was read from; any other value as it is."""
     if type(x) is EdgeRecord:
         return {"id": x.id, "endpoints": [x.source, x.target], "weight": list(x.weight)}
-    if type(x) is _Entry:
-        return {"dart": x.dart, "maps": [list(pair) for pair in x.maps.items()]}
+    if type(x) is _Images:
+        return {"dart": x.dart, "maps": [list(pair) for pair in x.items()]}
     return x
 
 
@@ -203,8 +192,9 @@ def parse_gkm(text: str) -> GkmDocument:
             raise SchemaError("connection: expected a list")
         connection = {}
         for k, c in enumerate(raw_conn):
-            if type(c) is _Entry:
-                dart, maps = c
+            decoded = type(c) is _Images
+            if decoded:
+                dart, maps = c.dart, c
             else:
                 c = _as_object(c)
                 if not (isinstance(c, dict) and c.keys() == {"dart", "maps"}):
@@ -214,23 +204,23 @@ def parse_gkm(text: str) -> GkmDocument:
                     raise SchemaError(f"connection[{k}].dart: expected a string")
             if dart in connection:
                 raise SchemaError(f"connection[{k}].dart: duplicate dart")
-            if type(maps) is not _Images:
+            if not decoded:
                 # the decoder left it: a duplicated key, another field order, or an error to report
                 if not isinstance(maps, list):
                     raise SchemaError(f"connection[{k}].maps: expected a list of pairs")
-                maps = _images(maps, f"connection[{k}]")
-            connection[sys.intern(dart)] = maps
+                maps = _images(sys.intern(dart), maps, f"connection[{k}]")
+            connection[maps.dart] = maps
 
     orderings = None
     if obj.get("orderings") is not None:
-        orderings = _as_object(obj["orderings"])
-        if not isinstance(orderings, dict):
+        raw_orderings = _as_object(obj["orderings"])
+        if not isinstance(raw_orderings, dict):
             raise SchemaError("orderings: expected an object")
-        if type(orderings) is not _Orderings:
-            # the decoder left it, so one of these is not a list of strings
-            for v, lst in orderings.items():
-                if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
-                    raise SchemaError(f"orderings.{v}: expected a list of strings")
+        orderings = {}
+        for v, lst in raw_orderings.items():
+            if not (isinstance(lst, list) and all(isinstance(x, str) for x in lst)):
+                raise SchemaError(f"orderings.{v}: expected a list of strings")
+            orderings[sys.intern(v)] = tuple(map(sys.intern, lst))
 
     return GkmDocument(rank, vertices, tuple(edges), connection, orderings)
 

@@ -308,6 +308,7 @@ def test_duplicate_json_keys_keep_the_last_value():
         ("weight", "edges[1].weight: expected a list of integers"),
         ("top", "$: unknown fields: ['dart', 'maps']"),
         ("pair", "connection[0].maps[0]: expected a pair of dart ids"),
+        ("maps", "connection[0].maps: expected a list of pairs"),
         ("edge-top", "$: unknown fields: ['endpoints', 'id', 'weight']"),
         ("edge-connection", "connection[1]: expected fields dart, maps"),
         ("edge-orderings", "orderings.p: expected a list of strings"),
