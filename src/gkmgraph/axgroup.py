@@ -54,7 +54,7 @@ def _step(gkm: GkmGraph, e: str, cbar: Sequence[int]) -> Callable[[Sequence[int]
     rows follow.
     """
     g = gkm.graph
-    sig, pe = permutation(gkm, e), g.dart_index(e)
+    sig, pe = permutation(gkm, e), g.positions[e]
     pick = itemgetter(*sig) if len(sig) > 1 else lambda x: (x[sig[0]],)
 
     def step(x: Sequence[int]) -> tuple[int, ...]:
@@ -108,7 +108,7 @@ def _solve_by_propagation(gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]) -> 
     """
     g, m = gkm.graph, gkm.graph.valence
     base = g.vertices[0]
-    up = {q: (g.source(e), _step(gkm, e, inv[g.reverse(e)])) for q, e in g.tree.items()}
+    up = {q: (g.sources[e], _step(gkm, e, inv[g.reverse(e)])) for q, e in g.tree.items()}
     used = set(g.tree.values()) | {g.reverse(e) for e in g.tree.values()}
     kernel = list(IntegerMatrix.identity(m).data)
     values = {base: kernel}
@@ -128,7 +128,7 @@ def _solve_by_propagation(gkm: GkmGraph, inv: Mapping[str, tuple[int, ...]]) -> 
             break
         if e in used:
             continue
-        moved, there = list(map(_step(gkm, e, inv[g.reverse(e)]), at(g.source(e)))), at(g.target(e))
+        moved, there = list(map(_step(gkm, e, inv[g.reverse(e)]), at(g.sources[e]))), at(g.targets[e])
         if moved == there:
             continue
         block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]
@@ -151,11 +151,11 @@ def _solve_full_system(
     width = m * len(g.vertices)
     rows = []
     for e in g.edge_representatives():
-        p, q = g.source(e), g.target(e)
+        p, q = g.sources[e], g.targets[e]
         eb = g.reverse(e)
         sig = permutation(gkm, e)
         cbar = inv[eb]
-        pos_eb = g.dart_index(eb)
+        pos_eb = g.positions[eb]
         for j in range(m):
             row = [0] * width
             row[offset[p] + sig[j]] += 1

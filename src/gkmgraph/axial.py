@@ -177,7 +177,7 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
             failures.append(AxiomFailure(1, f"dart {e}", f"weight of {eb} is not the negative of {w[e]}"))
 
     for p in graph.vertices:
-        out = graph.out_darts(p)
+        out = graph.orderings[p]
         dirs = [_direction(w[d]) for d in out]
         if None not in dirs and len(set(dirs)) == len(dirs):
             continue
@@ -192,7 +192,7 @@ def _validate(graph: OrientedGraph, axial: AxialFunction, connection: Maps | Non
 
     spans_agree = connection is not None and all(f.axiom != 3 for f in failures)
     tested = graph.vertices[:1] if spans_agree else graph.vertices
-    bad = [p for p in tested if not _spans([w[d] for d in graph.out_darts(p)], axial.torus_rank)]
+    bad = [p for p in tested if not _spans([w[d] for d in graph.orderings[p]], axial.torus_rank)]
     if spans_agree and bad:
         bad = graph.vertices
     failures.extend(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice") for p in bad)
@@ -212,7 +212,7 @@ def _check_connection(graph: OrientedGraph, maps: Maps, packing: tuple[dict, int
     order are those of checking every dart.
     """
     packed, big = packing
-    outs = {v: set(graph.out_darts(v)) for v in graph.vertices}
+    outs = {v: set(graph.orderings[v]) for v in graph.vertices}
     index = graph.positions
     coefficients = {}
     proved: set[str] = set()  # second darts whose vectors the first dart's check proved
@@ -220,7 +220,7 @@ def _check_connection(graph: OrientedGraph, maps: Maps, packing: tuple[dict, int
         eb = graph.reverse(e)
         if e in proved and packed[e] == -packed[eb]:
             proved.discard(e)
-            images = map(maps[e].__getitem__, graph.out_darts(graph.source(e)))
+            images = map(maps[e].__getitem__, graph.orderings[graph.sources[e]])
             coefficients[e] = tuple(map(coefficients[eb].__getitem__, map(index.__getitem__, images)))
             continue
         before = len(failures)
@@ -252,7 +252,7 @@ def _check_dart(
     if nabla is None:
         failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
         return None
-    if nabla.keys() != outs[graph.source(e)] or set(nabla.values()) != outs[graph.target(e)]:
+    if nabla.keys() != outs[graph.sources[e]] or set(nabla.values()) != outs[graph.targets[e]]:
         failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
         return None
     eb = graph.reverse(e)
@@ -298,20 +298,20 @@ def _inferred(graph: OrientedGraph, axial: AxialFunction) -> tuple[dict[str, dic
     packing = _packed(axial, graph.darts)
     w, packed, maps = axial.weights, packing[0], {}
     for e in graph.darts:
-        p, q = graph.source(e), graph.target(e)
+        p, q = graph.sources[e], graph.targets[e]
         eb = graph.reverse(e)
         back = maps.get(eb)
         if back is not None and packed[e] + packed[eb] == 0:  # packing is linear and exact: w(e) = −w(ē)
             inverse = {img: src for src, img in back.items()}
-            maps[e] = {e: eb, **{d: inverse[d] for d in graph.out_darts(p)}}
+            maps[e] = {e: eb, **{d: inverse[d] for d in graph.orderings[p]}}
             continue
         key = _residue_key(packed, w, e)
         partners: dict[int, list[str]] = {}
-        for d in graph.out_darts(q):
+        for d in graph.orderings[q]:
             if d != eb:
                 partners.setdefault(key(d), []).append(d)
         nabla = {e: eb}
-        for e2 in graph.out_darts(p):
+        for e2 in graph.orderings[p]:
             if e2 == e:
                 continue
             cands = partners.get(key(e2))

@@ -121,7 +121,7 @@ def cmd_connection(args: argparse.Namespace) -> int:
     conn = gkm.connection if doc.connection is None else infer_connection(gkm.graph, gkm.axial)
     g = gkm.graph
     for e in g.darts:
-        pairs = ", ".join(f"{d}->{conn[e][d]}" for d in g.out_darts(g.source(e)))
+        pairs = ", ".join(f"{d}->{conn[e][d]}" for d in g.orderings[g.sources[e]])
         print(f"{e}: {pairs}")
     return 0
 

@@ -26,7 +26,7 @@ def permutation(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     """
     g = gkm.graph
     back = gkm.connection[g.reverse(e)]
-    return tuple(g.dart_index(back[d]) for d in g.out_darts(g.target(e)))
+    return tuple(g.positions[back[d]] for d in g.orderings[g.targets[e]])
 
 
 def invariant_function(gkm: GkmGraph) -> dict[str, tuple[int, ...]]:

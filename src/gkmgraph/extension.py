@@ -63,10 +63,10 @@ def extend_axial(gkm: GkmGraph, target_rank: int) -> GkmGraph:
             f"no extension to rank {target_rank}: the solution lattice has rank {basis.rank}"
         )
     g, w, m = gkm.graph, gkm.axial.weights, gkm.m
-    canon = [tuple(w[d][i] for d in g.out_darts(g.vertices[0])) for i in range(n)]
+    canon = [tuple(w[d][i] for d in g.orderings[g.vertices[0]]) for i in range(n)]
     coords, _ = complete_inside_lattice(canon, [row[:m] for row in basis.coordinate_matrix.data])
     new = (IntegerMatrix.from_rows(coords[: target_rank - n], basis.rank) @ basis.coordinate_matrix).data
-    darts = [d for v in g.vertices for d in g.out_darts(v)]
+    darts = [d for v in g.vertices for d in g.orderings[v]]
     weights = {d: w[d] + tuple(r[k] for r in new) for k, d in enumerate(darts)}
     return validated(gkm.with_weights(weights, target_rank))
 
@@ -113,7 +113,7 @@ def verify_extension(base: GkmGraph, candidate: GkmGraph) -> ExtensionCheck:
         return ExtensionCheck(False, None, str(AxiomViolationError.from_report(report)))
     g = base.graph
     p = g.vertices[0]
-    out = g.out_darts(p)
+    out = g.orderings[p]
     big = IntegerMatrix.from_rows([candidate.weight(d) for d in out], candidate.n)
     h, u = hermite_normal_form(big.transpose())
     rows = []

@@ -5,7 +5,8 @@ pair of endpoints does not determine an edge.  Each undirected edge ``X`` is
 the dart pair ``X`` / ``X~``, so the reverse ``ē`` of a dart, a fixed-point-free
 involution swapping endpoints, is read off its name.  Every vertex fixes an
 order on its outgoing darts (lexicographic by dart id unless pinned
-explicitly).
+explicitly).  A graph is a record read through its fields; it has no
+accessor that restates one.
 
 Every command loads this module.  It also holds :class:`GkmError`, the base
 of every error the package raises, the labeled graph (:class:`GkmGraph`: a
@@ -51,6 +52,12 @@ class OrientedGraph(NamedTuple):
     ``tree``, the breadth-first spanning tree from ``vertices[0]`` that
     proves the graph connected, mapping each other vertex to the dart that
     first reaches it (out-darts taken by id, whatever the orderings).
+
+    Read it through its fields: ``sources[d]`` and ``targets[d]`` are the
+    ends of dart ``d``, ``orderings[v]`` the out-darts at ``v`` in order and
+    ``positions[d]`` the place of ``d`` in the ordering at its source.  Its
+    two methods compute what no field holds: :meth:`reverse` interns the
+    reverse dart's id and :meth:`edge_representatives` picks one dart per edge.
     """
 
     vertices: tuple[str, ...]
@@ -62,22 +69,9 @@ class OrientedGraph(NamedTuple):
     positions: Mapping[str, int]
     tree: Mapping[str, str]
 
-    def source(self, dart: str) -> str:
-        return self.sources[dart]
-
-    def target(self, dart: str) -> str:
-        return self.targets[dart]
-
     def reverse(self, dart: str) -> str:
         """The reverse dart's id, as the one string :func:`build_graph` keeps for it."""
         return sys.intern(reverse_name(dart))
-
-    def out_darts(self, vertex: str) -> tuple[str, ...]:
-        return self.orderings[vertex]
-
-    def dart_index(self, dart: str) -> int:
-        """Position of the dart in the ordering at its source vertex."""
-        return self.positions[dart]
 
     def edge_representatives(self) -> tuple[str, ...]:
         """One dart per undirected edge: the forward dart ``X`` of the pair, sorted."""

@@ -100,13 +100,13 @@ def emit_gkm(doc: GkmDocument) -> str:
 def document_from_gkm(gkm: GkmGraph) -> GkmDocument:
     """Snapshot a labeled graph, pinning its connection and orderings; it reads ``gkm[:3]``, the graph, weights and connection."""
     g, axial, nabla = gkm[:3]
-    edges = tuple(EdgeRecord(e, g.source(e), g.target(e), axial.weights[e]) for e in g.edge_representatives())
+    edges = tuple(EdgeRecord(e, g.sources[e], g.targets[e], axial.weights[e]) for e in g.edge_representatives())
     return GkmDocument(
         torus_rank=axial.torus_rank,
         vertices=g.vertices,
         edges=edges,
-        connection={d: {e2: nabla[d][e2] for e2 in g.out_darts(g.source(d))} for d in g.darts},
-        orderings={v: g.out_darts(v) for v in g.vertices},
+        connection={d: {e2: nabla[d][e2] for e2 in g.orderings[g.sources[d]]} for d in g.darts},
+        orderings=dict(g.orderings),
     )
 
 
@@ -128,7 +128,7 @@ def iter_dot(gkm: GkmGraph, annotate: str = "none") -> Iterator[str]:
 
         vectors = invariant_function(gkm)
     for e in g.edge_representatives():
-        ends = f"{_dot_string(g.source(e))} -- {_dot_string(g.target(e))}"
+        ends = f"{_dot_string(g.sources[e])} -- {_dot_string(g.targets[e])}"
         if annotate == "weights":
             label = f"{e}: {format_vector(gkm.weight(e))}"
         elif annotate == "congruence":

@@ -202,8 +202,8 @@ def congruence_coefficient(gkm: GkmGraph, e: str, e_prime: str) -> int:
 
 def congruence_vector(gkm: GkmGraph, e: str) -> tuple[int, ...]:
     """Congruence coefficients of all out-darts at the source of ``e``, in order."""
-    p = gkm.graph.source(e)
-    return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.out_darts(p))
+    p = gkm.graph.sources[e]
+    return tuple(congruence_coefficient(gkm, e, d) for d in gkm.graph.orderings[p])
 
 
 def residue(w, base):
@@ -232,7 +232,7 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
         if nabla is None:
             failures.append(AxiomFailure(3, f"dart {e}", "connection has no map for this dart"))
             continue
-        outs, ins = set(graph.out_darts(graph.source(e))), set(graph.out_darts(graph.target(e)))
+        outs, ins = set(graph.orderings[graph.sources[e]]), set(graph.orderings[graph.targets[e]])
         if set(nabla) != outs or set(nabla.values()) != ins:
             failures.append(AxiomFailure(3, f"dart {e}", "map is not a bijection between the out-dart sets"))
             continue
@@ -249,7 +249,7 @@ def validation_by_residues(graph: OrientedGraph, axial: AxialFunction, connectio
                 )
     n = axial.torus_rank
     for p in graph.vertices:
-        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], n))
+        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.orderings[p]], n))
         if len(factors) != n or any(f != 1 for f in factors):
             failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
     return ValidationReport((1, 2, 3, 4) if connection is not None else (1, 2, 4), tuple(failures))
@@ -267,7 +267,7 @@ def coefficients_by_division(graph: OrientedGraph, axial: AxialFunction, connect
     vectors = {}
     for e in graph.darts:
         nabla = connection.get(e)
-        outs, ins = graph.out_darts(graph.source(e)), graph.out_darts(graph.target(e))
+        outs, ins = graph.orderings[graph.sources[e]], graph.orderings[graph.targets[e]]
         if nabla is None or set(nabla) != set(outs) or set(nabla.values()) != set(ins):
             continue
         vectors[e] = tuple(ratio(sub(w[nabla[d]], w[d]), w[e]) for d in outs)
@@ -285,12 +285,12 @@ def validation_checking_every_vertex(graph: OrientedGraph, axial: AxialFunction,
     report = validate_axial(graph, axial, connection)
     failures = list(report.failures_for(1))
     for p in graph.vertices:
-        for a, b in combinations(graph.out_darts(p), 2):
+        for a, b in combinations(graph.orderings[p], 2):
             if pairwise_dependent(w[a], w[b]):
                 failures.append(AxiomFailure(2, f"vertex {p}", f"darts {a} and {b} carry dependent weights"))
     failures += report.failures_for(3)
     for p in graph.vertices:
-        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.out_darts(p)], n))
+        factors = invariant_factors(IntegerMatrix.from_rows([w[d] for d in graph.orderings[p]], n))
         if len(factors) != n or any(f != 1 for f in factors):
             failures.append(AxiomFailure(4, f"vertex {p}", "weights do not span the integer lattice"))
     return ValidationReport(report.checked, tuple(failures))
@@ -311,11 +311,11 @@ def infer_connection_by_scan(graph: OrientedGraph, axial: AxialFunction) -> dict
             raise AxialError(f"weight of dart {d} has length {len(w[d])}, expected {n}")
     maps: dict[str, dict[str, str]] = {}
     for e in graph.darts:
-        p, q = graph.source(e), graph.target(e)
+        p, q = graph.sources[e], graph.targets[e]
         eb = graph.reverse(e)
         nabla = {e: eb}
-        pool = [d for d in graph.out_darts(q) if d != eb]
-        for e2 in graph.out_darts(p):
+        pool = [d for d in graph.orderings[q] if d != eb]
+        for e2 in graph.orderings[p]:
             if e2 == e:
                 continue
             cands = [d for d in pool if ratio(sub(w[d], w[e2]), w[e]) is not None]
@@ -349,9 +349,9 @@ def relation_holds(gkm: GkmGraph, values, e: str) -> bool:
     permutation and the coefficient vector are recomputed here from scratch.
     """
     g = gkm.graph
-    p, q = g.source(e), g.target(e)
+    p, q = g.sources[e], g.targets[e]
     eb = g.reverse(e)
-    out_p, out_q = g.out_darts(p), g.out_darts(q)
+    out_p, out_q = g.orderings[p], g.orderings[q]
     fp, fq = values[p], values[q]
     pos_q = {d: i for i, d in enumerate(out_q)}
     nabla = gkm.connection[e]
@@ -523,7 +523,7 @@ def random_valid_projection(rng: random.Random, gkm: GkmGraph, attempts: int = 6
 def shuffled_orderings(rng: random.Random, graph) -> dict[str, tuple[str, ...]]:
     out = {}
     for v in graph.vertices:
-        order = list(graph.out_darts(v))
+        order = list(graph.orderings[v])
         rng.shuffle(order)
         out[v] = tuple(order)
     return out
@@ -584,7 +584,7 @@ TWISTED_S6 = """{
 
 def with_orderings(graph: OrientedGraph, orderings) -> OrientedGraph:
     """The same graph rebuilt by ``build_graph`` with the orderings at some vertices replaced."""
-    edges = [(e, graph.source(e), graph.target(e)) for e in graph.edge_representatives()]
+    edges = [(e, graph.sources[e], graph.targets[e]) for e in graph.edge_representatives()]
     return build_graph(graph.vertices, edges, orderings={**graph.orderings, **orderings})
 
 
@@ -598,7 +598,7 @@ def with_first_vertex(gkm: GkmGraph, first: str) -> GkmGraph:
     """
     g = gkm.graph
     new = {v: ("a" if v == first else "b") + v for v in g.vertices}
-    edges = [(e, new[g.source(e)], new[g.target(e)]) for e in g.edge_representatives()]
+    edges = [(e, new[g.sources[e]], new[g.targets[e]]) for e in g.edge_representatives()]
     orderings = {new[v]: order for v, order in g.orderings.items()}
     return GkmGraph(build_graph(new.values(), edges, orderings), gkm.axial, gkm.connection)
 
@@ -639,7 +639,7 @@ def permutation_matrix(gkm: GkmGraph, e: str) -> IntegerMatrix:
 def canonical_elements(gkm: GkmGraph) -> tuple[dict[str, tuple[int, ...]], ...]:
     """The n solutions read off the weights: the i-th holds, at every vertex, the i-th coordinates of its out-darts."""
     g, w = gkm.graph, gkm.axial.weights
-    return tuple({p: tuple(w[d][i] for d in g.out_darts(p)) for p in g.vertices} for i in range(gkm.n))
+    return tuple({p: tuple(w[d][i] for d in g.orderings[p]) for p in g.vertices} for i in range(gkm.n))
 
 
 def renamed_vertices(rng: random.Random, gkm: GkmGraph) -> GkmGraph:
@@ -668,11 +668,11 @@ def breadth_first_tree(graph: OrientedGraph) -> list[str]:
     tree, seen, queue = [], {base}, deque([base])
     while queue:
         p = queue.popleft()
-        for e in sorted(graph.out_darts(p)):
-            if graph.target(e) not in seen:
-                seen.add(graph.target(e))
+        for e in sorted(graph.orderings[p]):
+            if graph.targets[e] not in seen:
+                seen.add(graph.targets[e])
                 tree.append(e)
-                queue.append(graph.target(e))
+                queue.append(graph.targets[e])
     return tree
 
 
@@ -691,8 +691,8 @@ def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
     inv = invariant_function(gkm)
 
     def step(e):
-        sig, pe, cbar = permutation(gkm, e), g.dart_index(e), inv[g.reverse(e)]
-        k = 1 + cbar[g.dart_index(g.reverse(e))]
+        sig, pe, cbar = permutation(gkm, e), g.positions[e], inv[g.reverse(e)]
+        k = 1 + cbar[g.positions[g.reverse(e)]]
         return lambda x: tuple(x[s] - k * x[pe] * c for s, c in zip(sig, cbar))
 
     tree = breadth_first_tree(g)
@@ -702,7 +702,7 @@ def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
     def spread(kernel):
         values = {base: kernel}
         for e in tree:
-            values[g.target(e)] = [steps[e](x) for x in values[g.source(e)]]
+            values[g.targets[e]] = [steps[e](x) for x in values[g.sources[e]]]
         return values
 
     kernel = [tuple(int(i == j) for j in range(m)) for i in range(m)]
@@ -710,7 +710,7 @@ def propagation_checking_every_edge(gkm: GkmGraph) -> IntegerMatrix:
     for e in g.edge_representatives():
         if e in used:
             continue
-        moved, there = [steps[e](x) for x in values[g.source(e)]], values[g.target(e)]
+        moved, there = [steps[e](x) for x in values[g.sources[e]]], values[g.targets[e]]
         if moved == there:
             continue
         block = [tuple(a - b for a, b in zip(x, y)) for x, y in zip(moved, there)]

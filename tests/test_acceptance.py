@@ -84,15 +84,15 @@ def test_criterion_04_johnson_coefficient_classes():
         g = gkm.graph
         inv = invariant_function(gkm)
         for e, vec in inv.items():
-            u = set(g.source(e).split("."))
-            v = set(g.target(e).split("."))
+            u = set(g.sources[e].split("."))
+            v = set(g.targets[e].split("."))
             (new,) = v - u
-            for d, c in zip(g.out_darts(g.source(e)), vec):
+            for d, c in zip(g.orderings[g.sources[e]], vec):
                 if d == e:
                     assert c == -2
-                elif (u & set(g.target(d).split("."))) == (u & v):
+                elif (u & set(g.targets[d].split("."))) == (u & v):
                     assert c == -1
-                elif new in set(g.target(d).split(".")):
+                elif new in set(g.targets[d].split(".")):
                     assert c == -1
                 else:
                     assert c == 0
@@ -181,12 +181,12 @@ def _property_checks(name: str, gkm: GkmGraph) -> None:
     inv = invariant_function(gkm)
     basis = axial_group_basis(gkm)
     for e in g.darts:
-        assert inv[e][g.dart_index(e)] == -2, name
+        assert inv[e][g.positions[e]] == -2, name
         prod = permutation_matrix(gkm, g.reverse(e)) @ permutation_matrix(gkm, e)
         assert prod == IntegerMatrix.identity(m), name
     for el in basis_elements(gkm, basis):
         for e in g.darts:
-            assert el[g.source(e)][g.dart_index(e)] == -el[g.target(e)][g.dart_index(g.reverse(e))], name
+            assert el[g.sources[e]][g.positions[e]] == -el[g.targets[e]][g.positions[g.reverse(e)]], name
     for v in g.vertices:
         renamed = with_first_vertex(gkm, v)
         other = axial_group_basis(renamed)

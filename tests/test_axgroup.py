@@ -80,7 +80,7 @@ def test_propagate_reads_only_the_congruence_of_its_own_dart():
     gkm = gen_projective(4)
     g = gkm.graph
     e = g.darts[0]
-    near = {e, *g.out_darts(g.target(e)), *g.out_darts(g.source(e))}
+    near = {e, *g.orderings[g.targets[e]], *g.orderings[g.sources[e]]}
     far = next(d for d in g.darts if d not in near and g.reverse(d) not in near)
     bent = gkm.with_weights(dict(gkm.axial.weights, **{far: (5,) * gkm.n}), gkm.n)
     assert any(None in vector for vector in bent.validation.coefficients.values())
@@ -133,7 +133,7 @@ def test_antisymmetry_across_darts():
         g = gkm.graph
         for el in basis_elements(gkm, axial_group_basis(gkm)):
             for e in g.darts:
-                assert el[g.source(e)][g.dart_index(e)] == -el[g.target(e)][g.dart_index(g.reverse(e))], name
+                assert el[g.sources[e]][g.positions[e]] == -el[g.targets[e]][g.positions[g.reverse(e)]], name
 
 
 def test_grassmannian_ranks():
@@ -386,12 +386,12 @@ def test_rank_nullity_against_rational_oracle():
             sig = permutation(gkm, e)
             eb = g.reverse(e)
             cbar = inv[eb]
-            pos = g.dart_index(eb)
+            pos = g.positions[eb]
             for j in range(m):
                 row = [0] * width
-                row[offset[g.source(e)] + sig[j]] += 1
-                row[offset[g.target(e)] + j] -= 1
-                row[offset[g.target(e)] + pos] -= cbar[j]
+                row[offset[g.sources[e]] + sig[j]] += 1
+                row[offset[g.targets[e]] + j] -= 1
+                row[offset[g.targets[e]] + pos] -= cbar[j]
                 rows.append(row)
         expected = width - rational_rank(rows)
         assert axial_group_basis(gkm).rank == expected, name

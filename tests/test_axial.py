@@ -95,7 +95,7 @@ def test_axiom4_distinguishes_integer_and_rational_span():
     assert not validate_axial(base.graph, axial).passed(4)
     # the doubled weights still span over the rationals, so only the integer span fails
     g = base.graph
-    assert all(rational_rank([weights[d] for d in g.out_darts(p)]) == 2 for p in g.vertices)
+    assert all(rational_rank([weights[d] for d in g.orderings[p]]) == 2 for p in g.vertices)
 
 
 VALIDATION_DOCUMENTS = {
@@ -144,7 +144,7 @@ def _mutated(doc, mutations):
         eb = gkm.graph.reverse(e)
         if kind == "swap-reverse":
             j, k = args
-            a, b = (gkm.graph.out_darts(gkm.graph.source(eb))[x] for x in (j, k))
+            a, b = (gkm.graph.orderings[gkm.graph.sources[eb]][x] for x in (j, k))
             images = maps[eb] = dict(maps[eb])
             images[a], images[b] = images[b], images[a]
         elif kind == "extend-reverse":
@@ -297,10 +297,10 @@ def test_infer_connection_brute_force_oracle():
         g = gkm.graph
         inferred = infer_connection(g, gkm.axial)
         for e in g.darts:
-            p, q = g.source(e), g.target(e)
+            p, q = g.sources[e], g.targets[e]
             eb = g.reverse(e)
-            rest_p = [d for d in g.out_darts(p) if d != e]
-            rest_q = [d for d in g.out_darts(q) if d != eb]
+            rest_p = [d for d in g.orderings[p] if d != e]
+            rest_q = [d for d in g.orderings[q] if d != eb]
             valid = []
             for image in permutations(rest_q):
                 pairs = dict(zip(rest_p, image))
@@ -345,7 +345,7 @@ def _made_ambiguous(rng: random.Random, gkm: GkmGraph) -> dict:
     g = gkm.graph
     weights = dict(gkm.axial.weights)
     e = g.darts[0]
-    d1, d2 = rng.sample([d for d in g.out_darts(g.target(e)) if d != g.reverse(e)], 2)
+    d1, d2 = rng.sample([d for d in g.orderings[g.targets[e]] if d != g.reverse(e)], 2)
     weights[d2] = tuple(x + y for x, y in zip(weights[d1], weights[e]))
     weights[g.reverse(d2)] = tuple(-x for x in weights[d2])
     return weights
@@ -354,7 +354,7 @@ def _made_ambiguous(rng: random.Random, gkm: GkmGraph) -> dict:
 def _in_search_order(graph, maps) -> bool:
     """Each map iterates ``e`` first, then the other out-darts of its source in ordering order."""
     return all(
-        list(maps[e]) == [e, *(d for d in graph.out_darts(graph.source(e)) if d != e)] for e in graph.darts
+        list(maps[e]) == [e, *(d for d in graph.orderings[graph.sources[e]] if d != e)] for e in graph.darts
     )
 
 
@@ -447,7 +447,7 @@ def test_infer_connection_searches_each_edge_once(monkeypatch):
     gkm = gen_projective(6)
     graph = with_orderings(gkm.graph, shuffled_orderings(rng, gkm.graph))
     weights = dict(gkm.axial.weights)
-    into = [graph.reverse(d) for d in graph.out_darts("3")]
+    into = [graph.reverse(d) for d in graph.orderings["3"]]
     weights.update({d: tuple(-x for x in weights[d]) for d in into})
     expected = [d for d in graph.darts if not d.endswith("~") or d in into or graph.reverse(d) in into]
     assert infer_counting(graph, weights, gkm.n) == expected
@@ -471,7 +471,7 @@ def test_axiom2_matches_the_pairwise_minors():
         for _ in range(30):
             weights = dict(gkm.axial.weights)
             for _ in range(rng.randint(1, 3)):
-                a, b = rng.sample(g.out_darts(rng.choice(g.vertices)), 2)
+                a, b = rng.sample(g.orderings[rng.choice(g.vertices)], 2)
                 k = rng.randint(-3, 2)
                 weights[b] = tuple(k * x for x in weights[a])
                 if rng.random() < 0.3:
@@ -483,8 +483,8 @@ def test_axiom2_matches_the_pairwise_minors():
             expected = [
                 (f"vertex {p}", f"darts {a} and {b} carry dependent weights")
                 for p in g.vertices
-                for i, a in enumerate(g.out_darts(p))
-                for b in g.out_darts(p)[i + 1 :]
+                for i, a in enumerate(g.orderings[p])
+                for b in g.orderings[p][i + 1 :]
                 if pairwise_dependent(weights[a], weights[b])
             ]
             report = validate_axial(g, AxialFunction(gkm.n, weights))
@@ -519,12 +519,12 @@ def test_congruence_coefficient_examples():
     s6 = gen_s6()
     inv = invariant_function(s6)
     for e in s6.graph.darts:
-        assert inv[e][s6.graph.dart_index(e)] == -2
+        assert inv[e][s6.graph.positions[e]] == -2
     gr = gen_grassmannian(2)
     inv = invariant_function(gr)
 
     def coefficient(e, e_prime):
-        return inv[e][gr.graph.dart_index(e_prime)]
+        return inv[e][gr.graph.positions[e_prime]]
 
     # dart {1,2} -> {1,3}: keeps 1, replaces 2 by 3
     e = "01.02|01.03"

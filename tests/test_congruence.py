@@ -30,7 +30,7 @@ def _check_against_division(gkm) -> bool:
     misses = {
         AxiomFailure(3, f"dart {e}", f"weight change of {d} is not a multiple of the base weight")
         for e, vector in expected.items()
-        for d, c in zip(g.out_darts(g.source(e)), vector)
+        for d, c in zip(g.orderings[g.sources[e]], vector)
         if c is None
     }
     assert set(report.failures_for(3)) == misses
@@ -76,7 +76,7 @@ def test_triangle_vectors_are_permutations_of_minus2_minus1():
     assert len(inv) == 6
     for e, vec in inv.items():
         assert sorted(vec) == [-2, -1]
-        assert vec[gkm.graph.dart_index(e)] == -2
+        assert vec[gkm.graph.positions[e]] == -2
 
 
 def test_grassmannian_coefficient_classes():
@@ -85,15 +85,15 @@ def test_grassmannian_coefficient_classes():
         inv = invariant_function(gkm)
         g = gkm.graph
         for e, vec in inv.items():
-            u = set(g.source(e).split("."))
-            v = set(g.target(e).split("."))
+            u = set(g.sources[e].split("."))
+            v = set(g.targets[e].split("."))
             (old,) = u - v
             (new,) = v - u
-            for d, c in zip(g.out_darts(g.source(e)), vec):
+            for d, c in zip(g.orderings[g.sources[e]], vec):
                 if d == e:
                     assert c == -2
                     continue
-                w = set(g.target(d).split("."))
+                w = set(g.targets[d].split("."))
                 kept = u & w
                 if kept == (u & v):
                     assert c == -1  # same kept element, different new one
@@ -107,7 +107,7 @@ def test_own_position_is_minus_two_everywhere():
     for name, gkm in core_fixtures().items():
         inv = invariant_function(gkm)
         for e, vec in inv.items():
-            assert vec[gkm.graph.dart_index(e)] == -2, name
+            assert vec[gkm.graph.positions[e]] == -2, name
 
 
 def test_vector_transport_identity():
@@ -161,14 +161,14 @@ def test_packing_leaves_room_for_the_largest_quotient():
     gkm = gen_projective(3)
     g = gkm.graph
     e = g.darts[0]
-    d = g.out_darts(g.source(e))[1]
+    d = g.orderings[g.sources[e]][1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[g.reverse(e)] = (1, 3, 0), (-1, -3, 0)
     weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (3, 1, 1)
     bent = gkm.with_weights(weights, gkm.n)
     with pytest.raises(NotAMultipleError, match=f"weight change of {d} across {e} is"):
         congruence_vector(bent, e)
-    assert bent.validation.coefficients[e][g.dart_index(d)] is None
+    assert bent.validation.coefficients[e][g.positions[d]] is None
     assert _check_against_division(bent)
 
 
@@ -179,7 +179,7 @@ def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
     gkm = gen_projective(3)
     g = gkm.graph
     e = g.darts[0]
-    d = g.out_darts(g.source(e))[1]
+    d = g.orderings[g.sources[e]][1]
     weights = dict(gkm.axial.weights)
     weights[e], weights[g.reverse(e)] = (1, 0, 0), (-1, 0, 0)
     weights[d], weights[gkm.connection[e][d]] = (0, 0, 0), (0, 1, 0)
@@ -187,7 +187,7 @@ def test_packed_quotient_is_bounded_by_twice_the_largest_entry():
     with pytest.raises(NotAMultipleError) as exc:
         {x: congruence_vector(bent, x) for x in g.darts}
     assert str(exc.value).startswith(f"weight change of {d} across {e} is")
-    assert bent.validation.coefficients[e][g.dart_index(d)] is None
+    assert bent.validation.coefficients[e][g.positions[d]] is None
     assert _check_against_division(bent)
 
 
@@ -197,7 +197,7 @@ def test_zero_base_weight_with_no_weight_change_gives_zero_coefficients():
     e = g.darts[0]
     weights = dict(gkm.axial.weights)
     weights[e] = weights[g.reverse(e)] = (0,) * gkm.n
-    for d in g.out_darts(g.source(e))[1:]:
+    for d in g.orderings[g.sources[e]][1:]:
         weights[gkm.connection[e][d]] = weights[d]
     bent = gkm.with_weights(weights, gkm.n)
     assert congruence_vector(bent, e) == (0, 0, 0)

@@ -196,7 +196,7 @@ def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
     # the full-coordinate completion
     for gkm in [p for p, _ in _projections()] + list(core_fixtures().values()):
         basis, g, m = axial_group_basis(gkm), gkm.graph, gkm.m
-        darts = [d for v in g.vertices for d in g.out_darts(v)]
+        darts = [d for v in g.vertices for d in g.orderings[v]]
         full = [tuple(gkm.weight(d)[i] for d in darts) for i in range(gkm.n)]
         restricted = [c[:m] for c in full]
         completion, index = complete_inside_lattice(full, basis.coordinate_matrix.data)
@@ -207,7 +207,7 @@ def test_completion_at_the_base_vertex_is_the_full_completion_restricted():
 def _completion_index(gkm) -> int:
     """The index ``complete_inside_lattice`` returns for the canonical restrictions, as ``extend_axial`` completes them."""
     basis, g, m = axial_group_basis(gkm), gkm.graph, gkm.m
-    canon = [tuple(gkm.weight(d)[i] for d in g.out_darts(g.vertices[0])) for i in range(gkm.n)]
+    canon = [tuple(gkm.weight(d)[i] for d in g.orderings[g.vertices[0]]) for i in range(gkm.n)]
     return complete_inside_lattice(canon, [row[:m] for row in basis.coordinate_matrix.data])[1]
 
 

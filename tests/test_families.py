@@ -88,8 +88,8 @@ def test_grassmannian_ordering_lists_kept_smaller_element_first():
     gkm = gen_grassmannian(2)
     g = gkm.graph
     # at {1,3}: keep 1 (new element 2 then 4), then keep 3 (2 then 4)
-    order = g.out_darts("01.03")
-    targets = [g.target(d) for d in order]
+    order = g.orderings["01.03"]
+    targets = [g.targets[d] for d in order]
     assert targets == ["01.02", "01.04", "02.03", "03.04"]
 
 
@@ -105,8 +105,8 @@ def test_grassmannian_ordering_follows_the_rule_at_every_vertex():
         i, j = sorted(subset(v))
         others = [k for k in range(1, n + 3) if k not in (i, j)]
         expected = [{i, k} for k in others] + [{j, k} for k in others]
-        assert [g.source(d) for d in g.out_darts(v)] == [v] * len(expected)
-        assert [subset(g.target(d)) for d in g.out_darts(v)] == expected
+        assert [g.sources[d] for d in g.orderings[v]] == [v] * len(expected)
+        assert [subset(g.targets[d]) for d in g.orderings[v]] == expected
 
 
 def test_grassmannian_weight_is_new_minus_old_on_every_dart():
@@ -119,7 +119,7 @@ def test_grassmannian_weight_is_new_minus_old_on_every_dart():
     gkm = gen_grassmannian(n)
     assert len(gkm.axial.weights) == len(gkm.graph.darts)
     for d in gkm.graph.darts:
-        source, target = subset(gkm.graph.source(d)), subset(gkm.graph.target(d))
+        source, target = subset(gkm.graph.sources[d]), subset(gkm.graph.targets[d])
         (old,) = source - target
         (new,) = target - source
         assert gkm.weight(d) == tuple(x - y for x, y in zip(a(new), a(old)))

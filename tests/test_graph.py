@@ -14,29 +14,29 @@ def test_triangle():
     assert g.valence == 2
     assert len(g.darts) == 6
     assert g.vertices == ("p", "q", "r")
-    assert g.out_darts("p") == ("pq", "rp~")
-    assert g.source("pq") == "p" and g.target("pq") == "q"
-    assert g.source("pq~") == "q" and g.target("pq~") == "p"
+    assert g.orderings["p"] == ("pq", "rp~")
+    assert g.sources["pq"] == "p" and g.targets["pq"] == "q"
+    assert g.sources["pq~"] == "q" and g.targets["pq~"] == "p"
 
 
 def test_parallel_edges():
     g = build_graph(["p", "q"], [("e1", "p", "q"), ("e2", "p", "q"), ("e3", "p", "q")])
     assert g.valence == 3
     assert len(g.darts) == 6
-    assert g.out_darts("q") == ("e1~", "e2~", "e3~")
+    assert g.orderings["q"] == ("e1~", "e2~", "e3~")
 
 
 def test_reversal_involution():
     g = build_graph(["p", "q", "r"], TRIANGLE)
     for d in g.darts:
         assert g.reverse(g.reverse(d)) == d
-        assert g.source(g.reverse(d)) == g.target(d)
-        assert g.target(g.reverse(d)) == g.source(d)
+        assert g.sources[g.reverse(d)] == g.targets[d]
+        assert g.targets[g.reverse(d)] == g.sources[d]
 
 
 def test_dart_count_is_twice_edge_count():
     g = build_graph(["p", "q", "r"], TRIANGLE)
-    assert sum(len(g.out_darts(v)) for v in g.vertices) == len(g.darts)
+    assert sum(len(g.orderings[v]) for v in g.vertices) == len(g.darts)
     assert len(g.darts) == 2 * len(g.edge_representatives())
 
 
@@ -62,8 +62,8 @@ def test_pinned_ordering_must_be_permutation():
     with pytest.raises(GraphError):
         build_graph(["p", "q", "r"], TRIANGLE, orderings={"p": ("pq", "pq")})
     g = build_graph(["p", "q", "r"], TRIANGLE, orderings={"p": ("rp~", "pq")})
-    assert g.out_darts("p") == ("rp~", "pq")
-    assert g.dart_index("pq") == 1
+    assert g.orderings["p"] == ("rp~", "pq")
+    assert g.positions["pq"] == 1
 
 
 @pytest.mark.parametrize("orderings", [None, {"p": ("rp~", "pq"), "r": ("rp", "qr~")}])
@@ -71,24 +71,24 @@ def test_graph_record_holds_its_darts_and_positions(orderings):
     g = build_graph(["p", "q", "r"], TRIANGLE, orderings=orderings)
     assert g.darts == tuple(sorted(g.sources))
     assert g.positions.keys() == g.sources.keys()
-    assert all(g.positions[d] == g.orderings[g.source(d)].index(d) for d in g.darts)
-    assert g.tree == {g.target(e): e for e in breadth_first_tree(g)}
+    assert all(g.positions[d] == g.orderings[g.sources[d]].index(d) for d in g.darts)
+    assert g.tree == {g.targets[e]: e for e in breadth_first_tree(g)}
     assert OrientedGraph(*g) == g
     # the tree is the walk by dart id, whatever the edge order and the pinned orderings
     rng = random.Random(0)
     for graph in (gen_s6().graph, gen_projective(3).graph, gen_grassmannian(2).graph):
-        edges = [(e, graph.source(e), graph.target(e)) for e in graph.edge_representatives()]
+        edges = [(e, graph.sources[e], graph.targets[e]) for e in graph.edge_representatives()]
         builds = [build_graph(graph.vertices, order) for order in (rng.sample(edges, len(edges)), edges[::-1])]
-        builds.append(with_orderings(graph, {v: graph.out_darts(v)[::-1] for v in graph.vertices}))
-        tree = {graph.target(e): e for e in breadth_first_tree(graph)}
+        builds.append(with_orderings(graph, {v: graph.orderings[v][::-1] for v in graph.vertices}))
+        tree = {graph.targets[e]: e for e in breadth_first_tree(graph)}
         assert [build.tree for build in builds] == [tree] * 3
 
 
 def test_with_orderings():
     g = build_graph(["p", "q", "r"], TRIANGLE)
     g2 = with_orderings(g, {"q": ("qr", "pq~")})
-    assert g2.out_darts("q") == ("qr", "pq~")
-    assert g2.out_darts("p") == g.out_darts("p")
+    assert g2.orderings["q"] == ("qr", "pq~")
+    assert g2.orderings["p"] == g.orderings["p"]
     assert g2.darts == g.darts
     assert all(g2.reverse(d) == g.reverse(d) for d in g.darts)
     with pytest.raises(GraphError):

@@ -241,7 +241,7 @@ def test_invariant_factors_match_the_minors_on_vertex_matrices(name):
     for labeling in labelings:
         g, w, k = labeling.graph, labeling.axial.weights, labeling.n
         for v in g.vertices:
-            rows = [w[d] for d in g.out_darts(v)]
+            rows = [w[d] for d in g.orderings[v]]
             assert invariant_factors(IntegerMatrix.from_rows(rows, k)) == smith_by_minors(rows, k), (name, k, v)
 
 

@@ -383,9 +383,11 @@ def test_a_map_out_of_ordering_order_parses_and_emits_byte_for_byte():
 
 def test_load_peak_memory_stays_near_the_text():
     # each record is decoded as it closes, so neither a second copy of the
-    # connection nor a dict per record is ever held: 0.80 times the text on 3.11,
-    # 0.91 when the schema walk decoded the edges and the wrapper of each
-    # entry; Python 3.10, whose dicts keep 24-byte entries, reads 0.97 and 1.09
+    # connection nor a dict per record is ever held: 0.834 times the text on
+    # 3.11.7, close under the bound of 0.85, and 0.91 when the schema walk
+    # decoded the edges and the wrapper of each entry; Python 3.10, whose dicts
+    # keep 24-byte entries, read 0.97 and 1.09 (figures carried from an earlier
+    # change, not measured again since)
     text = emit_gkm(document_from_gkm(gen_grassmannian(9)))
     gc.collect()
     tracemalloc.start()
